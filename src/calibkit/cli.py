@@ -75,7 +75,16 @@ def settings(args):
     cfg = dict(DEFAULTS)
     if args.config:
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise SystemExit2("--config must hold a JSON object")
+        for key, default in DEFAULTS.items():
+            val = overrides.get(key, default)
+            # bool is an int subclass; an int is accepted where a float is expected
+            kinds = int if isinstance(default, int) else (int, float)
+            if isinstance(val, bool) or not isinstance(val, kinds):
+                raise SystemExit2(f"--config key {key!r} must be a {type(default).__name__}")
+        cfg.update(overrides)
     for key in ("trials", "tol", "seed"):
         val = getattr(args, key, None)
         if val is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .exterior import (
     batch_eval_dense,
     canonical_indices,
     evaluate,
+    first_jet,
     so_action,
 )
 
@@ -271,22 +272,11 @@ def stabilizer_kernel(phi, tol=RANK_TOL):
 
 def cousin_matrix(phi, xi):
     """First-cousin coefficients G[s, a] = phi(e_1, .., v_s at slot a, .., e_p)."""
-    n, p = xi.n, xi.p
-    if phi.p != p:
-        raise ValueError(f"degree {phi.p} form against a {p}-plane")
-    nn = xi.normal_frame()
-    k = n - p
-    if k == 0 or p == 0:
-        return np.zeros((k, p))
-    frames = np.broadcast_to(xi.frame, (k * p, n, p)).copy()
-    for a in range(p):
-        for s in range(k):
-            frames[a * k + s, :, a] = nn[:, s]
+    if phi.p != xi.p:
+        raise ValueError(f"degree {phi.p} form against a {xi.p}-plane")
     idx0, c = phi._compact()
-    if idx0.shape[0] == 0:
-        return np.zeros((k, p))
-    vals = batch_eval_dense(c[None, :], idx0, frames)[0]
-    return vals.reshape(p, k).T
+    _, first = first_jet(c, idx0, xi.frame, xi.normal_frame())
+    return first.T
 
 
 def annihilator_check(xi, module):
@@ -348,7 +338,11 @@ def rho_closed(xi, phi, tol=DEFAULT_TOL):
 
 
 def is_critical(xi, phi, tol=DEFAULT_TOL, module=None):
-    """Full three-residual criticality report for a plane."""
+    """Full three-residual criticality report for a plane.
+
+    The plane is critical when the cousin residual is below tol times the
+    largest |coefficient| of phi (tol itself for the zero form).
+    """
     g = cousin_matrix(phi, xi)
     residual_cousin = float(np.max(np.abs(g))) if g.size else 0.0
     if module is None:
@@ -356,12 +350,14 @@ def is_critical(xi, phi, tol=DEFAULT_TOL, module=None):
     residual_module = annihilator_check(xi, module)
     residual_rho = _rho_offplane_residual(xi, phi)
     value = evaluate(phi, xi)
+    # the cousin coefficients scale with phi; the zero form keeps the absolute tol
+    scale = max((abs(c) for c in phi.coeffs.values()), default=1.0)
     return CriticalityReport(
         residual_cousin=residual_cousin,
         residual_module=residual_module,
         residual_rho=residual_rho,
         value=value,
-        is_critical=bool(residual_cousin < tol),
+        is_critical=bool(residual_cousin < tol * scale),
         tol=tol,
     )
 

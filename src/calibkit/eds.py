@@ -22,7 +22,7 @@ from .critical import (
     phi_module,
     qr_fix,
 )
-from .exterior import AltForm, hodge_star, wedge
+from .exterior import AltForm, first_jet, hodge_star, wedge
 from .grassmann import SearchParams, comass_search
 
 __all__ = [
@@ -123,11 +123,8 @@ def integral_element_codim(xi, module, fd_check=True, fd_step=1e-6):
     if module.rank == 0 or k == 0:
         return 0
     nn = xi.normal_frame()
-    frames = np.broadcast_to(xi.frame, (k * p, n, p)).copy()
-    for a in range(p):
-        for s in range(k):
-            frames[a * k + s, :, a] = nn[:, s]
-    jac = module.values_on(frames)  # exact linearization, (rank, k*p)
+    _, first = first_jet(module.dense_matrix(), module._idx0, xi.frame, nn)
+    jac = first.reshape(module.rank, p * k)  # exact linearization
     rank = _rank(jac, JACOBIAN_CUTOFF)
     if fd_check:
         fd = np.zeros_like(jac)

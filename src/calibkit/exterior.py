@@ -25,11 +25,14 @@ __all__ = [
     "form_inner",
     "canonical_indices",
     "batch_eval_dense",
+    "first_jet",
     "parse_form",
     "format_form",
 ]
 
 DEFAULT_TOL = 1e-9
+# floats gathered at once by first_jet for its cofactors (2 MB)
+_MINOR_BLOCK = 1 << 18
 
 
 def sort_index(idx):
@@ -144,7 +147,7 @@ class AltForm:
         cached = self._cache.get("compact")
         if cached is None:
             items = sorted(self.coeffs.items())
-            idx = np.array([I for I, _ in items], dtype=np.intp).reshape(-1, self.p)
+            idx = np.array([I for I, _ in items], dtype=np.intp).reshape(len(items), self.p)
             c = np.array([v for _, v in items])
             cached = (idx - 1, c)
             self._cache["compact"] = cached
@@ -203,6 +206,8 @@ class AltForm:
         return float(np.linalg.det(m[idx, :]) @ c)
 
     def __repr__(self):
+        if self.n > 9:
+            return f"AltForm(n={self.n}, p={self.p}, coeffs={dict(sorted(self.coeffs.items()))!r})"
         return f"AltForm(n={self.n}, p={self.p}, {format_form(self)!r})"
 
 
@@ -348,6 +353,45 @@ def batch_eval_dense(coeff_mat, idx0, frames):
     sub = frames[:, idx0, :]  # (m, t, p, p)
     dets = np.linalg.det(sub)  # (m, t)
     return coeff_mat @ dets.T
+
+
+def first_jet(coeff_mat, idx0, frame, normal):
+    """Values of forms at a frame and at every one-column normal replacement.
+
+    coeff_mat: (..., t) coefficients over the p-indices idx0 (0-based, (t, p)).
+    frame: (n, p); normal: (n, k).
+    Returns (values, first) with values of shape (...,) and first of shape
+    (..., p, k), where first[..., b, s] is the value on the frame whose column
+    b is replaced by normal[:, s].  Since det is linear in each column,
+    det(F_bs[I]) = sum_r cof_I[r, b] * normal[I_r, s], so every replacement
+    comes from the cofactors of the t minors frame[I].  The cofactors are
+    signed (p-1)-minors, not an inverse, so singular minors need no care.
+    """
+    coeff_mat = np.asarray(coeff_mat, dtype=float)
+    frame = np.asarray(frame, dtype=float)
+    normal = np.asarray(normal, dtype=float)
+    t, p = idx0.shape
+    k = normal.shape[1]
+    lead = coeff_mat.shape[:-1]
+    if t == 0:
+        return np.zeros(lead), np.zeros(lead + (p, k))
+    minors = frame[idx0]  # (t, p, p)
+    values = coeff_mat @ np.linalg.det(minors)
+    if p == 0 or k == 0:
+        return values, np.zeros(lead + (p, k))
+    # keep[r] lists the rows (and columns) other than r
+    keep = np.array([[j for j in range(p) if j != r] for r in range(p)], dtype=np.intp)
+    cof = np.empty((t, p, p))
+    # the gathered (p-1)-minors take p^2 (p-1)^2 floats per index: bound the
+    # block so that a large p (a Hodge dual, say) stays small in memory
+    step = max(1, _MINOR_BLOCK // (p * p * max(1, (p - 1) ** 2)))
+    for lo in range(0, t, step):
+        block = minors[lo : lo + step]
+        cof[lo : lo + step] = np.linalg.det(block[:, keep[:, None, :, None], keep[None, :, None, :]])
+    cof *= (-1.0) ** np.add.outer(np.arange(p), np.arange(p))
+    repl = np.swapaxes(cof, 1, 2) @ normal[idx0]  # (t, p, k)
+    first = coeff_mat @ repl.reshape(t, p * k)
+    return values, first.reshape(lead + (p, k))
 
 
 # -- parsing / formatting ---------------------------------------------------

@@ -9,8 +9,7 @@ form that plain ascent misses.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .critical import (
     phi_module,
     qr_fix,
 )
-from .exterior import batch_eval_dense, canonical_indices
+from .exterior import batch_eval_dense, canonical_indices, first_jet
 
 __all__ = [
     "SearchParams",
@@ -134,22 +133,6 @@ def _module_rows(phi, module):
     return idx0, rows
 
 
-def _eval_bundle(idx0, rows, frames):
-    return batch_eval_dense(rows, idx0, np.asarray(frames))
-
-
-def _modified_frames(xi):
-    """The frame itself followed by every one-column normal replacement."""
-    n, p = xi.n, xi.p
-    nn = xi.normal_frame()
-    k = n - p
-    frames = np.broadcast_to(xi.frame, (1 + k * p, n, p)).copy()
-    for b in range(p):
-        for t in range(k):
-            frames[1 + b * k + t, :, b] = nn[:, t]
-    return frames
-
-
 def _gauss_newton_critical(phi, start, params, module, idx0, rows):
     """Drive the module values on the plane to zero; returns (plane, iters, ok)."""
     xi = start
@@ -157,23 +140,21 @@ def _gauss_newton_critical(phi, start, params, module, idx0, rows):
     k = n - p
     if k == 0 or p == 0 or module.rank == 0:
         return xi, 0, True
-    resid_norm2 = None
     for it in range(1, params.max_iters + 1):
-        vals = _eval_bundle(idx0, rows, _modified_frames(xi))
-        g = vals[0, 1:].reshape(p, k).T
-        if np.max(np.abs(g)) < params.grad_tol:
+        nn = xi.normal_frame()
+        vals, first = first_jet(rows, idx0, xi.frame, nn)
+        if np.max(np.abs(first[0])) < params.grad_tol:
             return xi, it, True
-        r = vals[1:, 0]
-        jac = vals[1:, 1:]  # d gamma / d A[b*k+t]
+        r = vals[1:]
+        jac = first[1:].reshape(len(r), p * k)  # d gamma / d A[b*k+t]
         delta, *_ = np.linalg.lstsq(jac, -r, rcond=1e-12)
         base = float(r @ r)
         step = 1.0
-        nn = xi.normal_frame()
         accepted = None
         for _ in range(30):
             move = nn @ (step * delta.reshape(p, k).T)
             cand = _retract(xi.frame, move)
-            r_new = _eval_bundle(idx0, rows, cand.frame[None])[1:, 0]
+            r_new = batch_eval_dense(rows, idx0, cand.frame[None])[1:, 0]
             if float(r_new @ r_new) < base * (1.0 - params.armijo_c * step) + 1e-30:
                 accepted = cand
                 break
@@ -200,20 +181,20 @@ def ascend(phi, start, params=None, sense="maximize", module=None):
         sign = 1.0 if sense == "maximize" else -1.0
         step = params.step_init
         polish_tol = 1e-3
+        phi_idx, phi_c = phi._compact()
         for it in range(1, params.max_iters + 1):
             iterations = it
-            vals = _eval_bundle(idx0, rows, _modified_frames(xi))
-            value = vals[0, 0]
-            g = vals[0, 1:].reshape(xi.p, xi.n - xi.p).T
+            nn = xi.normal_frame()
+            value, first = first_jet(phi_c, phi_idx, xi.frame, nn)
+            g = first.T
             gnorm2 = float(np.sum(g * g))
             if np.sqrt(gnorm2) < polish_tol:
                 break
-            nn = xi.normal_frame()
             accepted = None
             trial_step = min(step * 2.0, 10.0)
             for _ in range(60):
                 cand = _retract(xi.frame, nn @ (trial_step * sign * g))
-                new_value = _eval_bundle(idx0, rows, cand.frame[None])[0, 0]
+                new_value = phi.apply(cand.frame)
                 if sign * (new_value - value) >= params.armijo_c * trial_step * gnorm2:
                     accepted = cand
                     step = trial_step

@@ -150,6 +150,16 @@ def test_config_file_overrides_defaults(capsys, tmp_path):
     assert json.loads(out)["trials"] == 5
 
 
+@pytest.mark.parametrize("content", ['{"trials": "a"}', "[1, 2]", '{"tol": "x"}'])
+def test_config_file_of_wrong_type_is_a_usage_error(capsys, tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code, out, err = run(capsys, "search", "--family", "associative", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "--config" in err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(

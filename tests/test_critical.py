@@ -22,6 +22,7 @@ from calibkit import (
     parse_form,
     phi_module,
     qr_fix,
+    random_plane,
     rho_closed,
     rho_product,
     sff_space,
@@ -196,6 +197,16 @@ def test_cousin_matrix_zero_iff_annihilated(rng):
     bad = OrientedPlane(q)
     assert np.max(np.abs(cousin_matrix(phi, bad))) > 1e-3
     assert annihilator_check(bad, module) > 1e-3
+
+
+def test_is_critical_tolerance_scales_with_form():
+    phi = 1e-10 * associative_form()
+    for seed in range(5):
+        assert not is_critical(random_plane(7, 3, seed), phi).is_critical
+    calibrated = OrientedPlane(np.eye(7)[:, :3])
+    assert is_critical(calibrated, phi).is_critical
+    # the zero form keeps the absolute tolerance: every plane is critical
+    assert is_critical(random_plane(7, 3, 0), AltForm.zero(7, 3)).is_critical
 
 
 # -- rho product -------------------------------------------------------------

@@ -5,13 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calibkit import (
     AltForm,
     SkewMap,
     batch_eval_dense,
     canonical_indices,
+    cartan_three_form,
     evaluate,
+    first_jet,
     form_from_json,
     form_inner,
     form_to_json,
@@ -19,10 +23,13 @@ from calibkit import (
     hodge_star,
     interior,
     parse_form,
+    phi_module,
     so_action,
+    su_lie_algebra,
     wedge,
 )
 from calibkit.exterior import sort_index
+from calibkit.grassmann import _module_rows
 
 from conftest import brute_eval, perm_sign, random_form
 
@@ -230,6 +237,57 @@ def test_batch_eval_dense_matches_apply(rng):
             assert vals[i, j] == pytest.approx(f.apply(frames[j]), abs=1e-10)
 
 
+def replaced_frames(frame, normal):
+    """Frame b*k + s of the stack is frame with column b replaced by normal[:, s]."""
+    n, p = frame.shape
+    k = normal.shape[1]
+    frames = np.repeat(frame[None], p * k, axis=0)
+    for b in range(p):
+        for s in range(k):
+            frames[b * k + s, :, b] = normal[:, s]
+    return frames
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 7),
+    p_raw=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    empty=st.booleans(),
+    integral=st.booleans(),
+)
+@example(n=4, p_raw=3, seed=1, empty=False, integral=False)  # p = n: no normals
+@example(n=6, p_raw=0, seed=2, empty=False, integral=True)  # p = 1
+@example(n=5, p_raw=2, seed=3, empty=True, integral=False)  # no terms
+def test_first_jet_matches_explicit_replacements(n, p_raw, seed, empty, integral):
+    """Kernel values and one-column replacements against the brute-force oracle.
+
+    Integer frames make many minors singular, where an inverse-based
+    cofactor would fail.
+    """
+    rng = np.random.default_rng(seed)
+    p = 1 + p_raw % n
+    k = n - p
+    phi = AltForm.zero(n, p) if empty else random_form(rng, n, p)
+    if integral:
+        frame = rng.integers(-1, 2, (n, p)).astype(float)
+        normal = rng.integers(-1, 2, (n, k)).astype(float)
+    else:
+        frame = rng.uniform(-1.0, 1.0, (n, p))
+        normal = rng.uniform(-1.0, 1.0, (n, k))
+    stack = np.concatenate([frame[None], replaced_frames(frame, normal)])
+    idx0, c = phi._compact()
+    value, first = first_jet(c, idx0, frame, normal)
+    assert first.shape == (p, k)
+    for f, v in zip(stack, np.concatenate([[value], first.reshape(p * k)])):
+        assert abs(v - brute_eval(phi, f)) < 1e-12
+    # stacked module rows over the canonical indices
+    idx_all, rows = _module_rows(phi, phi_module(phi))
+    values, firsts = first_jet(rows, idx_all, frame, normal)
+    got = np.column_stack([values, firsts.reshape(len(rows), p * k)])
+    assert np.max(np.abs(got - batch_eval_dense(rows, idx_all, stack))) < 1e-12
+
+
 def test_evaluate_accepts_frames_and_planes(rng):
     from calibkit import OrientedPlane
 
@@ -251,6 +309,14 @@ def test_parse_format_round_trip(rng):
         a = random_form(rng, n, p)
         back = parse_form(format_form(a), n=n)
         assert back.approx_eq(a, tol=1e-12)
+
+
+def test_repr_uses_literals_up_to_n9_and_coefficients_beyond():
+    assert repr(parse_form("e12 - 2*e34")) == "AltForm(n=4, p=2, 'e12 - 2*e34')"
+    big = cartan_three_form(su_lie_algebra(4))
+    text = repr(big)
+    assert text.startswith("AltForm(n=15, p=3, coeffs={")
+    assert eval(text, {"AltForm": AltForm}).approx_eq(big, tol=0.0)
 
 
 def test_parse_form_examples():
