@@ -288,17 +288,10 @@ class CliffordModel:
     """
 
     gamma: list  # eight 16 x 16 arrays
-    eps: np.ndarray  # inner product on pinors (standard Euclidean)
     volume_element: np.ndarray
     s_plus: np.ndarray  # 16 x 8 orthonormal basis of S+
     s_minus: np.ndarray
     _gamma_products: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def spinor_projectors(self):
-        pp = self.s_plus @ self.s_plus.T
-        pm = self.s_minus @ self.s_minus.T
-        return pp, pm
 
     def gamma_product(self, idx):
         """gamma_{i1} .. gamma_{ik} for an increasing 1-based tuple."""
@@ -370,7 +363,6 @@ def build_clifford():
     s_minus, _ = qr_fix(v[:, 8:])
     return CliffordModel(
         gamma=gamma,
-        eps=np.eye(16),
         volume_element=vol,
         s_plus=s_plus,
         s_minus=s_minus,

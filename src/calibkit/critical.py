@@ -9,7 +9,6 @@ form; its annihilator on the Grassmannian is exactly the critical set.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from .exterior import (
     evaluate,
     first_jet,
     so_action,
+    so_action_matrix,
 )
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
     "sff_space",
     "qr_fix",
     "subspace_distance",
+    "numerical_rank",
+    "tol_scale",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -125,19 +127,20 @@ class OrientedPlane:
 
 
 class FormModule:
-    """A subspace of degree-p forms, stored as an orthonormal basis list."""
+    """A subspace of degree-p forms, stored as a matrix of orthonormal rows.
 
-    def __init__(self, n, degree, basis):
+    Row i holds the coefficients of the i-th basis form over
+    canonical_indices(n, degree).  The basis as AltForms is built on first use.
+    """
+
+    def __init__(self, n, degree, rows):
         self.n = n
         self.degree = degree
-        self.basis = list(basis)
-        self.rank = len(self.basis)
         self._idx0 = np.array(canonical_indices(n, degree), dtype=np.intp) - 1
-        self._coeff_mat = (
-            np.vstack([b.dense() for b in self.basis])
-            if self.basis
-            else np.zeros((0, len(self._idx0)))
-        )
+        # adding 0.0 turns -0.0 into 0.0, so each row equals its AltForm's dense()
+        self._coeff_mat = np.asarray(rows, dtype=float).reshape(-1, len(self._idx0)) + 0.0
+        self.rank = self._coeff_mat.shape[0]
+        self._basis = None
 
     @classmethod
     def from_spanning(cls, n, degree, forms, tol=RANK_TOL):
@@ -145,13 +148,15 @@ class FormModule:
         if not forms:
             return cls(n, degree, [])
         mat = np.vstack([f.dense() for f in forms])
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        if s.size and s[0] > 0:
-            rank = int(np.sum(s > tol * s[0]))
-        else:
-            rank = 0
-        basis = [AltForm.from_dense(n, degree, vt[i]) for i in range(rank)]
-        return cls(n, degree, basis)
+        _, s, vt = np.linalg.svd(mat, full_matrices=False)
+        return cls(n, degree, vt[: numerical_rank(s, tol)])
+
+    @property
+    def basis(self):
+        """The orthonormal basis as a list of AltForms."""
+        if self._basis is None:
+            self._basis = [AltForm.from_dense(self.n, self.degree, row) for row in self._coeff_mat]
+        return self._basis
 
     def dense_matrix(self):
         """Orthonormal basis as rows over the canonical index ordering."""
@@ -174,6 +179,16 @@ class FormModule:
 
     def __repr__(self):
         return f"FormModule(n={self.n}, degree={self.degree}, rank={self.rank})"
+
+
+def numerical_rank(s, cutoff):
+    """Number of singular values s (descending) above cutoff * s[0]; 0 for a zero matrix."""
+    return int(np.sum(s > cutoff * s[0])) if s.size and s[0] > 0 else 0
+
+
+def tol_scale(phi):
+    """Largest |coefficient| of phi (1 for the zero form): residuals of phi scale with it."""
+    return max((abs(c) for c in phi.coeffs.values()), default=1.0)
 
 
 def subspace_distance(m1, m2):
@@ -227,14 +242,19 @@ def p_map(theta, phi):
     return so_action(theta, phi)
 
 
-def _elementary_generators(n):
-    return [SkewMap.rotation_generator(n, i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
+def _action_svd(phi):
+    """SVD (u, s, vt) of so_action_matrix(phi), with u square.
+
+    The rows vt[:rank] span the module; the columns u[:, rank:] the stabilizer.
+    """
+    mat = so_action_matrix(phi)
+    return np.linalg.svd(mat, full_matrices=mat.shape[0] > mat.shape[1])
 
 
 def phi_module(phi, tol=RANK_TOL):
     """Orthonormal basis of the image of o(n) acting on phi."""
-    forms = [so_action(g, phi) for g in _elementary_generators(phi.n)]
-    return FormModule.from_spanning(phi.n, phi.p, forms, tol=tol)
+    _, s, vt = _action_svd(phi)
+    return FormModule(phi.n, phi.p, vt[: numerical_rank(s, tol)])
 
 
 def stabilizer_dim(phi, tol=RANK_TOL):
@@ -246,25 +266,12 @@ def stabilizer_dim(phi, tol=RANK_TOL):
 def stabilizer_kernel(phi, tol=RANK_TOL):
     """Orthonormal basis of the stabilizer algebra, as a list of SkewMap."""
     n = phi.n
-    gens = _elementary_generators(n)
-    mat = np.vstack([so_action(g, phi).dense() for g in gens])
-    u, s, vt = np.linalg.svd(mat)
-    if s.size and s[0] > 0:
-        rank = int(np.sum(s > tol * s[0]))
-    else:
-        rank = 0
-    null = u[:, rank:] if rank < len(gens) else np.zeros((len(gens), 0))
-    # u columns past the rank span the left null space: combinations of
-    # generators mapped to zero by P
-    out = []
-    pairs = list(itertools.combinations(range(n), 2))
-    for k in range(null.shape[1]):
-        m = np.zeros((n, n))
-        for (i, j), c in zip(pairs, null[:, k]):
-            m[i, j] += c
-            m[j, i] -= c
-        out.append(SkewMap(m))
-    return out
+    u, s, _ = _action_svd(phi)
+    null = u[:, numerical_rank(s, tol) :]
+    upper = np.triu_indices(n, 1)
+    m = np.zeros((null.shape[1], n, n))
+    m[:, upper[0], upper[1]] = null.T
+    return [SkewMap(x - x.T) for x in m]
 
 
 # -- criticality tests ------------------------------------------------------
@@ -323,16 +330,21 @@ def _rho_offplane_residual(xi, phi):
 
 
 def rho_closed(xi, phi, tol=DEFAULT_TOL):
-    """True iff the plane is closed under rho (equivalently, critical)."""
+    """True iff the plane is closed under rho (equivalently, critical).
+
+    Both tests compare with tol times the largest |coefficient| of phi (tol
+    itself for the zero form), since rho scales with phi.
+    """
+    atol = tol * tol_scale(phi)
     resid = _rho_offplane_residual(xi, phi)
-    if resid >= tol:
+    if resid >= atol:
         return False
     value = evaluate(phi, xi)
-    if abs(value) > tol:
+    if abs(value) > atol:
         # on a critical plane, rho of the trailing frame vectors recovers
         # value * e_1
         r = rho_product(phi, [xi.frame[:, a] for a in range(1, xi.p)])
-        if np.max(np.abs(r - value * xi.frame[:, 0])) >= max(tol, 10 * tol * abs(value)):
+        if np.max(np.abs(r - value * xi.frame[:, 0])) >= max(atol, 10 * tol * abs(value)):
             return False
     return True
 
@@ -350,14 +362,13 @@ def is_critical(xi, phi, tol=DEFAULT_TOL, module=None):
     residual_module = annihilator_check(xi, module)
     residual_rho = _rho_offplane_residual(xi, phi)
     value = evaluate(phi, xi)
-    # the cousin coefficients scale with phi; the zero form keeps the absolute tol
-    scale = max((abs(c) for c in phi.coeffs.values()), default=1.0)
     return CriticalityReport(
         residual_cousin=residual_cousin,
         residual_module=residual_module,
         residual_rho=residual_rho,
         value=value,
-        is_critical=bool(residual_cousin < tol * scale),
+        # the cousin coefficients scale with phi; the zero form keeps the absolute tol
+        is_critical=bool(residual_cousin < tol * tol_scale(phi)),
         tol=tol,
     )
 
@@ -394,7 +405,7 @@ def _adapted_values(phi, xi):
     # slots coincide: the replacement coefficient is zero by convention
     for a in range(p):
         T[a, a, :, :] = 0.0
-    return phi_o, np.transpose(T, (0, 1, 2, 3))
+    return phi_o, T
 
 
 def sff_space(xi, phi, tol=DEFAULT_TOL, rank_tol=RANK_TOL):
@@ -427,12 +438,8 @@ def sff_space(xi, phi, tol=DEFAULT_TOL, rank_tol=RANK_TOL):
                         row[col[(t, min(b, c), max(b, c))]] -= T[a, b, s, t]
                 rows.append(row)
     mat = np.vstack(rows)
-    u, sv, vt = np.linalg.svd(mat)
-    if sv.size and sv[0] > 0:
-        rank = int(np.sum(sv > rank_tol * sv[0]))
-    else:
-        rank = 0
-    null = vt[rank:]
+    _, sv, vt = np.linalg.svd(mat)
+    null = vt[numerical_rank(sv, rank_tol) :]
     basis = []
     for vec in null:
         h = np.zeros((k, p, p))

@@ -19,6 +19,7 @@ from .critical import (
     FormModule,
     OrientedPlane,
     annihilator_check,
+    numerical_rank,
     phi_module,
     qr_fix,
 )
@@ -60,13 +61,8 @@ class FlagReport:
 
 def _kernel(mat, cutoff=KERNEL_CUTOFF):
     """Orthonormal basis of the kernel of mat (columns of the output)."""
-    mat = np.atleast_2d(mat)
-    u, s, vt = np.linalg.svd(mat)
-    if s.size and s[0] > 0:
-        rank = int(np.sum(s > cutoff * s[0]))
-    else:
-        rank = 0
-    return vt[rank:].T
+    _, s, vt = np.linalg.svd(np.atleast_2d(mat))
+    return vt[numerical_rank(s, cutoff) :].T
 
 
 def polar_space(e, module):
@@ -83,29 +79,16 @@ def polar_space(e, module):
         raise ValueError(f"flag dimension {k} exceeds the generator degree {p}")
     if k < p - 1:
         return np.eye(n)
-    if k == p - 1:
-        if module.rank == 0:
-            return np.eye(n)
-        frames = np.zeros((n, n, p))
-        for j in range(n):
-            frames[j, :, :-1] = frame
-            frames[j, j, -1] = 1.0
-        rows = module.values_on(frames)  # (rank, n)
-        return _kernel(rows)
-    # k == p: use the degree p+1 piece, spanned by generator ^ covector
-    span = []
-    for gamma in module.basis:
-        for j in range(1, n + 1):
-            span.append(wedge(gamma, AltForm.basis(n, j)))
-    ideal_next = FormModule.from_spanning(n, p + 1, span)
-    if ideal_next.rank == 0:
+    if k == p:
+        # the degree p+1 piece of the ideal, spanned by generator ^ covector
+        span = [wedge(gamma, AltForm.basis(n, j)) for gamma in module.basis for j in range(1, n + 1)]
+        module = FormModule.from_spanning(n, p + 1, span)
+    if module.rank == 0:
         return np.eye(n)
-    frames = np.zeros((n, n, p + 1))
-    for j in range(n):
-        frames[j, :, :-1] = frame
-        frames[j, j, -1] = 1.0
-    rows = ideal_next.values_on(frames)
-    return _kernel(rows)
+    frames = np.zeros((n, n, k + 1))
+    frames[:, :, :-1] = frame
+    frames[:, :, -1] = np.eye(n)
+    return _kernel(module.values_on(frames))
 
 
 def integral_element_codim(xi, module, fd_check=True, fd_step=1e-6):
@@ -125,7 +108,7 @@ def integral_element_codim(xi, module, fd_check=True, fd_step=1e-6):
     nn = xi.normal_frame()
     _, first = first_jet(module.dense_matrix(), module._idx0, xi.frame, nn)
     jac = first.reshape(module.rank, p * k)  # exact linearization
-    rank = _rank(jac, JACOBIAN_CUTOFF)
+    rank = numerical_rank(np.linalg.svd(jac, compute_uv=False), JACOBIAN_CUTOFF)
     if fd_check:
         fd = np.zeros_like(jac)
         for a in range(p):
@@ -139,20 +122,13 @@ def integral_element_codim(xi, module, fd_check=True, fd_step=1e-6):
                 vp = module.values_on(qp[None])[:, 0]
                 vm = module.values_on(qm[None])[:, 0]
                 fd[:, a * k + s] = (vp - vm) / (2.0 * fd_step)
-        if _rank(fd, JACOBIAN_CUTOFF) != rank:
+        if numerical_rank(np.linalg.svd(fd, compute_uv=False), JACOBIAN_CUTOFF) != rank:
             warnings.warn(
                 "finite-difference and exact linearization ranks disagree; "
                 "the integral variety may be singular here",
                 RuntimeWarning,
             )
     return rank
-
-
-def _rank(mat, cutoff):
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > cutoff * s[0]))
 
 
 def cartan_test(xi, module, random_orders=50, seed=0):

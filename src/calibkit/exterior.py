@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "interior",
     "evaluate",
     "so_action",
+    "so_action_matrix",
     "form_inner",
     "canonical_indices",
     "batch_eval_dense",
@@ -308,27 +310,47 @@ def evaluate(a, xi):
     return a.apply(frame)
 
 
+def so_action_matrix(a):
+    """Matrix of o(n) -> degree-p forms, theta -> theta.a, over canonical_indices(n, p).
+
+    Row r is E.a for the r-th pair (i, j) of itertools.combinations(range(n), 2),
+    where E maps e_j -> e_i and e_i -> -e_j.  A term c e^I feeds the index I with
+    one slot i replaced by some j not in I.  For a fixed E each index is fed by
+    at most one term, so every entry is exactly +-c.
+    """
+    n, p = a.n, a.p
+    idx, c = a._compact()
+    term, pos, j = (x.ravel() for x in np.indices((len(c), p, n)))
+    keep = ~np.any(idx[term] == j[:, None], axis=1)
+    term, pos, j = term[keep], pos[keep], j[keep]
+    new = idx[term]
+    at = np.arange(len(j))
+    i = new[at, pos]
+    # j moves from slot pos to slot r of the sorted index; theta[i, j] is +1 in
+    # the row of the pair (i, j) and -1 in that of (j, i)
+    r = np.sum(new < j[:, None], axis=1) - (i < j)
+    new[at, pos] = j
+    new.sort(axis=1)
+    mat = np.zeros((n * (n - 1) // 2, math.comb(n, p)))
+    pairs = np.column_stack([np.minimum(i, j), np.maximum(i, j)])
+    mat[_lex_rank(pairs, n), _lex_rank(new, n)] = (-1.0) ** (pos - r + (i > j)) * c[term]
+    return mat
+
+
+def _lex_rank(idx, n):
+    """Positions of increasing 0-based index rows in canonical_indices(n, p)."""
+    p = idx.shape[1]
+    binom = np.array([[math.comb(x, y) for y in range(p + 1)] for x in range(n + 1)], dtype=np.intp)
+    return math.comb(n, p) - 1 - binom[n - 1 - idx, p - np.arange(p)].sum(axis=1)
+
+
 def so_action(theta, a):
     """Action of theta in o(n) on a form: (theta.a)(v1..vp) = sum_i a(.., theta v_i, ..)."""
     m = _as_skew_matrix(theta)
     if m.shape[0] != a.n:
         raise ValueError(f"dimension mismatch: {m.shape[0]} != {a.n}")
-    coeffs = {}
-    # scatter: replacing index I[pos] of a stored term by j contributes
-    # sign * c * theta[I[pos], j] to the coefficient of the sorted tuple.
-    for I, c in a.coeffs.items():
-        iset = set(I)
-        for pos, i in enumerate(I):
-            row = m[i - 1, :]
-            for j in range(1, a.n + 1):
-                t = row[j - 1]
-                if t == 0.0 or j == i:
-                    continue
-                if j in iset:
-                    continue
-                sign, key = sort_index(I[:pos] + (j,) + I[pos + 1 :])
-                coeffs[key] = coeffs.get(key, 0.0) + sign * c * t
-    return AltForm(a.n, a.p, coeffs)
+    # theta = sum over i < j of theta[i, j] times the generator of (i, j)
+    return AltForm.from_dense(a.n, a.p, m[np.triu_indices(a.n, 1)] @ so_action_matrix(a))
 
 
 def form_inner(a, b):

@@ -15,14 +15,14 @@ import numpy as np
 
 from .critical import (
     CriticalityReport,
-    FormModule,
     OrientedPlane,
     cousin_matrix,
     is_critical,
     phi_module,
     qr_fix,
+    tol_scale,
 )
-from .exterior import batch_eval_dense, canonical_indices, first_jet
+from .exterior import batch_eval_dense, first_jet
 
 __all__ = [
     "SearchParams",
@@ -128,12 +128,10 @@ def _retract(frame, delta):
 
 def _module_rows(phi, module):
     """Stack phi's own dense coefficients on top of the module's."""
-    idx0 = np.array(canonical_indices(phi.n, phi.p), dtype=np.intp) - 1
-    rows = np.vstack([phi.dense()[None, :], module.dense_matrix()])
-    return idx0, rows
+    return module._idx0, np.vstack([phi.dense()[None, :], module.dense_matrix()])
 
 
-def _gauss_newton_critical(phi, start, params, module, idx0, rows):
+def _gauss_newton_critical(start, params, module, idx0, rows, grad_tol):
     """Drive the module values on the plane to zero; returns (plane, iters, ok)."""
     xi = start
     n, p = xi.n, xi.p
@@ -143,7 +141,7 @@ def _gauss_newton_critical(phi, start, params, module, idx0, rows):
     for it in range(1, params.max_iters + 1):
         nn = xi.normal_frame()
         vals, first = first_jet(rows, idx0, xi.frame, nn)
-        if np.max(np.abs(first[0])) < params.grad_tol:
+        if np.max(np.abs(first[0])) < grad_tol:
             return xi, it, True
         r = vals[1:]
         jac = first[1:].reshape(len(r), p * k)  # d gamma / d A[b*k+t]
@@ -174,13 +172,16 @@ def ascend(phi, start, params=None, sense="maximize", module=None):
     if module is None:
         module = phi_module(phi)
     idx0, rows = _module_rows(phi, module)
+    # gradients and residuals scale with phi; the zero form keeps absolute tolerances
+    scale = tol_scale(phi)
+    grad_tol = params.grad_tol * scale
     xi = start
     iterations = 0
     converged = True
     if sense in ("maximize", "minimize"):
         sign = 1.0 if sense == "maximize" else -1.0
         step = params.step_init
-        polish_tol = 1e-3
+        polish_tol = 1e-3 * scale
         phi_idx, phi_c = phi._compact()
         for it in range(1, params.max_iters + 1):
             iterations = it
@@ -203,17 +204,15 @@ def ascend(phi, start, params=None, sense="maximize", module=None):
             if accepted is None:
                 break
             xi = accepted
-        xi, extra, converged = _gauss_newton_critical(phi, xi, params, module, idx0, rows)
+        xi, extra, converged = _gauss_newton_critical(xi, params, module, idx0, rows, grad_tol)
         iterations += extra
     else:
-        xi, iterations, converged = _gauss_newton_critical(
-            phi, start, params, module, idx0, rows
-        )
+        xi, iterations, converged = _gauss_newton_critical(start, params, module, idx0, rows, grad_tol)
     report = is_critical(xi, phi, tol=params.grad_tol * 10, module=module)
     return AscendResult(
         plane=xi,
         report=report,
-        converged=bool(converged and report.residual_cousin < params.grad_tol * 10),
+        converged=bool(converged and report.is_critical),
         iterations=iterations,
     )
 

@@ -1,9 +1,12 @@
 """Criticality machinery: planes, the module Phi, the three tests, sff."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calibkit import (
     AltForm,
@@ -27,6 +30,7 @@ from calibkit import (
     rho_product,
     sff_space,
     so_action,
+    so_action_matrix,
     special_lagrangian,
     stabilizer_dim,
     stabilizer_kernel,
@@ -34,7 +38,7 @@ from calibkit import (
     subspace_distance,
 )
 
-from conftest import random_form
+from conftest import brute_eval, random_form
 
 
 def expm_skew(theta):
@@ -117,6 +121,59 @@ def test_subspace_distance_basics():
     b = FormModule.from_spanning(4, 2, [AltForm.basis(4, 3, 4)])
     assert subspace_distance(a, a) == pytest.approx(0.0, abs=1e-14)
     assert subspace_distance(a, b) == pytest.approx(1.0)
+
+
+def brute_action_rows(phi, theta):
+    """(theta.phi)(e_I) = sum_i phi(.., theta e_{I_i}, ..) over canonical I, by brute force."""
+    n, p = phi.n, phi.p
+    rows = []
+    for I in itertools.combinations(range(n), p):
+        total = 0.0
+        for slot, i in enumerate(I):
+            frame = np.eye(n)[:, list(I)]
+            frame[:, slot] = theta[:, i]
+            total += brute_eval(phi, frame)
+        rows.append(total)
+    return np.array(rows)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 6),
+    p_raw=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    one_term=st.booleans(),
+)
+@example(n=4, p_raw=3, seed=1, one_term=False)  # p = n: o(n) fixes the volume form
+@example(n=6, p_raw=0, seed=2, one_term=False)  # p = 1
+@example(n=5, p_raw=2, seed=3, one_term=True)
+def test_module_layer_against_brute_action(n, p_raw, seed, one_term):
+    """Module, stabilizer and action matrix against the o(n) action evaluated by brute force."""
+    rng = np.random.default_rng(seed)
+    p = 1 + p_raw % n
+    phi = random_form(rng, n, p, density=0.0 if one_term else 0.5)
+    gens = []
+    for a, b in itertools.combinations(range(n), 2):
+        e = np.zeros((n, n))
+        e[a, b], e[b, a] = 1.0, -1.0  # e_b -> e_a
+        gens.append(e)
+    ref = np.reshape([brute_action_rows(phi, e) for e in gens], (len(gens), math.comb(n, p)))
+    assert np.max(np.abs(so_action_matrix(phi) - ref), initial=0.0) < 1e-12
+    # an orthonormal basis of the reference image, independent of calibkit
+    _, s, vt = np.linalg.svd(ref, full_matrices=False)
+    ref_rank = int(np.sum(s > 1e-9 * s[0])) if s.size and s[0] > 0 else 0
+    module = phi_module(phi)
+    rows = module.dense_matrix()
+    assert module.rank == ref_rank
+    assert np.max(np.abs(rows @ rows.T - np.eye(ref_rank)), initial=0.0) < 1e-12
+    assert subspace_distance(module, FormModule(n, p, vt[:ref_rank])) < 1e-10
+    assert module.rank + stabilizer_dim(phi) == n * (n - 1) // 2
+    kernel = stabilizer_kernel(phi)
+    assert len(kernel) == stabilizer_dim(phi)
+    for theta in kernel:
+        assert np.max(np.abs(brute_action_rows(phi, theta.entries))) < 1e-10
+    for i, gamma in enumerate(module.basis):
+        assert np.array_equal(gamma.dense(), module.dense_matrix()[i])
 
 
 # -- the map P and stabilizers ----------------------------------------------
@@ -207,6 +264,15 @@ def test_is_critical_tolerance_scales_with_form():
     assert is_critical(calibrated, phi).is_critical
     # the zero form keeps the absolute tolerance: every plane is critical
     assert is_critical(random_plane(7, 3, 0), AltForm.zero(7, 3)).is_critical
+
+
+def test_rho_closed_tolerance_scales_with_form():
+    phi = 1e-10 * associative_form()
+    for seed in range(5):
+        assert not rho_closed(random_plane(7, 3, seed), phi)
+    assert rho_closed(OrientedPlane(np.eye(7)[:, :3]), phi)
+    # the zero form keeps the absolute tolerance: every plane is closed
+    assert rho_closed(random_plane(7, 3, 0), AltForm.zero(7, 3))
 
 
 # -- rho product -------------------------------------------------------------

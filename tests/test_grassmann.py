@@ -128,6 +128,12 @@ def test_comass_search_returns_calibrated_plane():
     assert is_critical(plane, phi).is_critical
 
 
+def test_comass_search_scales_with_form():
+    """Search tolerances are relative to phi, so a tiny multiple keeps its comass."""
+    value, _ = comass_search(1e-10 * associative_form(), params=SearchParams(max_iters=200, trials=5))
+    assert value == pytest.approx(1e-10, rel=1e-6)
+
+
 def test_search_params_validation():
     with pytest.raises(ValueError):
         SearchParams(grad_tol=1e-3)
