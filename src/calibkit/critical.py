@@ -23,6 +23,7 @@ from .exterior import (
     first_jet,
     so_action,
     so_action_matrix,
+    stack_values,
 )
 
 __all__ = [
@@ -35,11 +36,13 @@ __all__ = [
     "stabilizer_dim",
     "stabilizer_kernel",
     "is_critical",
+    "criticality_reports",
     "annihilator_check",
     "rho_product",
     "rho_closed",
     "sff_space",
     "qr_fix",
+    "completions",
     "subspace_distance",
     "numerical_rank",
     "tol_scale",
@@ -50,11 +53,23 @@ RANK_TOL = 1e-9
 
 
 def qr_fix(m):
-    """Reduced QR with the deterministic sign convention diag(R) >= 0."""
+    """Reduced QR of a matrix or a stack, with the sign convention diag(R) >= 0."""
     q, r = np.linalg.qr(np.asarray(m, dtype=float))
-    d = np.sign(np.diag(r))
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    return q * d, r * d[:, None]
+    return q * d[..., None, :], r * d[..., :, None]
+
+
+def completions(frames):
+    """Deterministic completions of an (m, n, p) stack of orthonormal frames.
+
+    Returns (m, n, n) orthonormal frames whose first p columns are the given
+    ones; the last n - p columns are normal frames.
+    """
+    m, n, p = frames.shape
+    q, _ = qr_fix(np.concatenate([frames, np.broadcast_to(np.eye(n), (m, n, n))], axis=2))
+    q[:, :, :p] = frames
+    return q
 
 
 class OrientedPlane:
@@ -91,10 +106,7 @@ class OrientedPlane:
         The first p columns are the plane's own frame.
         """
         if self._completion is None:
-            q, _ = qr_fix(np.hstack([self.frame, np.eye(self.n)]))
-            q = q[:, : self.n]
-            q[:, : self.p] = self.frame
-            self._completion = q
+            self._completion = completions(self.frame[None])[0]
         return self._completion
 
     def normal_frame(self):
@@ -282,18 +294,37 @@ def cousin_matrix(phi, xi):
     if phi.p != xi.p:
         raise ValueError(f"degree {phi.p} form against a {xi.p}-plane")
     idx0, c = phi._compact()
-    _, first = first_jet(c, idx0, xi.frame, xi.normal_frame())
-    return first.T
+    _, first = first_jet(c, idx0, xi.frame[None], xi.normal_frame()[None])
+    return first[0].T
+
+
+def _module_residuals(frames, module):
+    """max |gamma| over the module basis on each frame of an (m, n, p) stack."""
+    if module.rank == 0:
+        return np.zeros(len(frames))
+    if module.degree != frames.shape[2]:
+        raise ValueError("module degree does not match plane dimension")
+    return np.max(np.abs(stack_values(module.dense_matrix(), module._idx0, frames)), axis=1)
 
 
 def annihilator_check(xi, module):
     """max |gamma(xi)| over the module basis; ~0 iff xi is critical."""
-    if module.rank == 0:
-        return 0.0
-    if module.degree != xi.p:
-        raise ValueError("module degree does not match plane dimension")
-    vals = module.values_on(xi.frame)
-    return float(np.max(np.abs(vals)))
+    return float(_module_residuals(xi.frame[None], module)[0])
+
+
+def _rho_stack(phi, rest):
+    """rho of each (p-1)-frame of an (m, n, p-1) stack, shape (m, n)."""
+    m, n = rest.shape[:2]
+    idx0, c = phi._compact()
+    if idx0.shape[0] == 0:
+        return np.zeros((m, n))
+    # frames[i, j] is rest[i] with the basis vector eps_j in front
+    frames = np.zeros((m, n, n, phi.p))
+    frames[:, :, :, 1:] = rest[:, None]
+    frames[:, np.arange(n), np.arange(n), 0] = 1.0
+    dets = np.linalg.det(np.take(frames, idx0, axis=2))
+    # contract each (t, n) block in C order, whatever the size of the stack
+    return (c[None] @ np.ascontiguousarray(np.swapaxes(dets, 1, 2)))[:, 0]
 
 
 def rho_product(phi, vectors):
@@ -304,28 +335,18 @@ def rho_product(phi, vectors):
     vs = [np.asarray(v, dtype=float) for v in vectors]
     if len(vs) != phi.p - 1:
         raise ValueError(f"expected {phi.p - 1} vectors, got {len(vs)}")
-    n = phi.n
-    frames = np.zeros((n, n, phi.p))
-    rest = np.column_stack(vs) if vs else np.zeros((n, 0))
-    for k in range(n):
-        frames[k, k, 0] = 1.0
-        frames[k, :, 1:] = rest
-    idx0, c = phi._compact()
-    if idx0.shape[0] == 0:
-        return np.zeros(n)
-    return batch_eval_dense(c[None, :], idx0, frames)[0]
+    rest = np.column_stack(vs) if vs else np.zeros((phi.n, 0))
+    return _rho_stack(phi, rest[None])[0]
 
 
-def _rho_offplane_residual(xi, phi):
-    """Max normal component of rho over all (p-1)-subsets of the frame."""
-    p = xi.p
-    nn = xi.normal_frame()
-    worst = 0.0
-    for drop in range(p):
-        cols = [xi.frame[:, a] for a in range(p) if a != drop]
-        r = rho_product(phi, cols)
-        if nn.shape[1]:
-            worst = max(worst, float(np.max(np.abs(nn.T @ r))))
+def _rho_residuals(phi, frames, normals):
+    """Max normal component of rho over all (p-1)-subsets of each frame."""
+    worst = np.zeros(len(frames))
+    if normals.shape[2] == 0:
+        return worst
+    for drop in range(frames.shape[2]):
+        r = _rho_stack(phi, np.delete(frames, drop, axis=2))
+        worst = np.maximum(worst, np.max(np.abs(np.swapaxes(normals, 1, 2) @ r[..., None]), axis=(1, 2)))
     return worst
 
 
@@ -336,7 +357,7 @@ def rho_closed(xi, phi, tol=DEFAULT_TOL):
     itself for the zero form), since rho scales with phi.
     """
     atol = tol * tol_scale(phi)
-    resid = _rho_offplane_residual(xi, phi)
+    resid = _rho_residuals(phi, xi.frame[None], xi.normal_frame()[None])[0]
     if resid >= atol:
         return False
     value = evaluate(phi, xi)
@@ -349,28 +370,35 @@ def rho_closed(xi, phi, tol=DEFAULT_TOL):
     return True
 
 
-def is_critical(xi, phi, tol=DEFAULT_TOL, module=None):
-    """Full three-residual criticality report for a plane.
+def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
+    """Three-residual criticality reports for an (m, n, p) stack of orthonormal frames.
 
-    The plane is critical when the cousin residual is below tol times the
-    largest |coefficient| of phi (tol itself for the zero form).
+    Each frame is evaluated on its own, so its report does not depend on the
+    rest of the stack.  A plane is critical when its cousin residual is below
+    tol times the largest |coefficient| of phi (tol itself for the zero form).
     """
-    g = cousin_matrix(phi, xi)
-    residual_cousin = float(np.max(np.abs(g))) if g.size else 0.0
+    frames = np.asarray(frames, dtype=float)
+    if phi.p != frames.shape[2]:
+        raise ValueError(f"degree {phi.p} form against a {frames.shape[2]}-plane")
     if module is None:
         module = phi_module(phi)
-    residual_module = annihilator_check(xi, module)
-    residual_rho = _rho_offplane_residual(xi, phi)
-    value = evaluate(phi, xi)
-    return CriticalityReport(
-        residual_cousin=residual_cousin,
-        residual_module=residual_module,
-        residual_rho=residual_rho,
-        value=value,
-        # the cousin coefficients scale with phi; the zero form keeps the absolute tol
-        is_critical=bool(residual_cousin < tol * tol_scale(phi)),
-        tol=tol,
-    )
+    normals = completions(frames)[:, :, phi.p :]
+    idx0, c = phi._compact()
+    values, first = first_jet(c, idx0, frames, normals)
+    cousin = np.max(np.abs(first), axis=(1, 2), initial=0.0)
+    residual_module = _module_residuals(frames, module)
+    residual_rho = _rho_residuals(phi, frames, normals)
+    # the cousin coefficients scale with phi; the zero form keeps the absolute tol
+    atol = tol * tol_scale(phi)
+    return [
+        CriticalityReport(float(g), float(mod), float(rho), float(v), bool(g < atol), tol)
+        for g, mod, rho, v in zip(cousin, residual_module, residual_rho, values)
+    ]
+
+
+def is_critical(xi, phi, tol=DEFAULT_TOL, module=None):
+    """Full three-residual criticality report for one plane (see criticality_reports)."""
+    return criticality_reports(xi.frame[None], phi, tol=tol, module=module)[0]
 
 
 # -- second fundamental form constraints ------------------------------------

@@ -106,7 +106,7 @@ def integral_element_codim(xi, module, fd_check=True, fd_step=1e-6):
     if module.rank == 0 or k == 0:
         return 0
     nn = xi.normal_frame()
-    _, first = first_jet(module.dense_matrix(), module._idx0, xi.frame, nn)
+    _, first = first_jet(module.dense_matrix(), module._idx0, xi.frame[None], nn[None])
     jac = first.reshape(module.rank, p * k)  # exact linearization
     rank = numerical_rank(np.linalg.svd(jac, compute_uv=False), JACOBIAN_CUTOFF)
     if fd_check:

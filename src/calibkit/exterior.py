@@ -28,6 +28,7 @@ __all__ = [
     "canonical_indices",
     "batch_eval_dense",
     "first_jet",
+    "stack_values",
     "parse_form",
     "format_form",
 ]
@@ -377,43 +378,59 @@ def batch_eval_dense(coeff_mat, idx0, frames):
     return coeff_mat @ dets.T
 
 
-def first_jet(coeff_mat, idx0, frame, normal):
-    """Values of forms at a frame and at every one-column normal replacement.
+def first_jet(coeff_mat, idx0, frames, normals):
+    """Values of forms at frames and at every one-column normal replacement.
 
     coeff_mat: (..., t) coefficients over the p-indices idx0 (0-based, (t, p)).
-    frame: (n, p); normal: (n, k).
-    Returns (values, first) with values of shape (...,) and first of shape
-    (..., p, k), where first[..., b, s] is the value on the frame whose column
-    b is replaced by normal[:, s].  Since det is linear in each column,
-    det(F_bs[I]) = sum_r cof_I[r, b] * normal[I_r, s], so every replacement
-    comes from the cofactors of the t minors frame[I].  The cofactors are
-    signed (p-1)-minors, not an inverse, so singular minors need no care.
+    frames: (m, n, p) stack of frames; normals: (m, n, k).
+    Returns (values, first) with values of shape (m, ...) and first of shape
+    (m, ..., p, k), where first[i, ..., b, s] is the value on frame i with
+    column b replaced by normals[i, :, s].  Since det is linear in each
+    column, det(F_bs[I]) = sum_r cof_I[r, b] * normal[I_r, s], so every
+    replacement comes from the cofactors of the t minors frame[I].  The
+    cofactors are signed (p-1)-minors, not an inverse, so singular minors
+    need no care.  Each frame is contracted on its own by a broadcast matmul,
+    so its results do not depend on the other frames of the stack.
     """
     coeff_mat = np.asarray(coeff_mat, dtype=float)
-    frame = np.asarray(frame, dtype=float)
-    normal = np.asarray(normal, dtype=float)
+    frames = np.asarray(frames, dtype=float)
+    normals = np.asarray(normals, dtype=float)
     t, p = idx0.shape
-    k = normal.shape[1]
-    lead = coeff_mat.shape[:-1]
+    m, k = frames.shape[0], normals.shape[-1]
+    lead = (m,) + coeff_mat.shape[:-1]
     if t == 0:
         return np.zeros(lead), np.zeros(lead + (p, k))
-    minors = frame[idx0]  # (t, p, p)
-    values = coeff_mat @ np.linalg.det(minors)
+    coeffs = coeff_mat.reshape(-1, t)
+    # np.take gathers C-contiguous blocks, so every frame is contracted with
+    # unit strides whatever the size of the stack
+    minors = np.take(frames, idx0, axis=1)  # (m, t, p, p)
+    values = (coeffs @ np.linalg.det(minors)[..., None]).reshape(lead)
     if p == 0 or k == 0:
         return values, np.zeros(lead + (p, k))
     # keep[r] lists the rows (and columns) other than r
     keep = np.array([[j for j in range(p) if j != r] for r in range(p)], dtype=np.intp)
-    cof = np.empty((t, p, p))
+    minors = minors.reshape(m * t, p, p)
+    cof = np.empty((m * t, p, p))
     # the gathered (p-1)-minors take p^2 (p-1)^2 floats per index: bound the
     # block so that a large p (a Hodge dual, say) stays small in memory
     step = max(1, _MINOR_BLOCK // (p * p * max(1, (p - 1) ** 2)))
-    for lo in range(0, t, step):
+    for lo in range(0, m * t, step):
         block = minors[lo : lo + step]
         cof[lo : lo + step] = np.linalg.det(block[:, keep[:, None, :, None], keep[None, :, None, :]])
     cof *= (-1.0) ** np.add.outer(np.arange(p), np.arange(p))
-    repl = np.swapaxes(cof, 1, 2) @ normal[idx0]  # (t, p, k)
-    first = coeff_mat @ repl.reshape(t, p * k)
+    repl = np.swapaxes(cof.reshape(m, t, p, p), -1, -2) @ np.take(normals, idx0, axis=1)  # (m, t, p, k)
+    first = coeffs @ repl.reshape(m, t, p * k)
     return values, first.reshape(lead + (p, k))
+
+
+def stack_values(coeff_mat, idx0, frames):
+    """Values of forms on each frame of an (m, n, p) stack, shape (m, ...).
+
+    Unlike batch_eval_dense, each frame is contracted on its own, as in
+    first_jet (here with no normals), so its values do not depend on the
+    rest of the stack.
+    """
+    return first_jet(coeff_mat, idx0, frames, frames[:, :, :0])[0]
 
 
 # -- parsing / formatting ---------------------------------------------------

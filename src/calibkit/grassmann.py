@@ -5,6 +5,14 @@ backtracking and a QR retraction; the `critical` sense drives the module
 residual (the values of the induced form module on the plane) to zero with
 a damped Gauss-Newton iteration, which also reaches saddle points of the
 form that plain ascent misses.
+
+Multistart searches step their trials in lockstep: blocks of up to
+_TRIAL_BLOCK trials are held as one (m, n, p) frame stack, and each step
+evaluates, line-searches and retracts every active trial of the block at
+once (stacked `first_jet`, `qr_fix` and `completions`).  Every trial keeps
+its own seed (`trial_seed`), step length, iteration count and stopping
+state, and every frame is evaluated and retracted on its own, so a trial's
+result is bit-for-bit the same alone (`ascend`) as inside a block.
 """
 
 from __future__ import annotations
@@ -16,13 +24,14 @@ import numpy as np
 from .critical import (
     CriticalityReport,
     OrientedPlane,
+    completions,
     cousin_matrix,
-    is_critical,
+    criticality_reports,
     phi_module,
     qr_fix,
     tol_scale,
 )
-from .exterior import batch_eval_dense, first_jet
+from .exterior import first_jet, stack_values
 
 __all__ = [
     "SearchParams",
@@ -35,6 +44,9 @@ __all__ = [
     "comass_estimate",
     "critical_spectrum",
 ]
+
+# trials stepped together in one frame stack
+_TRIAL_BLOCK = 8
 
 
 @dataclass
@@ -102,13 +114,17 @@ def trial_seed(master_seed, trial):
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(trial),))
 
 
-def random_plane(n, p, seed):
-    """Haar-uniform oriented p-plane; identical seeds give identical planes."""
+def _start_frames(n, p, seeds):
+    """Haar-uniform orthonormal frames, one per seed, as an (m, n, p) stack."""
     if p > n:
         raise ValueError(f"p={p} exceeds n={n}")
-    rng = np.random.default_rng(seed)
-    q, _ = qr_fix(rng.standard_normal((n, p)))
-    return OrientedPlane(q)
+    q, _ = qr_fix(np.stack([np.random.default_rng(s).standard_normal((n, p)) for s in seeds]))
+    return q
+
+
+def random_plane(n, p, seed):
+    """Haar-uniform oriented p-plane; identical seeds give identical planes."""
+    return OrientedPlane(_start_frames(n, p, [seed])[0])
 
 
 def riemann_gradient(phi, xi):
@@ -121,9 +137,30 @@ def riemann_gradient(phi, xi):
     return cousin_matrix(phi, xi)
 
 
-def _retract(frame, delta):
-    q, _ = qr_fix(frame + delta)
-    return OrientedPlane(q)
+def _retract(frames, normals, coords):
+    """QR retraction of frame i moved by normals[i] @ coords[i].T, coords of shape (m, p, k)."""
+    q, _ = qr_fix(frames + normals @ np.swapaxes(coords, 1, 2))
+    return q
+
+
+def _backtrack(frames, normals, direction, step, pending, tries, shrink, accept):
+    """Masked backtracking line search along step * direction, one step length per trial.
+
+    accept(j, cand, step) tells which candidates of the trials j pass; a
+    failed trial shrinks its step and tries again, up to tries times.
+    Returns (frames, moved, step): the accepted frames replace the given ones.
+    """
+    frames, moved = frames.copy(), np.zeros(len(frames), dtype=bool)
+    for _ in range(tries):
+        j = np.flatnonzero(pending & ~moved)
+        if not j.size:
+            break
+        cand = _retract(frames[j], normals[j], step[j][:, None, None] * direction[j])
+        ok = accept(j, cand, step[j])
+        frames[j[ok]] = cand[ok]
+        moved[j[ok]] = True
+        step[j[~ok]] *= shrink
+    return frames, moved, step
 
 
 def _module_rows(phi, module):
@@ -131,90 +168,107 @@ def _module_rows(phi, module):
     return module._idx0, np.vstack([phi.dense()[None, :], module.dense_matrix()])
 
 
-def _gauss_newton_critical(start, params, module, idx0, rows, grad_tol):
-    """Drive the module values on the plane to zero; returns (plane, iters, ok)."""
-    xi = start
-    n, p = xi.n, xi.p
-    k = n - p
-    if k == 0 or p == 0 or module.rank == 0:
-        return xi, 0, True
+def _ascent(phi, frames, params, sign, scale):
+    """Armijo ascent of sign * phi on every frame; returns (frames, iterations)."""
+    phi_idx, phi_c = phi._compact()
+    frames = frames.copy()
+    step = np.full(len(frames), params.step_init)
+    iterations = np.zeros(len(frames), dtype=int)
+    active = np.ones(len(frames), dtype=bool)
     for it in range(1, params.max_iters + 1):
-        nn = xi.normal_frame()
-        vals, first = first_jet(rows, idx0, xi.frame, nn)
-        if np.max(np.abs(first[0])) < grad_tol:
-            return xi, it, True
-        r = vals[1:]
-        jac = first[1:].reshape(len(r), p * k)  # d gamma / d A[b*k+t]
-        delta, *_ = np.linalg.lstsq(jac, -r, rcond=1e-12)
-        base = float(r @ r)
-        step = 1.0
-        accepted = None
-        for _ in range(30):
-            move = nn @ (step * delta.reshape(p, k).T)
-            cand = _retract(xi.frame, move)
-            r_new = batch_eval_dense(rows, idx0, cand.frame[None])[1:, 0]
-            if float(r_new @ r_new) < base * (1.0 - params.armijo_c * step) + 1e-30:
-                accepted = cand
-                break
-            step *= params.shrink
-        if accepted is None:
-            return xi, it, False
-        xi = accepted
-    return xi, params.max_iters, False
+        live = np.flatnonzero(active)
+        if not live.size:
+            break
+        iterations[live] = it
+        nn = completions(frames[live])[:, :, phi.p :]
+        value, first = first_jet(phi_c, phi_idx, frames[live], nn)
+        gnorm2 = np.sum(first * first, axis=(1, 2))
+
+        def rises(j, cand, s):
+            new_value = stack_values(phi_c, phi_idx, cand)
+            return sign * (new_value - value[j]) >= params.armijo_c * s * gnorm2[j]
+
+        # polished trials stop; the rest stop unless their line search succeeds
+        moving = ~(np.sqrt(gnorm2) < 1e-3 * scale)
+        frames[live], active[live], trial_step = _backtrack(
+            frames[live], nn, sign * first, np.minimum(step[live] * 2.0, 10.0), moving, 60, params.shrink, rises
+        )
+        step[live[active[live]]] = trial_step[active[live]]
+    return frames, iterations
+
+
+def _gauss_newton(frames, params, module, idx0, rows, grad_tol):
+    """Drive the module values on every frame to zero; returns (frames, iterations, ok)."""
+    m, n, p = frames.shape
+    k = n - p
+    iterations = np.zeros(m, dtype=int)
+    if k == 0 or p == 0 or module.rank == 0:
+        return frames, iterations, np.ones(m, dtype=bool)
+    frames = frames.copy()
+    ok = np.zeros(m, dtype=bool)
+    active = np.ones(m, dtype=bool)
+    for it in range(1, params.max_iters + 1):
+        live = np.flatnonzero(active)
+        if not live.size:
+            break
+        iterations[live] = it
+        nn = completions(frames[live])[:, :, p:]
+        vals, first = first_jet(rows, idx0, frames[live], nn)
+        ok[live] = np.max(np.abs(first[:, 0]), axis=(1, 2)) < grad_tol
+        r = vals[:, 1:]
+        jac = first[:, 1:].reshape(len(live), -1, p * k)  # d gamma / d A[b*k+t]
+        delta = np.zeros((len(live), p * k))
+        for i in np.flatnonzero(~ok[live]):
+            delta[i] = np.linalg.lstsq(jac[i], -r[i], rcond=1e-12)[0]
+        base = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+        def descends(j, cand, s):
+            r_new = stack_values(rows, idx0, cand)[:, 1:]
+            norm2 = (r_new[:, None, :] @ r_new[:, :, None])[:, 0, 0]
+            return norm2 < base[j] * (1.0 - params.armijo_c * s) + 1e-30
+
+        frames[live], active[live], _ = _backtrack(
+            frames[live], nn, delta.reshape(-1, p, k), np.ones(len(live)), ~ok[live], 30, params.shrink, descends
+        )
+    return frames, iterations, ok
+
+
+def _lockstep(phi, starts, params, sense, module):
+    """Search from an (m, n, p) stack of start frames, stepping every trial together.
+
+    Each trial keeps its own step, iteration count and stopping state, and is
+    evaluated and retracted on its own, so its result does not depend on the
+    other trials of the stack.  Returns (frames, reports, converged, iterations).
+    """
+    if sense not in ("maximize", "minimize", "critical"):
+        raise ValueError(f"unknown sense {sense!r}")
+    idx0, rows = _module_rows(phi, module)
+    # gradients and residuals scale with phi; the zero form keeps absolute tolerances
+    scale = tol_scale(phi)
+    frames, iterations = starts, np.zeros(len(starts), dtype=int)
+    if sense != "critical":
+        frames, iterations = _ascent(phi, starts, params, 1.0 if sense == "maximize" else -1.0, scale)
+    frames, extra, ok = _gauss_newton(frames, params, module, idx0, rows, params.grad_tol * scale)
+    reports = criticality_reports(frames, phi, tol=params.grad_tol * 10, module=module)
+    converged = ok & np.array([r.is_critical for r in reports], dtype=bool)
+    return frames, reports, converged, iterations + extra
+
+
+def _trials(phi, trials, params, sense, module):
+    """(frame, report, converged, iterations) of trials 0, 1, .. in order, run in lockstep blocks."""
+    for lo in range(0, trials, _TRIAL_BLOCK):
+        seeds = [trial_seed(params.master_seed, t) for t in range(lo, min(trials, lo + _TRIAL_BLOCK))]
+        yield from zip(*_lockstep(phi, _start_frames(phi.n, phi.p, seeds), params, sense, module))
 
 
 def ascend(phi, start, params=None, sense="maximize", module=None):
     """Search from a starting plane; sense is maximize, minimize, or critical."""
     if params is None:
         params = SearchParams()
-    if sense not in ("maximize", "minimize", "critical"):
-        raise ValueError(f"unknown sense {sense!r}")
     if module is None:
         module = phi_module(phi)
-    idx0, rows = _module_rows(phi, module)
-    # gradients and residuals scale with phi; the zero form keeps absolute tolerances
-    scale = tol_scale(phi)
-    grad_tol = params.grad_tol * scale
-    xi = start
-    iterations = 0
-    converged = True
-    if sense in ("maximize", "minimize"):
-        sign = 1.0 if sense == "maximize" else -1.0
-        step = params.step_init
-        polish_tol = 1e-3 * scale
-        phi_idx, phi_c = phi._compact()
-        for it in range(1, params.max_iters + 1):
-            iterations = it
-            nn = xi.normal_frame()
-            value, first = first_jet(phi_c, phi_idx, xi.frame, nn)
-            g = first.T
-            gnorm2 = float(np.sum(g * g))
-            if np.sqrt(gnorm2) < polish_tol:
-                break
-            accepted = None
-            trial_step = min(step * 2.0, 10.0)
-            for _ in range(60):
-                cand = _retract(xi.frame, nn @ (trial_step * sign * g))
-                new_value = phi.apply(cand.frame)
-                if sign * (new_value - value) >= params.armijo_c * trial_step * gnorm2:
-                    accepted = cand
-                    step = trial_step
-                    break
-                trial_step *= params.shrink
-            if accepted is None:
-                break
-            xi = accepted
-        xi, extra, converged = _gauss_newton_critical(xi, params, module, idx0, rows, grad_tol)
-        iterations += extra
-    else:
-        xi, iterations, converged = _gauss_newton_critical(start, params, module, idx0, rows, grad_tol)
-    report = is_critical(xi, phi, tol=params.grad_tol * 10, module=module)
-    return AscendResult(
-        plane=xi,
-        report=report,
-        converged=bool(converged and report.is_critical),
-        iterations=iterations,
-    )
+    (frame, report, converged, iterations), = zip(*_lockstep(phi, start.frame[None], params, sense, module))
+    return AscendResult(OrientedPlane(frame), report, bool(converged), int(iterations))
 
 
 def comass_search(phi, trials=None, params=None, module=None):
@@ -225,15 +279,13 @@ def comass_search(phi, trials=None, params=None, module=None):
         trials = params.trials
     if module is None:
         module = phi_module(phi)
-    best_value, best_plane = -np.inf, None
-    for t in range(trials):
-        start = random_plane(phi.n, phi.p, trial_seed(params.master_seed, t))
-        result = ascend(phi, start, params, sense="maximize", module=module)
-        if result.converged and result.value > best_value:
-            best_value, best_plane = result.value, result.plane
-    if best_plane is None:
+    best_value, best_frame = -np.inf, None
+    for frame, report, converged, _ in _trials(phi, trials, params, "maximize", module):
+        if converged and report.value > best_value:
+            best_value, best_frame = report.value, frame
+    if best_frame is None:
         raise RuntimeError("no trial converged; increase trials or max_iters")
-    return best_value, best_plane
+    return best_value, OrientedPlane(best_frame)
 
 
 def comass_estimate(phi, trials=None, params=None):
@@ -265,13 +317,11 @@ def critical_spectrum(phi, trials=None, params=None, cluster_tol=1e-4):
         trials = params.trials
     module = phi_module(phi)
     planes, values, residuals = [], [], []
-    for t in range(trials):
-        start = random_plane(phi.n, phi.p, trial_seed(params.master_seed, t))
-        result = ascend(phi, start, params, sense="critical", module=module)
-        if result.converged:
-            planes.append(result.plane)
-            values.append(float(result.value))
-            residuals.append(float(result.report.residual_cousin))
+    for frame, report, converged, _ in _trials(phi, trials, params, "critical", module):
+        if converged:
+            planes.append(OrientedPlane(frame))
+            values.append(float(report.value))
+            residuals.append(float(report.residual_cousin))
     clusters = _cluster_1d([abs(v) for v in values], cluster_tol)
     return CriticalCatalog(
         planes=planes,

@@ -18,6 +18,7 @@ from calibkit import (
     cayley_form,
     coassociative_form,
     cousin_matrix,
+    criticality_reports,
     evaluate,
     is_critical,
     octonion_left_mult,
@@ -370,3 +371,19 @@ def test_sff_special_lagrangian_trace_free():
     basis, all_trace_free = sff_space(OrientedPlane(frame), sl.calib)
     assert basis
     assert all_trace_free
+
+
+def test_is_critical_is_one_row_of_the_stacked_report(rng):
+    """is_critical on a plane equals that plane's row of a stacked report."""
+    su3 = su_lie_algebra(3)
+    for phi, calibrated in (
+        (associative_form(), np.eye(7)[:, :3]),
+        (cayley_form(), np.eye(8)[:, :4]),
+        (cartan_three_form(su3), np.asarray(su3.highest_root_frame, dtype=float)),
+    ):
+        module = phi_module(phi)
+        frames = [qr_fix(rng.standard_normal((phi.n, phi.p)))[0] for _ in range(4)] + [calibrated]
+        reports = criticality_reports(np.array(frames), phi, tol=1e-9, module=module)
+        assert any(r.is_critical for r in reports) and not all(r.is_critical for r in reports)
+        for frame, report in zip(frames, reports):
+            assert is_critical(OrientedPlane(frame), phi, tol=1e-9, module=module) == report

@@ -28,7 +28,7 @@ from calibkit import (
     su_lie_algebra,
     wedge,
 )
-from calibkit.exterior import sort_index
+from calibkit.exterior import sort_index, stack_values
 from calibkit.grassmann import _module_rows
 
 from conftest import brute_eval, perm_sign, random_form
@@ -269,23 +269,27 @@ def test_first_jet_matches_explicit_replacements(n, p_raw, seed, empty, integral
     p = 1 + p_raw % n
     k = n - p
     phi = AltForm.zero(n, p) if empty else random_form(rng, n, p)
+    m = 3  # a stack of frames, each checked on its own
     if integral:
-        frame = rng.integers(-1, 2, (n, p)).astype(float)
-        normal = rng.integers(-1, 2, (n, k)).astype(float)
+        frames = rng.integers(-1, 2, (m, n, p)).astype(float)
+        normals = rng.integers(-1, 2, (m, n, k)).astype(float)
     else:
-        frame = rng.uniform(-1.0, 1.0, (n, p))
-        normal = rng.uniform(-1.0, 1.0, (n, k))
-    stack = np.concatenate([frame[None], replaced_frames(frame, normal)])
+        frames = rng.uniform(-1.0, 1.0, (m, n, p))
+        normals = rng.uniform(-1.0, 1.0, (m, n, k))
     idx0, c = phi._compact()
-    value, first = first_jet(c, idx0, frame, normal)
-    assert first.shape == (p, k)
-    for f, v in zip(stack, np.concatenate([[value], first.reshape(p * k)])):
-        assert abs(v - brute_eval(phi, f)) < 1e-12
+    values, first = first_jet(c, idx0, frames, normals)
+    assert values.shape == (m,) and first.shape == (m, p, k)
     # stacked module rows over the canonical indices
     idx_all, rows = _module_rows(phi, phi_module(phi))
-    values, firsts = first_jet(rows, idx_all, frame, normal)
-    got = np.column_stack([values, firsts.reshape(len(rows), p * k)])
-    assert np.max(np.abs(got - batch_eval_dense(rows, idx_all, stack))) < 1e-12
+    row_values, row_first = first_jet(rows, idx_all, frames, normals)
+    assert row_values.shape == (m, len(rows)) and row_first.shape == (m, len(rows), p, k)
+    for i in range(m):
+        stack = np.concatenate([frames[i][None], replaced_frames(frames[i], normals[i])])
+        for f, v in zip(stack, np.concatenate([[values[i]], first[i].reshape(p * k)])):
+            assert abs(v - brute_eval(phi, f)) < 1e-12
+        got = np.column_stack([row_values[i], row_first[i].reshape(len(rows), p * k)])
+        assert np.max(np.abs(got - batch_eval_dense(rows, idx_all, stack))) < 1e-12
+    assert np.array_equal(stack_values(rows, idx_all, frames), row_values)
 
 
 def test_evaluate_accepts_frames_and_planes(rng):

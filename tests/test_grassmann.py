@@ -9,6 +9,7 @@ from calibkit import (
     ascend,
     associative_form,
     cartan_three_form,
+    cayley_form,
     comass_estimate,
     comass_search,
     critical_spectrum,
@@ -21,7 +22,8 @@ from calibkit import (
     su_lie_algebra,
     trial_seed,
 )
-from calibkit.grassmann import _cluster_1d
+from calibkit import grassmann, special_lagrangian
+from calibkit.grassmann import _cluster_1d, _lockstep, _start_frames
 
 from conftest import random_form
 
@@ -168,3 +170,39 @@ def test_critical_spectrum_deterministic():
     for pa, pb in zip(a.planes, b.planes):
         assert np.array_equal(pa.frame, pb.frame)
     assert a.to_json() == b.to_json()
+
+
+LOCKSTEP_FORMS = {
+    "associative": associative_form,
+    "cayley": cayley_form,
+    "slag4": lambda: special_lagrangian(4).calib,
+    "su3": lambda: cartan_three_form(su_lie_algebra(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_FORMS))
+@pytest.mark.parametrize("sense", ["maximize", "minimize", "critical"])
+def test_trial_alone_equals_trial_in_block(name, sense):
+    """A trial gives the same bits, iterations and report alone as inside a lockstep block."""
+    phi = LOCKSTEP_FORMS[name]()
+    module = phi_module(phi)
+    params = SearchParams(max_iters=2000, master_seed=3)
+    starts = _start_frames(phi.n, phi.p, [trial_seed(3, t) for t in range(5)])
+    frames, reports, converged, iterations = _lockstep(phi, starts, params, sense, module)
+    for t in range(len(starts)):
+        alone = ascend(phi, random_plane(phi.n, phi.p, trial_seed(3, t)), params, sense=sense, module=module)
+        assert np.array_equal(alone.plane.frame, frames[t])
+        assert alone.iterations == iterations[t]
+        assert alone.converged == converged[t]
+        assert alone.report == reports[t]
+
+
+def test_catalogs_do_not_depend_on_the_block_size(monkeypatch):
+    phi = cartan_three_form(su_lie_algebra(3))
+    catalog = critical_spectrum(phi, trials=11, params=FAST).to_json()
+    comass = comass_search(phi, trials=11, params=FAST)
+    monkeypatch.setattr(grassmann, "_TRIAL_BLOCK", 1)
+    assert critical_spectrum(phi, trials=11, params=FAST).to_json() == catalog
+    value, plane = comass_search(phi, trials=11, params=FAST)
+    assert value == comass[0]
+    assert np.array_equal(plane.frame, comass[1].frame)
