@@ -61,11 +61,7 @@ def qr_fix(m):
 
 
 def completions(frames):
-    """Deterministic completions of an (m, n, p) stack of orthonormal frames.
-
-    Returns (m, n, n) orthonormal frames whose first p columns are the given
-    ones; the last n - p columns are normal frames.
-    """
+    """Deterministic (m, n, n) orthonormal completions of an (m, n, p) frame stack."""
     m, n, p = frames.shape
     q, _ = qr_fix(np.concatenate([frames, np.broadcast_to(np.eye(n), (m, n, n))], axis=2))
     q[:, :, :p] = frames
@@ -131,6 +127,8 @@ class OrientedPlane:
     def from_json(cls, obj, tol=1e-6):
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict) or "columns" not in obj:
+            raise ValueError("a plane must be a JSON object with a 'columns' list")
         cols = np.array(obj["columns"], dtype=float).T
         return cls(cols, tol=tol, orthonormalize=True)
 
@@ -371,13 +369,11 @@ def rho_closed(xi, phi, tol=DEFAULT_TOL):
 
 
 def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
-    """Three-residual criticality reports for an (m, n, p) stack of orthonormal frames.
+    """Three-residual criticality report of each frame of an (m, n, p) orthonormal stack.
 
-    Each frame is evaluated on its own, so its report does not depend on the
-    rest of the stack.  A plane is critical when its cousin residual is below
-    tol times the largest |coefficient| of phi (tol itself for the zero form).
+    A plane is critical when its cousin residual is below tol times the
+    largest |coefficient| of phi (tol itself for the zero form).
     """
-    frames = np.asarray(frames, dtype=float)
     if phi.p != frames.shape[2]:
         raise ValueError(f"degree {phi.p} form against a {frames.shape[2]}-plane")
     if module is None:

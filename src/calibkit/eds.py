@@ -16,14 +16,13 @@ from typing import Optional
 import numpy as np
 
 from .critical import (
-    FormModule,
     OrientedPlane,
     annihilator_check,
     numerical_rank,
     phi_module,
     qr_fix,
 )
-from .exterior import AltForm, first_jet, hodge_star, wedge
+from .exterior import first_jet, hodge_star
 from .grassmann import SearchParams, comass_search
 
 __all__ = [
@@ -66,7 +65,7 @@ def _kernel(mat, cutoff=KERNEL_CUTOFF):
 
 
 def polar_space(e, module):
-    """Polar space of a k-dim integral element of the ideal generated by module.
+    """Polar space of a k-dim integral element (k < p) of the ideal generated by module.
 
     Returns an orthonormal basis (columns).  Below degree p-1 the relevant
     graded piece of the ideal vanishes, so the polar space is everything.
@@ -75,14 +74,10 @@ def polar_space(e, module):
     frame = np.asarray(frame, dtype=float)
     n, k = frame.shape
     p = module.degree
-    if k > p:
-        raise ValueError(f"flag dimension {k} exceeds the generator degree {p}")
+    if k >= p:
+        raise ValueError(f"flag dimension {k} is not below the generator degree {p}")
     if k < p - 1:
         return np.eye(n)
-    if k == p:
-        # the degree p+1 piece of the ideal, spanned by generator ^ covector
-        span = [wedge(gamma, AltForm.basis(n, j)) for gamma in module.basis for j in range(1, n + 1)]
-        module = FormModule.from_spanning(n, p + 1, span)
     if module.rank == 0:
         return np.eye(n)
     frames = np.zeros((n, n, k + 1))
@@ -110,18 +105,13 @@ def integral_element_codim(xi, module, fd_check=True, fd_step=1e-6):
     jac = first.reshape(module.rank, p * k)  # exact linearization
     rank = numerical_rank(np.linalg.svd(jac, compute_uv=False), JACOBIAN_CUTOFF)
     if fd_check:
-        fd = np.zeros_like(jac)
-        for a in range(p):
-            for s in range(k):
-                plus = xi.frame.copy()
-                plus[:, a] += fd_step * nn[:, s]
-                minus = xi.frame.copy()
-                minus[:, a] -= fd_step * nn[:, s]
-                qp, _ = qr_fix(plus)
-                qm, _ = qr_fix(minus)
-                vp = module.values_on(qp[None])[:, 0]
-                vm = module.values_on(qm[None])[:, 0]
-                fd[:, a * k + s] = (vp - vm) / (2.0 * fd_step)
+        # move[a, s] adds fd_step * nn[:, s] to column a; retract all 2 p k frames at once
+        move = np.zeros((p, k, n, p))
+        move[np.arange(p), :, :, np.arange(p)] = fd_step * nn.T
+        move = move.reshape(p * k, n, p)
+        q, _ = qr_fix(xi.frame + np.concatenate([move, -move]))
+        vals = module.values_on(q)
+        fd = (vals[:, : p * k] - vals[:, p * k :]) / (2.0 * fd_step)
         if numerical_rank(np.linalg.svd(fd, compute_uv=False), JACOBIAN_CUTOFF) != rank:
             warnings.warn(
                 "finite-difference and exact linearization ranks disagree; "

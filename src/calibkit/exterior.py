@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-# floats gathered at once by first_jet for its cofactors (2 MB)
+# floats gathered at once by first_jet and batch_eval_dense (2 MB)
 _MINOR_BLOCK = 1 << 18
 
 
@@ -369,13 +369,17 @@ def batch_eval_dense(coeff_mat, idx0, frames):
     Returns a (k, m) array of values.
     """
     frames = np.asarray(frames, dtype=float)
-    if idx0.shape[0] == 0:
-        return np.zeros((coeff_mat.shape[0], frames.shape[0]))
-    if idx0.shape[1] == 0:
-        return np.repeat(coeff_mat, frames.shape[0], axis=1)
-    sub = frames[:, idx0, :]  # (m, t, p, p)
-    dets = np.linalg.det(sub)  # (m, t)
-    return coeff_mat @ dets.T
+    (m, n, p), t = frames.shape, idx0.shape[0]
+    if t == 0:
+        return np.zeros((coeff_mat.shape[0], m))
+    if p == 0:
+        return np.repeat(coeff_mat, m, axis=1)
+    # gather at most _MINOR_BLOCK floats of minors at a time
+    dets = np.empty((t, m))
+    step = max(1, _MINOR_BLOCK // (t * p * p))
+    for lo in range(0, m, step):
+        dets[:, lo : lo + step] = np.linalg.det(frames[lo : lo + step, idx0, :]).T
+    return coeff_mat @ dets
 
 
 def first_jet(coeff_mat, idx0, frames, normals):
@@ -424,12 +428,7 @@ def first_jet(coeff_mat, idx0, frames, normals):
 
 
 def stack_values(coeff_mat, idx0, frames):
-    """Values of forms on each frame of an (m, n, p) stack, shape (m, ...).
-
-    Unlike batch_eval_dense, each frame is contracted on its own, as in
-    first_jet (here with no normals), so its values do not depend on the
-    rest of the stack.
-    """
+    """Values (m, ...) of forms on an (m, n, p) stack, each frame contracted on its own."""
     return first_jet(coeff_mat, idx0, frames, frames[:, :, :0])[0]
 
 

@@ -6,13 +6,11 @@ residual (the values of the induced form module on the plane) to zero with
 a damped Gauss-Newton iteration, which also reaches saddle points of the
 form that plain ascent misses.
 
-Multistart searches step their trials in lockstep: blocks of up to
-_TRIAL_BLOCK trials are held as one (m, n, p) frame stack, and each step
-evaluates, line-searches and retracts every active trial of the block at
-once (stacked `first_jet`, `qr_fix` and `completions`).  Every trial keeps
-its own seed (`trial_seed`), step length, iteration count and stopping
-state, and every frame is evaluated and retracted on its own, so a trial's
-result is bit-for-bit the same alone (`ascend`) as inside a block.
+Multistart searches step blocks of _TRIAL_BLOCK trials in lockstep, as one
+(m, n, p) frame stack.  Each trial keeps its own seed, step length,
+iteration count and stopping state, and each frame is evaluated and
+retracted on its own, so a trial gives the same bits alone (`ascend`) as in
+a block.
 """
 
 from __future__ import annotations
@@ -144,11 +142,9 @@ def _retract(frames, normals, coords):
 
 
 def _backtrack(frames, normals, direction, step, pending, tries, shrink, accept):
-    """Masked backtracking line search along step * direction, one step length per trial.
+    """Backtracking along step * direction for the pending trials; returns (frames, moved, step).
 
-    accept(j, cand, step) tells which candidates of the trials j pass; a
-    failed trial shrinks its step and tries again, up to tries times.
-    Returns (frames, moved, step): the accepted frames replace the given ones.
+    accept(j, cand, step) tells which candidates of the trials j pass.
     """
     frames, moved = frames.copy(), np.zeros(len(frames), dtype=bool)
     for _ in range(tries):
@@ -172,7 +168,8 @@ def _ascent(phi, frames, params, sign, scale):
     """Armijo ascent of sign * phi on every frame; returns (frames, iterations)."""
     phi_idx, phi_c = phi._compact()
     frames = frames.copy()
-    step = np.full(len(frames), params.step_init)
+    # the gradient scales with phi, so step lengths scale with 1 / scale
+    step = np.full(len(frames), params.step_init / scale)
     iterations = np.zeros(len(frames), dtype=int)
     active = np.ones(len(frames), dtype=bool)
     for it in range(1, params.max_iters + 1):
@@ -191,7 +188,7 @@ def _ascent(phi, frames, params, sign, scale):
         # polished trials stop; the rest stop unless their line search succeeds
         moving = ~(np.sqrt(gnorm2) < 1e-3 * scale)
         frames[live], active[live], trial_step = _backtrack(
-            frames[live], nn, sign * first, np.minimum(step[live] * 2.0, 10.0), moving, 60, params.shrink, rises
+            frames[live], nn, sign * first, np.minimum(step[live] * 2.0, 10.0 / scale), moving, 60, params.shrink, rises
         )
         step[live[active[live]]] = trial_step[active[live]]
     return frames, iterations
@@ -234,12 +231,7 @@ def _gauss_newton(frames, params, module, idx0, rows, grad_tol):
 
 
 def _lockstep(phi, starts, params, sense, module):
-    """Search from an (m, n, p) stack of start frames, stepping every trial together.
-
-    Each trial keeps its own step, iteration count and stopping state, and is
-    evaluated and retracted on its own, so its result does not depend on the
-    other trials of the stack.  Returns (frames, reports, converged, iterations).
-    """
+    """Search from each frame of an (m, n, p) stack; returns (frames, reports, converged, iterations)."""
     if sense not in ("maximize", "minimize", "critical"):
         raise ValueError(f"unknown sense {sense!r}")
     idx0, rows = _module_rows(phi, module)
@@ -272,20 +264,23 @@ def ascend(phi, start, params=None, sense="maximize", module=None):
 
 
 def comass_search(phi, trials=None, params=None, module=None):
-    """Multistart maximization; returns (best value, best plane)."""
+    """Multistart maximization; returns (best value, best plane).
+
+    Maximizers tie up to round-off, so the first converged trial within
+    grad_tol * 10 * max|coefficient| of the best value is taken.
+    """
     if params is None:
         params = SearchParams()
     if trials is None:
         trials = params.trials
     if module is None:
         module = phi_module(phi)
-    best_value, best_frame = -np.inf, None
-    for frame, report, converged, _ in _trials(phi, trials, params, "maximize", module):
-        if converged and report.value > best_value:
-            best_value, best_frame = report.value, frame
-    if best_frame is None:
+    found = [(r.value, f) for f, r, ok, _ in _trials(phi, trials, params, "maximize", module) if ok]
+    if not found:
         raise RuntimeError("no trial converged; increase trials or max_iters")
-    return best_value, OrientedPlane(best_frame)
+    best = max(v for v, _ in found) - params.grad_tol * 10 * tol_scale(phi)
+    value, frame = next((v, f) for v, f in found if v >= best)
+    return value, OrientedPlane(frame)
 
 
 def comass_estimate(phi, trials=None, params=None):

@@ -160,6 +160,16 @@ def test_config_file_of_wrong_type_is_a_usage_error(capsys, tmp_path, content):
     assert "--config" in err
 
 
+@pytest.mark.parametrize("content", ['{"n": 7}', "[[1, 0, 0, 0, 0, 0, 0]]"])
+def test_malformed_frame_file_is_a_usage_error(capsys, tmp_path, content):
+    frame = tmp_path / "frame.json"
+    frame.write_text(content)
+    code, out, err = run(capsys, "check", "--family", "associative", "--frame", str(frame))
+    assert code == 2
+    assert out == ""
+    assert "columns" in err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(

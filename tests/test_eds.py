@@ -42,6 +42,8 @@ def test_polar_space_rejects_oversized_flag():
     module = phi_module(associative_form())
     with pytest.raises(ValueError):
         polar_space(np.eye(7)[:, :4], module)
+    with pytest.raises(ValueError):  # k = p: flags stop at p - 1
+        polar_space(np.eye(7)[:, :3], module)
 
 
 def test_integral_codim_requires_integral_element():

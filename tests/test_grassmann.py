@@ -206,3 +206,29 @@ def test_catalogs_do_not_depend_on_the_block_size(monkeypatch):
     value, plane = comass_search(phi, trials=11, params=FAST)
     assert value == comass[0]
     assert np.array_equal(plane.frame, comass[1].frame)
+
+
+def test_comass_search_takes_the_first_trial_within_tolerance():
+    """Maximizers tie up to round-off; the lowest such trial index wins, not the last bit."""
+    phi = cayley_form()
+    params = SearchParams(max_iters=2000, trials=12, master_seed=5)
+    found = [
+        (r.value, f) for f, r, ok, _ in grassmann._trials(phi, 12, params, "maximize", phi_module(phi)) if ok
+    ]
+    values = [v for v, _ in found]
+    assert max(values) - min(values) < 1e-12  # every converged trial ties at the comass
+    value, plane = comass_search(phi, params=params)
+    assert value == found[0][0]
+    assert np.array_equal(plane.frame, found[0][1])
+
+
+def test_ascent_step_scales_with_form():
+    """A tiny multiple of phi takes about as many ascent steps as phi itself."""
+    params = SearchParams(max_iters=200, trials=5)
+    starts = _start_frames(7, 3, [trial_seed(0, t) for t in range(5)])
+    _, unit = grassmann._ascent(associative_form(), starts, params, 1.0, 1.0)
+    _, tiny = grassmann._ascent(1e-10 * associative_form(), starts, params, 1.0, 1e-10)
+    assert np.all(np.abs(tiny - unit) <= 0.1 * unit)
+    assert np.all(unit < 200)
+    value, _ = comass_search(1e-10 * associative_form(), params=params)
+    assert value == pytest.approx(1e-10 * comass_estimate(associative_form(), params=params), rel=1e-6)
