@@ -34,8 +34,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-# floats gathered at once by first_jet and batch_eval_dense (2 MB)
-_MINOR_BLOCK = 1 << 18
+# floats gathered at once by first_jet and batch_eval_dense (256 KB): a
+# lockstep block gathers the cofactors of all its frames at once
+_MINOR_BLOCK = 1 << 15
 
 
 def sort_index(idx):
