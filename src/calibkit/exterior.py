@@ -370,7 +370,7 @@ def batch_eval_dense(coeff_mat, idx0, frames):
     Returns a (k, m) array of values.
     """
     frames = np.asarray(frames, dtype=float)
-    (m, n, p), t = frames.shape, idx0.shape[0]
+    (m, _, p), t = frames.shape, idx0.shape[0]
     if t == 0:
         return np.zeros((coeff_mat.shape[0], m))
     if p == 0:
