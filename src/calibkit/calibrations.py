@@ -216,14 +216,15 @@ def su_lie_algebra(k):
     """su(k) with the -tr(XY) metric, realified to an orthonormal basis."""
     if not 2 <= k <= 4:
         raise ValueError("k must be between 2 and 4")
-    basis = _su_matrix_basis(k)
+    basis = np.array(_su_matrix_basis(k))
     n = len(basis)
+    # the brackets of all pairs i < j, in their coordinates -tr([X_i, X_j] X_l)
+    i, j = np.triu_indices(n, 1)
+    br = basis[i] @ basis[j] - basis[j] @ basis[i]
+    coords = -np.trace(br[:, None] @ basis[None], axis1=-2, axis2=-1).real
     structure = np.zeros((n, n, n))
-    for i, j in itertools.combinations(range(n), 2):
-        br = basis[i] @ basis[j] - basis[j] @ basis[i]
-        coords = _su_coords(br, basis)
-        structure[i, j] = coords
-        structure[j, i] = -coords
+    structure[i, j] = coords
+    structure[j, i] = -coords
     # su(2) of the highest root: the (1, k) corner
     x1 = np.zeros((k, k), dtype=complex)
     x1[0, k - 1], x1[k - 1, 0] = 1.0, -1.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -90,8 +91,11 @@ def settings(args):
         if val is not None:
             cfg[key] = val
     for key in ("tol", "cluster_tol", "grad_tol"):
-        if cfg[key] <= 0:
-            raise SystemExit2(f"tolerance {key} must be positive")
+        if not 0 < cfg[key] < math.inf:  # also rejects NaN
+            raise SystemExit2(f"tolerance {key} must be positive and finite")
+    for key in ("trials", "max_iters"):
+        if cfg[key] < 1:
+            raise SystemExit2(f"{key} must be at least 1")
     return cfg
 
 
@@ -218,7 +222,9 @@ def cmd_eds(args):
         log(str(exc))
         return EXIT_NUMERICAL
     report = eds.cartan_test(plane, module)
-    codim_p, codim_dual = eds.hodge_dual_ideal_check(phi, xi=plane)
+    codim_p, codim_dual = eds.hodge_dual_ideal_check(
+        phi, xi=plane, module=module, codim_p=report.actual_codim
+    )
     payload = report.to_json()
     payload["hodge_dual"] = {"codim_p": codim_p, "codim_dual": codim_dual}
     text = (

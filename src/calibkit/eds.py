@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,7 +44,7 @@ class FlagReport:
     cartan_bound: int
     actual_codim: int
     involutive_at_flag: bool
-    bound_max_over_orders: Optional[int] = None
+    bound_max_over_orders: int
 
     def to_json(self):
         return {
@@ -121,52 +120,49 @@ def integral_element_codim(xi, module, fd_check=True, fd_step=1e-6):
     return rank
 
 
-def cartan_test(xi, module, random_orders=50, seed=0):
-    """Cartan's test at the flag built from the frame columns in order."""
+def cartan_test(xi, module):
+    """Cartan's test at the flag built from the frame columns in order.
+
+    Below level p - 1 every polar space is all of R^n, so c_1 .. c_{p-2} are 0
+    and the Cartan bound of a column order is c_{p-1} of its first p - 1
+    columns: xi minus the last column d of the order.  bound_max_over_orders
+    is the exact max of the bound over all p! orders, taken as the max of
+    c_{p-1} over the p hyperplanes "xi minus column d".  The given flag is
+    d = p - 1.
+    """
     n, p = xi.n, xi.p
-    codims = _flag_codims(xi.frame, module)
-    bound = int(sum(codims))
+    drops = range(p) if p > 1 else ()  # a 1-plane has an empty flag
+    hyper = [n - polar_space(np.delete(xi.frame, d, axis=1), module).shape[1] for d in drops]
+    codims = [0] * (p - 2) + hyper[-1:]
+    bound = sum(codims)
     actual = integral_element_codim(xi, module)
-    bound_max = None
-    if random_orders:
-        rng = np.random.default_rng(seed)
-        bound_max = bound
-        for _ in range(random_orders):
-            perm = rng.permutation(p)
-            bound_max = max(bound_max, int(sum(_flag_codims(xi.frame[:, perm], module))))
     return FlagReport(
         flag_dims=list(range(1, p)),
         polar_codims=codims,
         cartan_bound=bound,
         actual_codim=actual,
         involutive_at_flag=bool(actual == bound),
-        bound_max_over_orders=bound_max,
+        bound_max_over_orders=max(hyper, default=bound),
     )
 
 
-def _flag_codims(frame, module):
-    n = frame.shape[0]
-    p = frame.shape[1]
-    codims = []
-    for a in range(1, p):
-        h = polar_space(frame[:, :a], module)
-        codims.append(n - h.shape[1])
-    return codims
-
-
-def hodge_dual_ideal_check(phi, xi=None, params=None):
+def hodge_dual_ideal_check(phi, xi=None, params=None, module=None, codim_p=None):
     """Codimensions at a critical plane for phi and at its perp for *phi.
 
     The two are equal; both integers are returned so callers can assert it.
+    A caller that has run cartan_test at xi passes phi's module and the
+    report's actual_codim as module and codim_p, so neither is redone.
     """
     if params is None:
         params = SearchParams()
-    module = phi_module(phi)
+    if module is None:
+        module = phi_module(phi)
     if xi is None:
         _, xi = comass_search(phi, params=params, module=module)
     dual = hodge_star(phi)
     module_dual = phi_module(dual)
     xi_perp = OrientedPlane(xi.normal_frame())
-    codim_p = integral_element_codim(xi, module)
+    if codim_p is None:
+        codim_p = integral_element_codim(xi, module)
     codim_dual = integral_element_codim(xi_perp, module_dual)
     return codim_p, codim_dual

@@ -37,6 +37,9 @@ DEFAULT_TOL = 1e-9
 # floats gathered at once by first_jet and batch_eval_dense (256 KB): a
 # lockstep block gathers the cofactors of all its frames at once
 _MINOR_BLOCK = 1 << 15
+# from this minor size on, first_jet takes cofactors from one SVD per minor,
+# not from p^2 determinants of size p - 1 (measured crossover: p = 5 ties)
+_SVD_COFACTOR_P = 6
 
 
 def sort_index(idx):
@@ -259,7 +262,7 @@ def wedge(a, b):
         raise ValueError(f"dimension mismatch: {a.n} != {b.n}")
     p, q = a.p, b.p
     if p + q > a.n:
-        return AltForm.zero(a.n, a.n)
+        raise ValueError(f"no degree-{p + q} forms exist on R^{a.n}")
     coeffs = {}
     for I, ca in a.coeffs.items():
         for J, cb in b.coeffs.items():
@@ -392,10 +395,12 @@ def first_jet(coeff_mat, idx0, frames, normals):
     (m, ..., p, k), where first[i, ..., b, s] is the value on frame i with
     column b replaced by normals[i, :, s].  Since det is linear in each
     column, det(F_bs[I]) = sum_r cof_I[r, b] * normal[I_r, s], so every
-    replacement comes from the cofactors of the t minors frame[I].  The
-    cofactors are signed (p-1)-minors, not an inverse, so singular minors
-    need no care.  Each frame is contracted on its own by a broadcast matmul,
-    so its results do not depend on the other frames of the stack.
+    replacement comes from the cofactors of the t minors frame[I].  Below
+    p = _SVD_COFACTOR_P the cofactors are signed (p-1)-minors; from there on
+    they come from one SVD per minor.  Neither path takes an inverse, so
+    singular minors need no care.  Each frame is contracted on its own by a
+    broadcast matmul, so its results do not depend on the other frames of the
+    stack.
     """
     coeff_mat = np.asarray(coeff_mat, dtype=float)
     frames = np.asarray(frames, dtype=float)
@@ -412,17 +417,28 @@ def first_jet(coeff_mat, idx0, frames, normals):
     values = (coeffs @ np.linalg.det(minors)[..., None]).reshape(lead)
     if p == 0 or k == 0:
         return values, np.zeros(lead + (p, k))
-    # keep[r] lists the rows (and columns) other than r
-    keep = np.array([[j for j in range(p) if j != r] for r in range(p)], dtype=np.intp)
     minors = minors.reshape(m * t, p, p)
     cof = np.empty((m * t, p, p))
-    # the gathered (p-1)-minors take p^2 (p-1)^2 floats per index: bound the
-    # block so that a large p (a Hodge dual, say) stays small in memory
-    step = max(1, _MINOR_BLOCK // (p * p * max(1, (p - 1) ** 2)))
-    for lo in range(0, m * t, step):
-        block = minors[lo : lo + step]
-        cof[lo : lo + step] = np.linalg.det(block[:, keep[:, None, :, None], keep[None, :, None, :]])
-    cof *= (-1.0) ** np.add.outer(np.arange(p), np.arange(p))
+    if p < _SVD_COFACTOR_P:
+        # keep[r] lists the rows (and columns) other than r; the gathered
+        # (p-1)-minors take p^2 (p-1)^2 floats per index
+        keep = np.array([[j for j in range(p) if j != r] for r in range(p)], dtype=np.intp)
+        sign = (-1.0) ** np.add.outer(np.arange(p), np.arange(p))
+        step = max(1, _MINOR_BLOCK // (p * p * max(1, (p - 1) ** 2)))
+        for lo in range(0, m * t, step):
+            block = minors[lo : lo + step]
+            cof[lo : lo + step] = np.linalg.det(block[:, keep[:, None, :, None], keep[None, :, None, :]]) * sign
+    else:
+        # A = U diag(s) V^T has cofactors det(U) det(V) U diag(prod_{j != i} s_j) V^T;
+        # prefix and suffix products need no division, so singular minors stay exact
+        step = max(1, _MINOR_BLOCK // (3 * p * p))
+        for lo in range(0, m * t, step):
+            u, s, vt = np.linalg.svd(minors[lo : lo + step])
+            ones = np.ones((len(s), 1))
+            pre = np.cumprod(np.concatenate([ones, s[:, :-1]], axis=1), axis=1)
+            suf = np.cumprod(np.concatenate([ones, s[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+            det_uv = np.sign(np.linalg.det(u) * np.linalg.det(vt))
+            cof[lo : lo + step] = (u * (det_uv[:, None] * pre * suf)[:, None, :]) @ vt
     repl = np.swapaxes(cof.reshape(m, t, p, p), -1, -2) @ np.take(normals, idx0, axis=1)  # (m, t, p, k)
     first = coeffs @ repl.reshape(m, t, p * k)
     return values, first.reshape(lead + (p, k))

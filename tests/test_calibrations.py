@@ -30,6 +30,7 @@ from calibkit import (
     subspace_distance,
     wedge,
 )
+from calibkit.calibrations import _su_coords, _su_matrix_basis
 
 
 def test_associative_frozen_values():
@@ -170,6 +171,20 @@ def test_su_lie_algebra_valid(k):
         br = g.bracket(f[:, i], f[:, j])
         resid = br - f @ (f.T @ br)
         assert np.max(np.abs(resid)) < 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_su_structure_constants_match_pairwise_loop(k):
+    """The stacked brackets equal, bit for bit, one bracket and trace per pair."""
+    basis = _su_matrix_basis(k)
+    n = len(basis)
+    expected = np.zeros((n, n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        br = basis[i] @ basis[j] - basis[j] @ basis[i]
+        coords = _su_coords(br, basis)
+        expected[i, j] = coords
+        expected[j, i] = -coords
+    assert np.array_equal(su_lie_algebra(k).structure, expected)
 
 
 def test_lie_algebra_data_validation():

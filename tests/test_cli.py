@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from calibkit import OrientedPlane
+from calibkit import OrientedPlane, exterior
 from calibkit.cli import main
 
 
@@ -115,6 +115,17 @@ def test_eds_subcommand(capsys):
     assert json.loads(out)["cartan_bound"] == 3
 
 
+def test_eds_payload_independent_of_cofactor_path(capsys, monkeypatch):
+    """The dual of e123 on R^9 has p = 6, where first_jet takes SVD cofactors."""
+    args = ("eds", "--family", "custom", "--form", "e123", "--n", "9", "--trials", "3", "--json")
+    assert exterior._SVD_COFACTOR_P <= 6
+    code, svd_out, _ = run(capsys, *args)
+    monkeypatch.setattr(exterior, "_SVD_COFACTOR_P", 7)
+    assert run(capsys, *args) == (code, svd_out, "")
+    payload = json.loads(svd_out)
+    assert payload["hodge_dual"] == {"codim_p": 18, "codim_dual": 18}
+
+
 def test_spinor_subcommand(capsys):
     code, out, _ = run(capsys, "spinor", "--json")
     assert code == 0
@@ -158,6 +169,35 @@ def test_config_file_of_wrong_type_is_a_usage_error(capsys, tmp_path, content):
     assert code == 2
     assert out == ""
     assert "--config" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--family", "associative", "--seed", "0", "--tol", "inf"],
+        ["check", "--family", "associative", "--seed", "0", "--tol", "nan"],
+        ["search", "--family", "associative", "--trials", "-3"],
+        ["eds", "--family", "associative", "--trials", "0"],
+        ["comass", "--family", "associative", "--trials", "0"],
+    ],
+)
+def test_out_of_range_setting_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "content", ['{"cluster_tol": NaN}', '{"grad_tol": Infinity}', '{"max_iters": 0}', '{"trials": 0}']
+)
+def test_config_value_out_of_range_is_a_usage_error(capsys, tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code, out, err = run(capsys, "search", "--family", "associative", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "error" in err
 
 
 @pytest.mark.parametrize("content", ['{"n": 7}', "[[1, 0, 0, 0, 0, 0, 0]]"])

@@ -1,5 +1,7 @@
 """Pointwise exterior-differential-system checks for the induced ideal."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from calibkit import (
     OrientedPlane,
     associative_form,
     cartan_test,
+    cayley_form,
     coassociative_form,
     hodge_dual_ideal_check,
     integral_element_codim,
@@ -14,7 +17,10 @@ from calibkit import (
     phi_module,
     polar_space,
     qr_fix,
+    special_lagrangian,
 )
+
+from test_acceptance import real_locus, stabilizer_orbit
 
 
 def coordinate_plane(n, cols):
@@ -62,6 +68,46 @@ def test_cartan_test_associative_involutive():
     assert report.actual_codim == 4
     assert report.involutive_at_flag
     assert report.bound_max_over_orders == 4
+
+
+def brute_bound_max(xi, module):
+    """Max of the Cartan bound over all p! column orders, every level computed."""
+    n, p = xi.n, xi.p
+    return max(
+        sum(n - polar_space(xi.frame[:, list(order[:a])], module).shape[1] for a in range(1, p))
+        for order in itertools.permutations(range(p))
+    )
+
+
+@pytest.mark.parametrize(
+    "phi, base",
+    [
+        (associative_form(), coordinate_plane(7, (0, 1, 2))),
+        (coassociative_form(), coordinate_plane(7, (3, 4, 5, 6))),
+        (cayley_form(), coordinate_plane(8, (0, 1, 2, 3))),
+        (special_lagrangian(4).calib, real_locus(4)),
+    ],
+    ids=["associative", "coassociative", "cayley", "slag4"],
+)
+def test_bound_max_over_orders_is_exact(phi, base):
+    """At random calibrated frames the reported max equals the brute-force max."""
+    module = phi_module(phi)
+    rng = np.random.default_rng(phi.n * phi.p)
+    for plane in stabilizer_orbit(phi, base, 3, seed=phi.n):
+        q, _ = qr_fix(rng.standard_normal((phi.p, phi.p)))
+        xi = OrientedPlane(plane.frame @ q)
+        report = cartan_test(xi, module)
+        assert report.bound_max_over_orders == brute_bound_max(xi, module)
+        assert report.bound_max_over_orders >= report.cartan_bound
+
+
+def test_bound_max_over_orders_exceeds_the_given_flag():
+    """Leaving out e6 or e7 of span(e1, e2, e6, e7) gives c_3 = 3, leaving out e7 only 2."""
+    module = phi_module(parse_form("e1234 + e5678 + e1357"))
+    xi = coordinate_plane(8, (0, 1, 5, 6))
+    report = cartan_test(xi, module)
+    assert report.cartan_bound == 2
+    assert report.bound_max_over_orders == brute_bound_max(xi, module) == 3
 
 
 def test_cartan_test_coassociative_not_involutive():

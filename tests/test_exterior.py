@@ -28,6 +28,7 @@ from calibkit import (
     su_lie_algebra,
     wedge,
 )
+from calibkit import exterior
 from calibkit.exterior import sort_index, stack_values
 from calibkit.grassmann import _module_rows
 
@@ -150,6 +151,10 @@ def test_wedge_graded_commutativity(rng):
         q = int(rng.integers(0, n + 1))
         a = random_form(rng, n, p)
         b = random_form(rng, n, q)
+        if p + q > n:
+            with pytest.raises(ValueError):
+                wedge(a, b)
+            continue
         assert wedge(a, b).approx_eq(((-1.0) ** (p * q)) * wedge(b, a), tol=1e-12)
 
 
@@ -159,7 +164,44 @@ def test_wedge_associativity(rng):
         a = random_form(rng, n, 1)
         b = random_form(rng, n, 1)
         c = random_form(rng, n, 2)
+        if n < 4:  # no 4-forms on R^3
+            with pytest.raises(ValueError):
+                wedge(wedge(a, b), c)
+            with pytest.raises(ValueError):
+                wedge(a, wedge(b, c))
+            continue
         assert wedge(wedge(a, b), c).approx_eq(wedge(a, wedge(b, c)), tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), p_raw=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_hodge_star_twice_is_the_sign_exactly(n, p_raw, seed):
+    """* * a = (-1)^{p(n-p)} a, bit for bit: * only permutes and signs coefficients."""
+    p = p_raw % (n + 1)
+    a = random_form(np.random.default_rng(seed), n, p, density=0.3)
+    twice = hodge_star(hodge_star(a))
+    assert twice.p == p
+    assert twice.coeffs == ((-1.0) ** (p * (n - p)) * a).coeffs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 7),
+    p_raw=st.integers(0, 6),
+    q_raw=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interior_leibniz_rule(n, p_raw, q_raw, seed):
+    """v -| (a ^ b) = (v -| a) ^ b + (-1)^p a ^ (v -| b)."""
+    p = 1 + p_raw % (n - 1)
+    q = 1 + q_raw % (n - p)
+    rng = np.random.default_rng(seed)
+    a = random_form(rng, n, p)
+    b = random_form(rng, n, q)
+    v = rng.standard_normal(n)
+    lhs = interior(v, wedge(a, b))
+    rhs = wedge(interior(v, a), b) + (-1.0) ** p * wedge(a, interior(v, b))
+    assert lhs.approx_eq(rhs, tol=1e-12)
 
 
 def test_so_action_is_a_wedge_derivation(rng):
@@ -290,6 +332,38 @@ def test_first_jet_matches_explicit_replacements(n, p_raw, seed, empty, integral
         got = np.column_stack([row_values[i], row_first[i].reshape(len(rows), p * k)])
         assert np.max(np.abs(got - batch_eval_dense(rows, idx_all, stack))) < 1e-12
     assert np.array_equal(stack_values(rows, idx_all, frames), row_values)
+
+
+@pytest.mark.parametrize("n, p, k", [(7, 4, 3), (8, 5, 3), (8, 6, 2), (8, 7, 2), (6, 6, 2)])
+def test_first_jet_svd_and_cofactor_paths_agree(monkeypatch, n, p, k):
+    """Both cofactor paths, on either side of _SVD_COFACTOR_P, against each other and brute_eval.
+
+    k normals need not complete the frame, so p = n has replacements too.  The
+    integer frames repeat a column (every minor singular, adjugates of rank
+    at most 1) or draw from {-1, 0, 1} (many singular minors).
+    """
+    rng = np.random.default_rng(10 * n + p)
+    phi = random_form(rng, n, p, density=0.25)  # brute_eval costs p! per term
+    idx0, c = phi._compact()
+    frames = np.stack(
+        [
+            rng.uniform(-1.0, 1.0, (n, p)),
+            rng.integers(-1, 2, (n, p)).astype(float),
+            rng.integers(-1, 2, (n, p)).astype(float),
+        ]
+    )
+    frames[2, :, -1] = frames[2, :, 0]
+    normals = rng.integers(-1, 2, (3, n, k)).astype(float)
+    jets = []
+    for threshold in (p + 1, p):  # the cofactor path, then the SVD path
+        monkeypatch.setattr(exterior, "_SVD_COFACTOR_P", threshold)
+        jets.append(first_jet(c, idx0, frames, normals))
+    (values, cof_first), (svd_values, svd_first) = jets
+    assert np.array_equal(values, svd_values)
+    assert np.max(np.abs(svd_first - cof_first)) < 1e-12
+    for i in range(3):
+        oracle = [brute_eval(phi, f) for f in replaced_frames(frames[i], normals[i])]
+        assert np.max(np.abs(svd_first[i].reshape(p * k) - oracle)) < 1e-12
 
 
 def test_evaluate_accepts_frames_and_planes(rng):
