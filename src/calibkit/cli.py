@@ -127,6 +127,8 @@ def load_plane(args, phi, cfg):
         with open(args.frame) as fh:
             obj = json.load(fh)
         plane = OrientedPlane.from_json(obj)
+        if (plane.n, plane.p) != (phi.n, phi.p):
+            raise SystemExit2(f"--frame holds a {plane.p}-plane in R^{plane.n}, not a {phi.p}-plane in R^{phi.n}")
         gram_err = np.max(np.abs(plane.frame.T @ plane.frame - np.eye(plane.p)))
         if gram_err > 1e-10:
             log(f"warning: frame re-orthonormalized (deviation {gram_err:.2e})")
@@ -260,12 +262,13 @@ def cmd_spinor(args):
     norms = {k: model.spinor_square(x, k).norm() for k in range(9)}
     phi4 = model.spinor_square(x, 4)
     forms, span = model.psi_forms(x)
-    dist = subspace_distance(span, phi_module(phi4))
+    module = phi_module(phi4)
+    dist = subspace_distance(span, module)
     payload = {
         "component_norms": {str(k): norms[k] for k in norms},
         "n_psi_forms": len(forms),
         "span_distance": dist,
-        "dim_phi": phi_module(phi4).rank,
+        "dim_phi": module.rank,
     }
     text = (
         f"degree norms: {', '.join(f'{k}:{norms[k]:.6g}' for k in norms)}; "

@@ -17,7 +17,6 @@ import numpy as np
 from .exterior import (
     AltForm,
     SkewMap,
-    batch_eval_dense,
     canonical_indices,
     evaluate,
     first_jet,
@@ -82,10 +81,12 @@ class OrientedPlane:
             raise ValueError(f"p={p} exceeds n={n}")
         gram = f.T @ f
         if not np.allclose(gram, np.eye(p), atol=tol):
-            if orthonormalize:
-                f, _ = qr_fix(f)
-            else:
+            if not orthonormalize:
                 raise ValueError("frame columns are not orthonormal")
+            f, r = qr_fix(f)
+            d = np.abs(np.diag(r))
+            if d.min() <= 1e-10 * d.max():
+                raise ValueError("frame columns are linearly dependent")
         self.n, self.p = n, p
         self.frame = f
         self._completion = None
@@ -177,7 +178,7 @@ class FormModule:
         frames = np.asarray(frames, dtype=float)
         if frames.ndim == 2:
             frames = frames[None]
-        return batch_eval_dense(self._coeff_mat, self._idx0, frames)
+        return stack_values(self._coeff_mat, self._idx0, frames).T
 
     def contains(self, form, tol=1e-9):
         v = form.dense()
@@ -314,15 +315,11 @@ def _rho_stack(phi, rest):
     """rho of each (p-1)-frame of an (m, n, p-1) stack, shape (m, n)."""
     m, n = rest.shape[:2]
     idx0, c = phi._compact()
-    if idx0.shape[0] == 0:
-        return np.zeros((m, n))
     # frames[i, j] is rest[i] with the basis vector eps_j in front
     frames = np.zeros((m, n, n, phi.p))
     frames[:, :, :, 1:] = rest[:, None]
     frames[:, np.arange(n), np.arange(n), 0] = 1.0
-    dets = np.linalg.det(np.take(frames, idx0, axis=2))
-    # contract each (t, n) block in C order, whatever the size of the stack
-    return (c[None] @ np.ascontiguousarray(np.swapaxes(dets, 1, 2)))[:, 0]
+    return stack_values(c, idx0, frames.reshape(m * n, n, phi.p)).reshape(m, n)
 
 
 def rho_product(phi, vectors):
@@ -376,6 +373,8 @@ def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
     """
     if phi.p != frames.shape[2]:
         raise ValueError(f"degree {phi.p} form against a {frames.shape[2]}-plane")
+    if phi.n != frames.shape[1]:
+        raise ValueError(f"form on R^{phi.n} against a plane in R^{frames.shape[1]}")
     if module is None:
         module = phi_module(phi)
     normals = completions(frames)[:, :, phi.p :]
@@ -421,11 +420,7 @@ def _adapted_values(phi, xi):
                     f[:, b] = comp[:, p + t]
                     frames.append(f)
     idx0, c = phi._compact()
-    if idx0.shape[0]:
-        vals = batch_eval_dense(c[None, :], idx0, np.array(frames))[0]
-    else:
-        vals = np.zeros(len(frames))
-    T = vals.reshape(p, p, k, k)
+    T = stack_values(c, idx0, np.array(frames)).reshape(p, p, k, k)
     # slots coincide: the replacement coefficient is zero by convention
     for a in range(p):
         T[a, a, :, :] = 0.0

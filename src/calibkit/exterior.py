@@ -26,7 +26,6 @@ __all__ = [
     "so_action_matrix",
     "form_inner",
     "canonical_indices",
-    "batch_eval_dense",
     "first_jet",
     "stack_values",
     "parse_form",
@@ -34,8 +33,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-# floats gathered at once by first_jet and batch_eval_dense (256 KB): a
-# lockstep block gathers the cofactors of all its frames at once
+# floats of minors (256 KB) that first_jet gathers at once, and of the
+# (p-1)-minors or SVD factors that one cofactor step gathers
 _MINOR_BLOCK = 1 << 15
 # from this minor size on, first_jet takes cofactors from one SVD per minor,
 # not from p^2 determinants of size p - 1 (measured crossover: p = 5 ties)
@@ -205,12 +204,8 @@ class AltForm:
         m = np.asarray(vectors, dtype=float)
         if m.ndim != 2 or m.shape != (self.n, self.p):
             raise ValueError(f"expected an {self.n} x {self.p} array of columns")
-        if self.p == 0:
-            return float(self.coeffs.get((), 0.0))
-        if not self.coeffs:
-            return 0.0
         idx, c = self._compact()
-        return float(np.linalg.det(m[idx, :]) @ c)
+        return float(stack_values(c, idx, m[None])[0])
 
     def __repr__(self):
         if self.n > 9:
@@ -364,26 +359,36 @@ def form_inner(a, b):
     return float(sum(c * b.coeffs.get(I, 0.0) for I, c in a.coeffs.items()))
 
 
-def batch_eval_dense(coeff_mat, idx0, frames):
-    """Evaluate many forms on many frames at once.
+def _cofactors(minors):
+    """Cofactor matrices (N, p, p) of an (N, p, p) stack of minors, p >= 1.
 
-    coeff_mat: (k, t) dense coefficients over the canonical index list.
-    idx0: (t, p) 0-based canonical index array.
-    frames: (m, n, p) stack of frames.
-    Returns a (k, m) array of values.
+    Below p = _SVD_COFACTOR_P they are signed (p-1)-minors; from there on
+    they come from one SVD per minor.  Neither path takes an inverse, so
+    singular minors need no care.
     """
-    frames = np.asarray(frames, dtype=float)
-    (m, _, p), t = frames.shape, idx0.shape[0]
-    if t == 0:
-        return np.zeros((coeff_mat.shape[0], m))
-    if p == 0:
-        return np.repeat(coeff_mat, m, axis=1)
-    # gather at most _MINOR_BLOCK floats of minors at a time
-    dets = np.empty((t, m))
-    step = max(1, _MINOR_BLOCK // (t * p * p))
-    for lo in range(0, m, step):
-        dets[:, lo : lo + step] = np.linalg.det(frames[lo : lo + step, idx0, :]).T
-    return coeff_mat @ dets
+    p = minors.shape[-1]
+    cof = np.empty(minors.shape)
+    if p < _SVD_COFACTOR_P:
+        # keep[r] lists the rows (and columns) other than r; the gathered
+        # (p-1)-minors take p^2 (p-1)^2 floats per index
+        keep = np.array([[j for j in range(p) if j != r] for r in range(p)], dtype=np.intp)
+        sign = (-1.0) ** np.add.outer(np.arange(p), np.arange(p))
+        step = max(1, _MINOR_BLOCK // (p * p * max(1, (p - 1) ** 2)))
+        for lo in range(0, len(minors), step):
+            block = minors[lo : lo + step]
+            cof[lo : lo + step] = np.linalg.det(block[:, keep[:, None, :, None], keep[None, :, None, :]]) * sign
+    else:
+        # A = U diag(s) V^T has cofactors det(U) det(V) U diag(prod_{j != i} s_j) V^T;
+        # prefix and suffix products need no division, so singular minors stay exact
+        step = max(1, _MINOR_BLOCK // (3 * p * p))
+        for lo in range(0, len(minors), step):
+            u, s, vt = np.linalg.svd(minors[lo : lo + step])
+            ones = np.ones((len(s), 1))
+            pre = np.cumprod(np.concatenate([ones, s[:, :-1]], axis=1), axis=1)
+            suf = np.cumprod(np.concatenate([ones, s[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+            det_uv = np.sign(np.linalg.det(u) * np.linalg.det(vt))
+            cof[lo : lo + step] = (u * (det_uv[:, None] * pre * suf)[:, None, :]) @ vt
+    return cof
 
 
 def first_jet(coeff_mat, idx0, frames, normals):
@@ -395,57 +400,44 @@ def first_jet(coeff_mat, idx0, frames, normals):
     (m, ..., p, k), where first[i, ..., b, s] is the value on frame i with
     column b replaced by normals[i, :, s].  Since det is linear in each
     column, det(F_bs[I]) = sum_r cof_I[r, b] * normal[I_r, s], so every
-    replacement comes from the cofactors of the t minors frame[I].  Below
-    p = _SVD_COFACTOR_P the cofactors are signed (p-1)-minors; from there on
-    they come from one SVD per minor.  Neither path takes an inverse, so
-    singular minors need no care.  Each frame is contracted on its own by a
-    broadcast matmul, so its results do not depend on the other frames of the
-    stack.
+    replacement comes from the cofactors of the t minors frame[I].  Every
+    evaluation in calibkit comes here.  Frames go in blocks whose minors take
+    at most _MINOR_BLOCK floats, gathered once for the determinants and the
+    cofactors.  Each frame is contracted on its own by a broadcast matmul, so
+    it gets the same bits alone as in any stack.  p = 0 (a 0 x 0 minor has
+    det 1) and forms without terms need no special case.
     """
     coeff_mat = np.asarray(coeff_mat, dtype=float)
     frames = np.asarray(frames, dtype=float)
     normals = np.asarray(normals, dtype=float)
     t, p = idx0.shape
     m, k = frames.shape[0], normals.shape[-1]
-    lead = (m,) + coeff_mat.shape[:-1]
-    if t == 0:
-        return np.zeros(lead), np.zeros(lead + (p, k))
-    coeffs = coeff_mat.reshape(-1, t)
-    # np.take gathers C-contiguous blocks, so every frame is contracted with
-    # unit strides whatever the size of the stack
-    minors = np.take(frames, idx0, axis=1)  # (m, t, p, p)
-    values = (coeffs @ np.linalg.det(minors)[..., None]).reshape(lead)
-    if p == 0 or k == 0:
-        return values, np.zeros(lead + (p, k))
-    minors = minors.reshape(m * t, p, p)
-    cof = np.empty((m * t, p, p))
-    if p < _SVD_COFACTOR_P:
-        # keep[r] lists the rows (and columns) other than r; the gathered
-        # (p-1)-minors take p^2 (p-1)^2 floats per index
-        keep = np.array([[j for j in range(p) if j != r] for r in range(p)], dtype=np.intp)
-        sign = (-1.0) ** np.add.outer(np.arange(p), np.arange(p))
-        step = max(1, _MINOR_BLOCK // (p * p * max(1, (p - 1) ** 2)))
-        for lo in range(0, m * t, step):
-            block = minors[lo : lo + step]
-            cof[lo : lo + step] = np.linalg.det(block[:, keep[:, None, :, None], keep[None, :, None, :]]) * sign
-    else:
-        # A = U diag(s) V^T has cofactors det(U) det(V) U diag(prod_{j != i} s_j) V^T;
-        # prefix and suffix products need no division, so singular minors stay exact
-        step = max(1, _MINOR_BLOCK // (3 * p * p))
-        for lo in range(0, m * t, step):
-            u, s, vt = np.linalg.svd(minors[lo : lo + step])
-            ones = np.ones((len(s), 1))
-            pre = np.cumprod(np.concatenate([ones, s[:, :-1]], axis=1), axis=1)
-            suf = np.cumprod(np.concatenate([ones, s[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-            det_uv = np.sign(np.linalg.det(u) * np.linalg.det(vt))
-            cof[lo : lo + step] = (u * (det_uv[:, None] * pre * suf)[:, None, :]) @ vt
-    repl = np.swapaxes(cof.reshape(m, t, p, p), -1, -2) @ np.take(normals, idx0, axis=1)  # (m, t, p, k)
-    first = coeffs @ repl.reshape(m, t, p * k)
-    return values, first.reshape(lead + (p, k))
+    lead = coeff_mat.shape[:-1]
+    coeffs = coeff_mat.reshape(math.prod(lead), t)
+    # the outputs are concatenated from the blocks, so they are allocated after
+    # the block temporaries; preallocating them let malloc hand the freed
+    # temporaries back to the OS after every call (2.6x the page faults in a
+    # search-su4 pass); an empty stack still makes one (empty) block
+    values, first = [], []
+    step = max(1, _MINOR_BLOCK // max(1, t * p * p))
+    for lo in range(0, max(m, 1), step):
+        # np.take gathers C-contiguous blocks, so every frame is contracted
+        # with unit strides whatever the size of the stack
+        minors = np.take(frames[lo : lo + step], idx0, axis=1)  # (b, t, p, p)
+        b = len(minors)
+        values.append(coeffs @ np.linalg.det(minors)[..., None])
+        if p and k:
+            cof = _cofactors(minors.reshape(b * t, p, p)).reshape(b, t, p, p)
+            repl = np.swapaxes(cof, -1, -2) @ np.take(normals[lo : lo + step], idx0, axis=1)  # (b, t, p, k)
+            first.append(coeffs @ repl.reshape(b, t, p * k))
+    values = np.concatenate(values).reshape((m,) + lead)
+    if not first:
+        return values, np.zeros((m,) + lead + (p, k))
+    return values, np.concatenate(first).reshape((m,) + lead + (p, k))
 
 
 def stack_values(coeff_mat, idx0, frames):
-    """Values (m, ...) of forms on an (m, n, p) stack, each frame contracted on its own."""
+    """Values (m, ...) of forms on an (m, n, p) stack: first_jet without normals."""
     return first_jet(coeff_mat, idx0, frames, frames[:, :, :0])[0]
 
 

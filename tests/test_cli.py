@@ -210,6 +210,28 @@ def test_malformed_frame_file_is_a_usage_error(capsys, tmp_path, content):
     assert "columns" in err
 
 
+@pytest.mark.parametrize("command", ["check", "sff"])
+@pytest.mark.parametrize("n, p", [(8, 3), (7, 4)])
+def test_frame_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, command, n, p):
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(OrientedPlane(np.eye(n)[:, :p]).to_json()))
+    code, out, err = run(capsys, command, "--family", "associative", "--frame", str(frame))
+    assert code == 2
+    assert out == ""
+    assert f"{p}-plane in R^{n}" in err
+
+
+@pytest.mark.parametrize("command", ["check", "sff"])
+def test_rank_deficient_frame_is_a_usage_error(capsys, tmp_path, command):
+    e = np.eye(7)
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"n": 7, "p": 3, "columns": [e[0].tolist(), e[0].tolist(), e[2].tolist()]}))
+    code, out, err = run(capsys, command, "--family", "associative", "--frame", str(frame))
+    assert code == 2
+    assert out == ""
+    assert "dependent" in err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(

@@ -73,6 +73,22 @@ def test_plane_validation_and_orthonormalize(rng):
     assert np.allclose(xi.frame.T @ xi.frame, np.eye(2), atol=1e-12)
     with pytest.raises(ValueError):
         OrientedPlane(np.eye(3)[:2, :])  # wide frame: p > n
+    # dependent columns span no p-plane; QR would make up an arbitrary one
+    e = np.eye(7)
+    with pytest.raises(ValueError, match="dependent"):
+        OrientedPlane(np.column_stack([e[:, 0], e[:, 0], e[:, 2]]), orthonormalize=True)
+    with pytest.raises(ValueError, match="dependent"):
+        OrientedPlane(np.zeros((4, 2)), orthonormalize=True)
+    with pytest.raises(ValueError, match="dependent"):
+        OrientedPlane.from_json({"columns": [e[0].tolist(), e[0].tolist(), e[2].tolist()]})
+
+
+def test_is_critical_rejects_a_plane_in_another_dimension():
+    phi = associative_form()
+    with pytest.raises(ValueError):
+        is_critical(OrientedPlane(np.eye(8)[:, :3]), phi)
+    with pytest.raises(ValueError):
+        is_critical(OrientedPlane(np.eye(7)[:, :4]), phi)
 
 
 def test_plane_reversed_flips_sign(rng):
@@ -312,6 +328,17 @@ def test_rho_orthogonal_to_arguments(rng):
         r = rho_product(phi, vs)
         for v in vs:
             assert abs(r @ v) < 1e-10 * max(1.0, np.linalg.norm(r) * np.linalg.norm(v))
+
+
+def test_rho_product_is_apply_bit_for_bit(rng):
+    """rho goes through the same kernel as apply, so component j is phi(e_j, vs) exactly."""
+    for phi in (associative_form(), cayley_form(), random_form(rng, 6, 3)):
+        n = phi.n
+        for _ in range(5):
+            vs = list(rng.standard_normal((phi.p - 1, n)))
+            r = rho_product(phi, vs)
+            for j in range(n):
+                assert r[j] == phi.apply(np.column_stack([np.eye(n)[:, j], *vs]))
 
 
 def test_rho_product_arity_check():

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from calibkit import (
     AltForm,
     SkewMap,
-    batch_eval_dense,
+    associative_form,
     canonical_indices,
     cartan_three_form,
+    cayley_form,
     evaluate,
     first_jet,
     form_from_json,
@@ -25,11 +26,12 @@ from calibkit import (
     parse_form,
     phi_module,
     so_action,
+    stack_values,
     su_lie_algebra,
     wedge,
 )
 from calibkit import exterior
-from calibkit.exterior import sort_index, stack_values
+from calibkit.exterior import sort_index
 from calibkit.grassmann import _module_rows
 
 from conftest import brute_eval, perm_sign, random_form
@@ -267,16 +269,55 @@ def test_constructor_validates_indices():
         AltForm(3, 4)
 
 
-def test_batch_eval_dense_matches_apply(rng):
+def test_stack_values_matches_apply(rng):
     n, p = 6, 3
     forms = [random_form(rng, n, p) for _ in range(4)]
     frames = rng.standard_normal((5, n, p))
     idx0 = np.array(canonical_indices(n, p), dtype=np.intp) - 1
     coeff = np.vstack([f.dense() for f in forms])
-    vals = batch_eval_dense(coeff, idx0, frames)
+    vals = stack_values(coeff, idx0, frames)
     for i, f in enumerate(forms):
         for j in range(5):
-            assert vals[i, j] == pytest.approx(f.apply(frames[j]), abs=1e-10)
+            assert vals[j, i] == pytest.approx(f.apply(frames[j]), abs=1e-10)
+
+
+@pytest.mark.parametrize("family", ["associative", "cayley", "su4"])
+def test_stack_evaluation_is_independent_of_the_stack(rng, family):
+    """A frame gets the same bits alone and inside a stack of 8, through every entry point."""
+    phi = {
+        "associative": associative_form,
+        "cayley": cayley_form,
+        "su4": lambda: cartan_three_form(su_lie_algebra(4)),
+    }[family]()
+    module = phi_module(phi)
+    idx0, c = phi._compact()
+    stack, _ = np.linalg.qr(rng.standard_normal((8, phi.n, phi.p)))
+    rows = module.values_on(stack)
+    values = stack_values(c, idx0, stack)
+    assert np.array_equal(stack_values(module.dense_matrix(), module._idx0, stack), rows.T)
+    for j, frame in enumerate(stack):
+        assert np.array_equal(rows[:, j], module.values_on(frame)[:, 0])
+        assert values[j] == stack_values(c, idx0, frame[None])[0] == phi.apply(frame)
+
+
+def test_first_jet_over_several_gather_blocks_matches_single_frames(rng):
+    """Stacks longer than one gather block give each frame the bits it gets alone."""
+    phi = cartan_three_form(su_lie_algebra(4))
+    idx0, c = phi._compact()
+    # as many frames as the double replacements of an su4 sff check: p^2 k^2
+    stack = rng.standard_normal((1296, phi.n, phi.p))
+    assert len(stack) > exterior._MINOR_BLOCK // (len(c) * phi.p**2)
+    values = stack_values(c, idx0, stack)
+    assert np.array_equal(values, [stack_values(c, idx0, f[None])[0] for f in stack])
+    # module rows: a block holds 8 frames, so 20 frames take three blocks
+    module = phi_module(phi)
+    frames = rng.standard_normal((20, phi.n, phi.p))
+    normals = rng.standard_normal((20, phi.n, phi.n - phi.p))
+    assert len(frames) > exterior._MINOR_BLOCK // (len(module._idx0) * phi.p**2)
+    values, first = first_jet(module.dense_matrix(), module._idx0, frames, normals)
+    for i in range(len(frames)):
+        alone = first_jet(module.dense_matrix(), module._idx0, frames[i : i + 1], normals[i : i + 1])
+        assert np.array_equal(values[i], alone[0][0]) and np.array_equal(first[i], alone[1][0])
 
 
 def replaced_frames(frame, normal):
@@ -330,7 +371,7 @@ def test_first_jet_matches_explicit_replacements(n, p_raw, seed, empty, integral
         for f, v in zip(stack, np.concatenate([[values[i]], first[i].reshape(p * k)])):
             assert abs(v - brute_eval(phi, f)) < 1e-12
         got = np.column_stack([row_values[i], row_first[i].reshape(len(rows), p * k)])
-        assert np.max(np.abs(got - batch_eval_dense(rows, idx_all, stack))) < 1e-12
+        assert np.max(np.abs(got - stack_values(rows, idx_all, stack).T)) < 1e-12
     assert np.array_equal(stack_values(rows, idx_all, frames), row_values)
 
 
