@@ -129,8 +129,9 @@ def load_plane(args, phi, cfg):
         plane = OrientedPlane.from_json(obj)
         if (plane.n, plane.p) != (phi.n, phi.p):
             raise SystemExit2(f"--frame holds a {plane.p}-plane in R^{plane.n}, not a {phi.p}-plane in R^{phi.n}")
-        gram_err = np.max(np.abs(plane.frame.T @ plane.frame - np.eye(plane.p)))
-        if gram_err > 1e-10:
+        given = np.array(obj["columns"], dtype=float).T
+        if not np.array_equal(plane.frame, given):
+            gram_err = np.max(np.abs(given.T @ given - np.eye(plane.p)))
             log(f"warning: frame re-orthonormalized (deviation {gram_err:.2e})")
         return plane
     seed = cfg["seed"]

@@ -80,7 +80,8 @@ class OrientedPlane:
         if p > n:
             raise ValueError(f"p={p} exceeds n={n}")
         gram = f.T @ f
-        if not np.allclose(gram, np.eye(p), atol=tol):
+        # rtol=0: a frame is kept as given only within tol of orthonormal
+        if not np.allclose(gram, np.eye(p), rtol=0.0, atol=tol):
             if not orthonormalize:
                 raise ValueError("frame columns are not orthonormal")
             f, r = qr_fix(f)
@@ -125,7 +126,7 @@ class OrientedPlane:
         return {"n": self.n, "p": self.p, "columns": self.frame.T.tolist()}
 
     @classmethod
-    def from_json(cls, obj, tol=1e-6):
+    def from_json(cls, obj, tol=1e-10):
         if isinstance(obj, str):
             obj = json.loads(obj)
         if not isinstance(obj, dict) or "columns" not in obj:
@@ -299,10 +300,13 @@ def cousin_matrix(phi, xi):
 
 def _module_residuals(frames, module):
     """max |gamma| over the module basis on each frame of an (m, n, p) stack."""
+    if frames.shape[1:] != (module.n, module.degree):
+        raise ValueError(
+            f"module of degree-{module.degree} forms on R^{module.n} "
+            f"against a {frames.shape[2]}-plane in R^{frames.shape[1]}"
+        )
     if module.rank == 0:
         return np.zeros(len(frames))
-    if module.degree != frames.shape[2]:
-        raise ValueError("module degree does not match plane dimension")
     return np.max(np.abs(stack_values(module.dense_matrix(), module._idx0, frames)), axis=1)
 
 

@@ -73,6 +73,8 @@ def polar_space(e, module):
     frame = np.asarray(frame, dtype=float)
     n, k = frame.shape
     p = module.degree
+    if n != module.n:
+        raise ValueError(f"module of forms on R^{module.n} against a flag in R^{n}")
     if k >= p:
         raise ValueError(f"flag dimension {k} is not below the generator degree {p}")
     if k < p - 1:
@@ -131,11 +133,11 @@ def cartan_test(xi, module):
     d = p - 1.
     """
     n, p = xi.n, xi.p
+    actual = integral_element_codim(xi, module)  # first: it rejects a plane the module does not fit
     drops = range(p) if p > 1 else ()  # a 1-plane has an empty flag
     hyper = [n - polar_space(np.delete(xi.frame, d, axis=1), module).shape[1] for d in drops]
     codims = [0] * (p - 2) + hyper[-1:]
     bound = sum(codims)
-    actual = integral_element_codim(xi, module)
     return FlagReport(
         flag_dims=list(range(1, p)),
         polar_codims=codims,

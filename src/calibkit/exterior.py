@@ -8,6 +8,7 @@ all by declaring e^1 ^ ... ^ e^n the positive volume form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -34,10 +35,16 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 # floats of minors (256 KB) that first_jet gathers at once, and of the
-# (p-1)-minors or SVD factors that one cofactor step gathers
+# Leibniz factors or SVD factors that one determinant or cofactor step gathers
 _MINOR_BLOCK = 1 << 15
+# minors up to this size take their determinants as Leibniz sums, larger ones
+# by LU (measured on 500 minors: 90 against 146 us at p = 4, but 544 against
+# 204 us at p = 5)
+_LEIBNIZ_P = 4
 # from this minor size on, first_jet takes cofactors from one SVD per minor,
-# not from p^2 determinants of size p - 1 (measured crossover: p = 5 ties)
+# below it as Leibniz sums (measured on module rows at a random plane: the
+# sums win at p = 5, 0.37 against 0.46 ms for the su3 dual, and lose at
+# p = 6, 6.9 against 0.86 ms for a random 6-form on R^9)
 _SVD_COFACTOR_P = 6
 
 
@@ -359,35 +366,81 @@ def form_inner(a, b):
     return float(sum(c * b.coeffs.get(I, 0.0) for I, c in a.coeffs.items()))
 
 
+@functools.lru_cache(maxsize=None)
+def _leibniz_terms(p, cofactors):
+    """Flat gather indices (f, T) into a p x p minor and signs (T, 1) of its Leibniz terms.
+
+    det A = sum over permutations s of sgn(s) prod_i A[i, s(i)]: p! terms of
+    f = p factors.  The cofactor (r, c) is the derivative of det A in A[r, c]:
+    the (p-1)! terms with s(r) = c, factor r dropped (f = p - 1).  Cofactor
+    terms are laid out term-major, so term j of the p^2 cofactors (row-major)
+    fills columns j p^2 .. (j + 1) p^2.
+    """
+    perms = list(itertools.permutations(range(p)))
+    if cofactors:
+        entries = [[(s, r) for s in perms if s[r] == c] for r in range(p) for c in range(p)]
+        terms = [entry[j] for j in range(math.factorial(p - 1)) for entry in entries]
+    else:
+        terms = [(s, None) for s in perms]
+    idx = np.array([[i * p + s[i] for i in range(p) if i != drop] for s, drop in terms], dtype=np.intp)
+    idx = np.ascontiguousarray(idx.reshape(len(terms), p - cofactors).T)
+    sign = np.array([[sort_index(s)[0]] for s, _ in terms], dtype=float)
+    idx.flags.writeable = sign.flags.writeable = False  # shared by every caller through the cache
+    return idx, sign
+
+
+def _leibniz(minors, cofactors):
+    """Determinants (N,) or cofactor matrices (N, p, p) of an (N, p, p) stack, as Leibniz sums.
+
+    Each block gathers its factors from the planar (p^2, N) view of the
+    minors at once, at most _MINOR_BLOCK floats, multiplies them into the
+    signed terms and sums the terms by halving in place.  Every operation is
+    elementwise per minor, so a minor gets the same bits alone as in any
+    stack.
+    """
+    n_min, p = minors.shape[0], minors.shape[-1]
+    idx, sign = _leibniz_terms(p, cofactors)
+    out = np.empty((n_min, p * p if cofactors else 1))
+    planar = minors.reshape(n_min, p * p).T
+    step = max(1, _MINOR_BLOCK // max(1, idx.size))
+    for lo in range(0, n_min, step):
+        factors = planar[:, lo : lo + step][idx]  # (f, T, b)
+        b = factors.shape[-1]
+        terms = sign * factors[0] if len(factors) else np.repeat(sign, b, axis=1)
+        for factor in factors[1:]:
+            terms *= factor
+        terms = terms.reshape(-1, out.shape[1], b)
+        while len(terms) > 1:
+            half = len(terms) // 2
+            terms[:half] += terms[half : 2 * half]
+            if len(terms) % 2:
+                terms[0] += terms[-1]
+            terms = terms[:half]
+        out[lo : lo + step] = terms[0].T
+    return out.reshape(minors.shape) if cofactors else out[:, 0]
+
+
 def _cofactors(minors):
     """Cofactor matrices (N, p, p) of an (N, p, p) stack of minors, p >= 1.
 
-    Below p = _SVD_COFACTOR_P they are signed (p-1)-minors; from there on
-    they come from one SVD per minor.  Neither path takes an inverse, so
+    Below p = _SVD_COFACTOR_P they are Leibniz sums (_leibniz); from there
+    on they come from one SVD per minor.  Neither path takes an inverse, so
     singular minors need no care.
     """
     p = minors.shape[-1]
-    cof = np.empty(minors.shape)
     if p < _SVD_COFACTOR_P:
-        # keep[r] lists the rows (and columns) other than r; the gathered
-        # (p-1)-minors take p^2 (p-1)^2 floats per index
-        keep = np.array([[j for j in range(p) if j != r] for r in range(p)], dtype=np.intp)
-        sign = (-1.0) ** np.add.outer(np.arange(p), np.arange(p))
-        step = max(1, _MINOR_BLOCK // (p * p * max(1, (p - 1) ** 2)))
-        for lo in range(0, len(minors), step):
-            block = minors[lo : lo + step]
-            cof[lo : lo + step] = np.linalg.det(block[:, keep[:, None, :, None], keep[None, :, None, :]]) * sign
-    else:
-        # A = U diag(s) V^T has cofactors det(U) det(V) U diag(prod_{j != i} s_j) V^T;
-        # prefix and suffix products need no division, so singular minors stay exact
-        step = max(1, _MINOR_BLOCK // (3 * p * p))
-        for lo in range(0, len(minors), step):
-            u, s, vt = np.linalg.svd(minors[lo : lo + step])
-            ones = np.ones((len(s), 1))
-            pre = np.cumprod(np.concatenate([ones, s[:, :-1]], axis=1), axis=1)
-            suf = np.cumprod(np.concatenate([ones, s[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-            det_uv = np.sign(np.linalg.det(u) * np.linalg.det(vt))
-            cof[lo : lo + step] = (u * (det_uv[:, None] * pre * suf)[:, None, :]) @ vt
+        return _leibniz(minors, True)
+    # A = U diag(s) V^T has cofactors det(U) det(V) U diag(prod_{j != i} s_j) V^T;
+    # prefix and suffix products need no division, so singular minors stay exact
+    cof = np.empty(minors.shape)
+    step = max(1, _MINOR_BLOCK // (3 * p * p))
+    for lo in range(0, len(minors), step):
+        u, s, vt = np.linalg.svd(minors[lo : lo + step])
+        ones = np.ones((len(s), 1))
+        pre = np.cumprod(np.concatenate([ones, s[:, :-1]], axis=1), axis=1)
+        suf = np.cumprod(np.concatenate([ones, s[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+        det_uv = np.sign(np.linalg.det(u) * np.linalg.det(vt))
+        cof[lo : lo + step] = (u * (det_uv[:, None] * pre * suf)[:, None, :]) @ vt
     return cof
 
 
@@ -403,9 +456,11 @@ def first_jet(coeff_mat, idx0, frames, normals):
     replacement comes from the cofactors of the t minors frame[I].  Every
     evaluation in calibkit comes here.  Frames go in blocks whose minors take
     at most _MINOR_BLOCK floats, gathered once for the determinants and the
-    cofactors.  Each frame is contracted on its own by a broadcast matmul, so
-    it gets the same bits alone as in any stack.  p = 0 (a 0 x 0 minor has
-    det 1) and forms without terms need no special case.
+    cofactors.  Up to p = _LEIBNIZ_P (every search) both are elementwise
+    Leibniz sums, with no LAPACK call; larger determinants take LU.  Each
+    frame is contracted on its own by a broadcast matmul, so it gets the same
+    bits alone as in any stack.  p = 0 (a 0 x 0 minor has det 1) and forms
+    without terms need no special case.
     """
     coeff_mat = np.asarray(coeff_mat, dtype=float)
     frames = np.asarray(frames, dtype=float)
@@ -425,9 +480,11 @@ def first_jet(coeff_mat, idx0, frames, normals):
         # with unit strides whatever the size of the stack
         minors = np.take(frames[lo : lo + step], idx0, axis=1)  # (b, t, p, p)
         b = len(minors)
-        values.append(coeffs @ np.linalg.det(minors)[..., None])
+        flat = minors.reshape(b * t, p, p)
+        dets = _leibniz(flat, False) if p <= _LEIBNIZ_P else np.linalg.det(flat)
+        values.append(coeffs @ dets.reshape(b, t, 1))
         if p and k:
-            cof = _cofactors(minors.reshape(b * t, p, p)).reshape(b, t, p, p)
+            cof = _cofactors(flat).reshape(b, t, p, p)
             repl = np.swapaxes(cof, -1, -2) @ np.take(normals[lo : lo + step], idx0, axis=1)  # (b, t, p, k)
             first.append(coeffs @ repl.reshape(b, t, p * k))
     values = np.concatenate(values).reshape((m,) + lead)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from calibkit import OrientedPlane, exterior
+from calibkit import CalibrationSpec, OrientedPlane, build_calibration, exterior
 from calibkit.cli import main
 
 
@@ -230,6 +230,32 @@ def test_rank_deficient_frame_is_a_usage_error(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert "dependent" in err
+
+
+def test_frame_off_orthonormal_is_reorthonormalized_with_a_warning(capsys, tmp_path):
+    """Columns e1 + 1e-3 e4, e2, e3: the warning names the deviation and the value is the normalized plane's."""
+    e = np.eye(7)
+    frame = tmp_path / "frame.json"
+    columns = [(e[0] + 1e-3 * e[3]).tolist(), e[1].tolist(), e[2].tolist()]
+    frame.write_text(json.dumps({"n": 7, "p": 3, "columns": columns}))
+    code, out, err = run(capsys, "check", "--family", "associative", "--frame", str(frame), "--json")
+    assert "warning: frame re-orthonormalized (deviation 1.00e-06)" in err
+    assert json.loads(out)["value"] == pytest.approx(1.0 / np.sqrt(1.0 + 1e-6), rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_orthonormal_frame_is_kept_without_a_warning(capsys, tmp_path, exact):
+    """An orthonormal frame, exactly or to round-off, is evaluated as given and draws no warning."""
+    if exact:
+        columns = np.eye(7)[:, :3]
+    else:
+        columns, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((7, 3)))
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"n": 7, "p": 3, "columns": columns.T.tolist()}))
+    code, out, err = run(capsys, "check", "--family", "associative", "--frame", str(frame), "--json")
+    assert "warning" not in err
+    phi = build_calibration(CalibrationSpec.from_json({"family": "associative"}))
+    assert json.loads(out)["value"] == phi.apply(columns)
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -91,6 +91,13 @@ def test_is_critical_rejects_a_plane_in_another_dimension():
         is_critical(OrientedPlane(np.eye(7)[:, :4]), phi)
 
 
+def test_annihilator_check_rejects_a_plane_the_module_does_not_fit():
+    module = phi_module(associative_form())
+    for frame in (np.eye(8)[:, :3], np.eye(7)[:, :4]):
+        with pytest.raises(ValueError, match="against a"):
+            annihilator_check(OrientedPlane(frame), module)
+
+
 def test_plane_reversed_flips_sign(rng):
     phi = associative_form()
     q, _ = qr_fix(rng.standard_normal((7, 3)))
@@ -228,6 +235,44 @@ def test_stabilizer_orbit_stays_calibrated(rng):
         rep = is_critical(rotated, phi)
         assert rep.is_critical
         assert rep.value == pytest.approx(1.0, abs=1e-8)
+
+
+def expm_skew_exact(theta):
+    """exp(theta) for skew theta from the Hermitian eigendecomposition of i theta: orthogonal to round-off."""
+    w, v = np.linalg.eigh(1j * np.asarray(theta))
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+
+
+EQUIVARIANCE_FAMILIES = {
+    "associative": (associative_form, lambda: np.eye(7)[:, :3]),
+    "cayley": (cayley_form, lambda: np.eye(8)[:, :4]),
+    "slag3": (lambda: special_lagrangian(3).calib, lambda: np.eye(6)[:, ::2]),
+}
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(sorted(EQUIVARIANCE_FAMILIES)), seed=st.integers(0, 2**32 - 1))
+def test_stabilizer_rotations_preserve_value_verdict_and_cousins(family, seed):
+    """g = exp(theta), theta in the stabilizer of phi: xi and g xi agree in value, verdict and |cousins|."""
+    make_phi, make_base = EQUIVARIANCE_FAMILIES[family]
+    phi = make_phi()
+    module = phi_module(phi)
+    kernel = stabilizer_kernel(phi)
+    rng = np.random.default_rng(seed)
+
+    def stabilizer_element():
+        return expm_skew_exact(sum(c * t.entries for c, t in zip(rng.standard_normal(len(kernel)), kernel)))
+
+    g = stabilizer_element()
+    random_xi = OrientedPlane(qr_fix(rng.standard_normal((phi.n, phi.p)))[0])
+    critical_xi = OrientedPlane(stabilizer_element() @ make_base())
+    for xi in (random_xi, critical_xi):
+        moved = OrientedPlane(g @ xi.frame)
+        before, after = is_critical(xi, phi, module=module), is_critical(moved, phi, module=module)
+        assert abs(after.value - before.value) < 1e-12
+        assert after.is_critical == before.is_critical == (xi is critical_xi)
+        norms = [np.linalg.norm(cousin_matrix(phi, plane)) for plane in (xi, moved)]
+        assert abs(norms[1] - norms[0]) < 1e-12
 
 
 # -- three-way equivalence ---------------------------------------------------

@@ -44,10 +44,21 @@ def test_polar_space_associative_two_plane():
     assert generic.shape[1] == 3
 
 
+@pytest.mark.parametrize("check", [integral_element_codim, cartan_test])
+def test_eds_checks_reject_a_plane_the_module_does_not_fit(check):
+    """An 8 x 3 frame holds an associative plane in its first 7 rows, but is no 3-plane of R^7."""
+    module = phi_module(associative_form())
+    for frame in (np.eye(8)[:, :3], np.eye(7)[:, :4]):
+        with pytest.raises(ValueError, match="against a"):
+            check(OrientedPlane(frame), module)
+
+
 def test_polar_space_rejects_oversized_flag():
     module = phi_module(associative_form())
     with pytest.raises(ValueError):
         polar_space(np.eye(7)[:, :4], module)
+    with pytest.raises(ValueError, match="against a flag in R\\^8"):
+        polar_space(np.eye(8)[:, :2], module)
     with pytest.raises(ValueError):  # k = p: flags stop at p - 1
         polar_space(np.eye(7)[:, :3], module)
 

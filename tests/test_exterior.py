@@ -407,6 +407,59 @@ def test_first_jet_svd_and_cofactor_paths_agree(monkeypatch, n, p, k):
         assert np.max(np.abs(svd_first[i].reshape(p * k) - oracle)) < 1e-12
 
 
+def small_minors(rng, p, count=40):
+    """Random, {-1, 0, 1}-integer and repeated-column (singular) p x p minors."""
+    integral = rng.integers(-1, 2, (count, p, p)).astype(float)
+    repeated = rng.uniform(-1.0, 1.0, (count, p, p))
+    repeated[:, :, -1] = repeated[:, :, 0]
+    return np.concatenate([rng.uniform(-1.0, 1.0, (count, p, p)), integral, repeated])
+
+
+def lu_cofactors(minors):
+    """Cofactors as signed LU determinants of the (p-1)-minors, singular minors included."""
+    p = minors.shape[-1]
+    cof = np.empty(minors.shape)
+    for r, c in itertools.product(range(p), repeat=2):
+        sub = np.delete(np.delete(minors, r, axis=1), c, axis=2)
+        cof[:, r, c] = (-1.0) ** (r + c) * (np.linalg.det(sub) if p > 1 else 1.0)
+    return cof
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_leibniz_minors_match_lu_and_svd(monkeypatch, rng, p):
+    """The closed-form determinants and cofactors against LU and against the SVD cofactor path."""
+    minors = small_minors(rng, p)
+    assert np.max(np.abs(exterior._leibniz(minors, False) - np.linalg.det(minors))) < 1e-12
+    cof = exterior._leibniz(minors, True)
+    assert np.max(np.abs(cof - lu_cofactors(minors))) < 1e-12
+    assert np.array_equal(exterior._cofactors(minors), cof)  # below _SVD_COFACTOR_P
+    monkeypatch.setattr(exterior, "_SVD_COFACTOR_P", 1)
+    assert np.max(np.abs(exterior._cofactors(minors) - cof)) < 1e-12
+    # integer minors have integer determinants and cofactors, which the sums hit exactly
+    integral = minors[40:80]
+    assert np.array_equal(exterior._leibniz(integral, False), np.round(np.linalg.det(integral)))
+    assert np.array_equal(cof[40:80], np.round(lu_cofactors(integral)))
+
+
+def test_leibniz_over_several_gather_blocks_matches_single_minors(rng):
+    """At p = 4 a stack spanning several Leibniz gather blocks gives each minor the bits it gets alone."""
+    minors = small_minors(rng, 4, count=250)
+    for cofactors in (False, True):
+        idx, _ = exterior._leibniz_terms(4, cofactors)
+        assert len(minors) > 2 * (exterior._MINOR_BLOCK // idx.size)
+        stacked = exterior._leibniz(minors, cofactors)
+        assert np.array_equal(stacked, [exterior._leibniz(a[None], cofactors)[0] for a in minors])
+    # through first_jet, with one term: a frame alone has a single minor
+    phi = AltForm.basis(8, 1, 2, 3, 4)
+    idx0, c = phi._compact()
+    frames = rng.standard_normal((300, 8, 4))
+    normals = rng.standard_normal((300, 8, 4))
+    values, first = first_jet(c, idx0, frames, normals)
+    for i in range(len(frames)):
+        alone = first_jet(c, idx0, frames[i : i + 1], normals[i : i + 1])
+        assert values[i] == alone[0][0] and np.array_equal(first[i], alone[1][0])
+
+
 def test_evaluate_accepts_frames_and_planes(rng):
     from calibkit import OrientedPlane
 
