@@ -408,26 +408,21 @@ def _adapted_values(phi, xi):
 
     Returns (phi_o, T) with T[a, b, s, t] the coefficient obtained from the
     leading component by replacing tangent slot a with normal direction s and
-    slot b with normal direction t.
+    slot b with normal direction t.  T is the first jet of the p k frames that
+    have column a replaced by normal s.
     """
     n, p = xi.n, xi.p
     k = n - p
     comp = xi.completion()
-    phi_o = float(phi.apply(comp[:, :p]))
-    frames = []
-    for a in range(p):
-        for b in range(p):
-            for s in range(k):
-                for t in range(k):
-                    f = comp[:, :p].copy()
-                    f[:, a] = comp[:, p + s]
-                    f[:, b] = comp[:, p + t]
-                    frames.append(f)
+    frame, normals = comp[:, :p], comp[:, p:]
+    phi_o = float(phi.apply(frame))
+    frames = np.broadcast_to(frame, (p, k, n, p)).copy()
+    frames[np.arange(p), :, :, np.arange(p)] = normals.T
     idx0, c = phi._compact()
-    T = stack_values(c, idx0, np.array(frames)).reshape(p, p, k, k)
+    _, first = first_jet(c, idx0, frames.reshape(p * k, n, p), np.broadcast_to(normals, (p * k, n, k)))
+    T = first.reshape(p, k, p, k).transpose(0, 2, 1, 3)
     # slots coincide: the replacement coefficient is zero by convention
-    for a in range(p):
-        T[a, a, :, :] = 0.0
+    T[np.arange(p), np.arange(p)] = 0.0
     return phi_o, T
 
 
@@ -435,7 +430,9 @@ def sff_space(xi, phi, tol=DEFAULT_TOL, rank_tol=RANK_TOL):
     """Solution space of the adapted-frame constraint on second fundamental forms.
 
     Solves phi_o * h[s, a, c] = sum_{b, t} T[a, b, s, t] * h[t, b, c] over
-    symmetric h, returning (basis, all_trace_free).
+    symmetric h, returning (basis, all_trace_free).  At a critical plane with
+    phi_o != 0 every solution is trace-free: the paper's Theorem 1
+    (phi-critical submanifolds with nonzero critical value are minimal).
     """
     report = is_critical(xi, phi, tol=tol)
     if not report.is_critical:
@@ -447,28 +444,16 @@ def sff_space(xi, phi, tol=DEFAULT_TOL, rank_tol=RANK_TOL):
     if k == 0:
         return [], False
     phi_o, T = _adapted_values(phi, xi)
-    # unknowns: h[t, b, c] with b <= c
-    unknowns = [(t, b, c) for t in range(k) for b in range(p) for c in range(b, p)]
-    col = {u: i for i, u in enumerate(unknowns)}
-    rows = []
-    for s in range(k):
-        for a in range(p):
-            for c in range(p):
-                row = np.zeros(len(unknowns))
-                row[col[(s, min(a, c), max(a, c))]] += phi_o
-                for b in range(p):
-                    for t in range(k):
-                        row[col[(t, min(b, c), max(b, c))]] -= T[a, b, s, t]
-                rows.append(row)
-    mat = np.vstack(rows)
-    _, sv, vt = np.linalg.svd(mat)
-    null = vt[numerical_rank(sv, rank_tol) :]
-    basis = []
-    for vec in null:
-        h = np.zeros((k, p, p))
-        for (t, b, c), i in col.items():
-            h[t, b, c] = vec[i]
-            h[t, c, b] = vec[i]
-        basis.append(SffElement(h=h))
+    # sym maps the unknowns h[t, b, c], b <= c, in (t, b, c) order onto all of h
+    b, c = np.triu_indices(p)
+    t, u = np.arange(k)[:, None], np.arange(len(b))
+    sym = np.zeros((k, p, p, k, len(b)))
+    sym[t, b, c, t, u] = sym[t, c, b, t, u] = 1.0
+    sym = sym.reshape(k * p * p, k * len(b))
+    # rows (s, a, c): phi_o h[s, a, c] - sum_{b, t} T[a, b, s, t] h[t, b, c]
+    coupling = T.transpose(2, 0, 3, 1).reshape(k * p, k * p)
+    op = np.kron(phi_o * np.eye(k * p) - coupling, np.eye(p))
+    _, sv, vt = np.linalg.svd(op @ sym)
+    basis = [SffElement(h=(sym @ v).reshape(k, p, p)) for v in vt[numerical_rank(sv, rank_tol) :]]
     all_trace_free = bool(basis) and all(e.trace_residual() < 1e-10 for e in basis)
     return basis, all_trace_free

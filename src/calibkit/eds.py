@@ -57,12 +57,6 @@ class FlagReport:
         }
 
 
-def _kernel(mat, cutoff=KERNEL_CUTOFF):
-    """Orthonormal basis of the kernel of mat (columns of the output)."""
-    _, s, vt = np.linalg.svd(np.atleast_2d(mat))
-    return vt[numerical_rank(s, cutoff) :].T
-
-
 def polar_space(e, module):
     """Polar space of a k-dim integral element (k < p) of the ideal generated by module.
 
@@ -77,14 +71,13 @@ def polar_space(e, module):
         raise ValueError(f"module of forms on R^{module.n} against a flag in R^{n}")
     if k >= p:
         raise ValueError(f"flag dimension {k} is not below the generator degree {p}")
-    if k < p - 1:
+    if k < p - 1 or module.rank == 0:
         return np.eye(n)
-    if module.rank == 0:
-        return np.eye(n)
-    frames = np.zeros((n, n, k + 1))
-    frames[:, :, :-1] = frame
-    frames[:, :, -1] = np.eye(n)
-    return _kernel(module.values_on(frames))
+    # slot k of the padded flag replaced by e_j gives the module values on e ^ e_j
+    padded = np.concatenate([frame, np.zeros((n, 1))], axis=1)
+    _, first = first_jet(module.dense_matrix(), module._idx0, padded[None], np.eye(n)[None])
+    _, s, vt = np.linalg.svd(first[0, :, k])
+    return vt[numerical_rank(s, KERNEL_CUTOFF) :].T
 
 
 def integral_element_codim(xi, module, fd_check=True, fd_step=1e-6):
