@@ -126,6 +126,8 @@ def special_lagrangian(m, phase=0.0):
     """
     if not 2 <= m <= 4:
         raise ValueError("m must be between 2 and 4")
+    if not np.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
     n = 2 * m
 
     def dz(j):

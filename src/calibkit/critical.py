@@ -10,7 +10,7 @@ form; its annihilator on the Grassmannian is exactly the critical set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -220,16 +220,9 @@ class CriticalityReport:
     residual_rho: float
     value: float
     is_critical: bool
-    tol: float = DEFAULT_TOL
 
     def to_json(self):
-        return {
-            "residual_cousin": self.residual_cousin,
-            "residual_module": self.residual_module,
-            "residual_rho": self.residual_rho,
-            "value": self.value,
-            "is_critical": self.is_critical,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -289,10 +282,17 @@ def stabilizer_kernel(phi, tol=RANK_TOL):
 # -- criticality tests ------------------------------------------------------
 
 
+def _check_plane(phi, n, p):
+    """Raise ValueError unless phi is a degree-p form on R^n."""
+    if phi.p != p:
+        raise ValueError(f"degree {phi.p} form against a {p}-plane")
+    if phi.n != n:
+        raise ValueError(f"form on R^{phi.n} against a plane in R^{n}")
+
+
 def cousin_matrix(phi, xi):
     """First-cousin coefficients G[s, a] = phi(e_1, .., v_s at slot a, .., e_p)."""
-    if phi.p != xi.p:
-        raise ValueError(f"degree {phi.p} form against a {xi.p}-plane")
+    _check_plane(phi, xi.n, xi.p)
     idx0, c = phi._compact()
     _, first = first_jet(c, idx0, xi.frame[None], xi.normal_frame()[None])
     return first[0].T
@@ -335,6 +335,8 @@ def rho_product(phi, vectors):
     if len(vs) != phi.p - 1:
         raise ValueError(f"expected {phi.p - 1} vectors, got {len(vs)}")
     rest = np.column_stack(vs) if vs else np.zeros((phi.n, 0))
+    if rest.shape[0] != phi.n:
+        raise ValueError(f"form on R^{phi.n} against vectors in R^{rest.shape[0]}")
     return _rho_stack(phi, rest[None])[0]
 
 
@@ -355,6 +357,7 @@ def rho_closed(xi, phi, tol=DEFAULT_TOL):
     Both tests compare with tol times the largest |coefficient| of phi (tol
     itself for the zero form), since rho scales with phi.
     """
+    _check_plane(phi, xi.n, xi.p)
     atol = tol * tol_scale(phi)
     resid = _rho_residuals(phi, xi.frame[None], xi.normal_frame()[None])[0]
     if resid >= atol:
@@ -375,10 +378,7 @@ def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
     A plane is critical when its cousin residual is below tol times the
     largest |coefficient| of phi (tol itself for the zero form).
     """
-    if phi.p != frames.shape[2]:
-        raise ValueError(f"degree {phi.p} form against a {frames.shape[2]}-plane")
-    if phi.n != frames.shape[1]:
-        raise ValueError(f"form on R^{phi.n} against a plane in R^{frames.shape[1]}")
+    _check_plane(phi, frames.shape[1], frames.shape[2])
     if module is None:
         module = phi_module(phi)
     normals = completions(frames)[:, :, phi.p :]
@@ -390,7 +390,7 @@ def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
     # the cousin coefficients scale with phi; the zero form keeps the absolute tol
     atol = tol * tol_scale(phi)
     return [
-        CriticalityReport(float(g), float(mod), float(rho), float(v), bool(g < atol), tol)
+        CriticalityReport(float(g), float(mod), float(rho), float(v), bool(g < atol))
         for g, mod, rho, v in zip(cousin, residual_module, residual_rho, values)
     ]
 

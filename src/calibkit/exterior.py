@@ -526,6 +526,8 @@ def parse_form(text, n=None):
         if not m:
             raise ValueError(f"malformed term {body!r}")
         coeff = float(m.group(1)) if m.group(1) else 1.0
+        if not math.isfinite(coeff):
+            raise ValueError(f"coefficient in {body!r} is not finite")
         idx = tuple(int(ch) for ch in m.group(2))
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"index tuple in {body!r} is not strictly increasing")
@@ -569,13 +571,22 @@ def form_to_json(a):
 
 
 def form_from_json(obj):
+    """Inverse of form_to_json; raises ValueError naming the first malformed field."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    n, p = int(obj["n"]), int(obj["p"])
+    if not isinstance(obj, dict):
+        raise ValueError("a form must be a JSON object with 'n', 'p' and 'terms'")
+    for key in ("n", "p"):
+        if type(obj.get(key)) is not int:  # bool is an int subclass
+            raise ValueError(f"form field {key!r} must be an integer")
+    if not isinstance(obj.get("terms"), list):
+        raise ValueError("form field 'terms' must be a list")
     coeffs = {}
-    for term in obj.get("terms", []):
-        idx = tuple(int(i) for i in term["idx"])
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"index tuple {idx} is not strictly increasing")
-        coeffs[idx] = coeffs.get(idx, 0.0) + float(term["c"])
-    return AltForm(n, p, coeffs)
+    for k, term in enumerate(obj["terms"]):
+        idx, c = (term.get("idx"), term.get("c")) if isinstance(term, dict) else (None, None)
+        if not isinstance(idx, list) or any(type(i) is not int for i in idx):
+            raise ValueError(f"form term {k}: 'idx' must be a list of integers")
+        if not isinstance(c, (int, float)) or not math.isfinite(c):
+            raise ValueError(f"form term {k}: 'c' must be a finite number")
+        coeffs[tuple(idx)] = coeffs.get(tuple(idx), 0.0) + c
+    return AltForm(obj["n"], obj["p"], coeffs)

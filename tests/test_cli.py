@@ -189,6 +189,27 @@ def test_out_of_range_setting_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["module", "--family", "custom", "--form", '{"n": 4}'], "'p'"),
+        (["module", "--family", "custom", "--form", '{"n": 4, "p": 2, "terms": 5}'], "'terms'"),
+        (["module", "--family", "custom", "--form", '{"n": 4, "p": 2, "terms": [{"idx": [1, 2], "c": [1]}]}'], "'c'"),
+        (["module", "--family", "custom", "--form", '{"n": 4, "p": 2, "terms": [{"idx": [1, 2], "c": NaN}]}'], "'c'"),
+        (["module", "--family", "custom", "--form", '{"n": 4, "p": 2, "terms": [{"idx": [1, 2], "c": Infinity}]}'], "'c'"),
+        (["module", "--family", "custom", "--form", "1e999*e123"], "coefficient"),
+        (["module", "--family", "special_lagrangian", "--m", "3", "--phase", "nan"], "phase"),
+        (["check", "--family", "special_lagrangian", "--m", "3", "--phase", "inf", "--seed", "0"], "phase"),
+    ],
+)
+def test_malformed_form_or_phase_is_a_usage_error(capsys, argv, field):
+    """Malformed --form JSON and non-finite coefficients or phases exit 2 with a message naming the field."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
+@pytest.mark.parametrize(
     "content", ['{"cluster_tol": NaN}', '{"grad_tol": Infinity}', '{"max_iters": 0}', '{"trials": 0}']
 )
 def test_config_value_out_of_range_is_a_usage_error(capsys, tmp_path, content):

@@ -12,12 +12,14 @@ from calibkit import (
     AltForm,
     FormModule,
     OrientedPlane,
+    SearchParams,
     annihilator_check,
     associative_form,
     cartan_three_form,
     cayley_form,
     coassociative_form,
     cousin_matrix,
+    critical_spectrum,
     criticality_reports,
     evaluate,
     is_critical,
@@ -25,8 +27,10 @@ from calibkit import (
     p_map,
     parse_form,
     phi_module,
+    polar_space,
     qr_fix,
     random_plane,
+    riemann_gradient,
     rho_closed,
     rho_product,
     sff_space,
@@ -38,6 +42,8 @@ from calibkit import (
     su_lie_algebra,
     subspace_distance,
 )
+from calibkit.critical import _adapted_values, numerical_rank
+from calibkit.eds import KERNEL_CUTOFF
 
 from conftest import brute_eval, random_form
 
@@ -89,6 +95,21 @@ def test_is_critical_rejects_a_plane_in_another_dimension():
         is_critical(OrientedPlane(np.eye(8)[:, :3]), phi)
     with pytest.raises(ValueError):
         is_critical(OrientedPlane(np.eye(7)[:, :4]), phi)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("check", [cousin_matrix, riemann_gradient, rho_closed])
+def test_plane_checks_reject_a_plane_in_another_dimension(check, seed):
+    """A 3-plane in R^8 against the associative form on R^7 is an error, not a 5 x 3 answer."""
+    phi = associative_form()
+    xi = random_plane(8, 3, seed)
+    with pytest.raises(ValueError, match="against a"):
+        check(*((xi, phi) if check is rho_closed else (phi, xi)))
+
+
+def test_rho_product_rejects_vectors_in_another_dimension():
+    with pytest.raises(ValueError, match="against vectors in R\\^8"):
+        rho_product(associative_form(), [np.eye(8)[0], np.eye(8)[1]])
 
 
 def test_annihilator_check_rejects_a_plane_the_module_does_not_fit():
@@ -459,3 +480,69 @@ def test_is_critical_is_one_row_of_the_stacked_report(rng):
         assert any(r.is_critical for r in reports) and not all(r.is_critical for r in reports)
         for frame, report in zip(frames, reports):
             assert is_critical(OrientedPlane(frame), phi, tol=1e-9, module=module) == report
+
+
+# -- jet-built replacements against brute force ------------------------------
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), p_raw=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+@example(n=5, p_raw=0, seed=1)  # p = 1
+@example(n=4, p_raw=2, seed=2)  # k = 1
+@example(n=6, p_raw=2, seed=3)
+def test_double_replacements_and_polar_spaces_against_brute_force(n, p_raw, seed):
+    """T of _adapted_values and polar_space against permutation expansions of explicit frames."""
+    rng = np.random.default_rng(seed)
+    p = 1 + p_raw % n
+    k = n - p
+    phi = random_form(rng, n, p)
+    xi = OrientedPlane(qr_fix(rng.standard_normal((n, p)))[0])
+    comp = xi.completion()
+    _, T = _adapted_values(phi, xi)
+    assert T.shape == (p, p, k, k)
+    assert not np.any(T[np.arange(p), np.arange(p)])
+    for a, b in itertools.permutations(range(p), 2):
+        for s, t in itertools.product(range(k), repeat=2):
+            f = comp[:, :p].copy()
+            f[:, a], f[:, b] = comp[:, p + s], comp[:, p + t]
+            assert abs(T[a, b, s, t] - brute_eval(phi, f)) < 1e-12
+    # polar space of a random (p-1)-flag: the kernel of gamma(flag, e_j) over the module
+    module = phi_module(phi)
+    flag = qr_fix(rng.standard_normal((n, p - 1)))[0]
+    polar = polar_space(flag, module)
+    brute = np.array([[brute_eval(g, np.column_stack([flag, e])) for e in np.eye(n)] for g in module.basis])
+    ref_rank = numerical_rank(np.linalg.svd(brute, compute_uv=False), KERNEL_CUTOFF) if module.rank else 0
+    assert polar.shape == (n, n - ref_rank)
+    for v in polar.T:
+        for g in module.basis:
+            assert abs(brute_eval(g, np.column_stack([flag, v]))) < 1e-9
+
+
+# -- Theorem 1 away from calibrated planes -----------------------------------
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [associative_form(), cayley_form(), special_lagrangian(3).calib, special_lagrangian(4).calib],
+    ids=["associative", "cayley", "slag3", "slag4"],
+)
+def test_sff_solutions_are_trace_free_at_every_nonzero_critical_plane(phi):
+    """Theorem 1 pointwise: at a critical plane with nonzero value every sff solution is trace-free."""
+    catalog = critical_spectrum(phi, trials=24, params=SearchParams(trials=24, master_seed=0))
+    nonzero = [xi for xi, v in zip(catalog.planes, catalog.values) if abs(v) > 1e-6]
+    assert nonzero
+    for xi in nonzero:
+        basis, _ = sff_space(xi, phi)
+        assert all(e.trace_residual() < 1e-10 for e in basis)
+
+
+def test_sff_at_a_zero_value_critical_plane_need_not_be_trace_free():
+    """Theorem 1 needs its nonzero hypothesis: a value-0 su(4) critical plane has a non-minimal solution."""
+    phi = cartan_three_form(su_lie_algebra(4))
+    catalog = critical_spectrum(phi, trials=24, params=SearchParams(trials=24, master_seed=0))
+    worst = [
+        max((e.trace_residual() for e in sff_space(xi, phi)[0]), default=0.0)
+        for xi, v in zip(catalog.planes, catalog.values)
+        if abs(v) <= 1e-6
+    ]
+    assert max(worst, default=0.0) > 0.1
