@@ -3,147 +3,25 @@
 Sparse exterior algebra, named calibration families, criticality tests on
 the oriented Grassmannian, multistart searches, and a pointwise Cartan
 test for the induced exterior differential system.
+
+Each module's __all__ is the one list of its public names; the package
+exports their union.
 """
 
-from .exterior import (
-    AltForm,
-    SkewMap,
-    canonical_indices,
-    evaluate,
-    first_jet,
-    form_from_json,
-    form_inner,
-    form_to_json,
-    format_form,
-    hodge_star,
-    interior,
-    parse_form,
-    so_action,
-    so_action_matrix,
-    sort_index,
-    stack_values,
-    wedge,
-)
-from .critical import (
-    CriticalityReport,
-    FormModule,
-    OrientedPlane,
-    SffElement,
-    annihilator_check,
-    cousin_matrix,
-    criticality_reports,
-    is_critical,
-    p_map,
-    phi_module,
-    qr_fix,
-    rho_closed,
-    rho_product,
-    sff_space,
-    stabilizer_dim,
-    stabilizer_kernel,
-    subspace_distance,
-)
-from .calibrations import (
-    CalibrationSpec,
-    CliffordModel,
-    LieAlgebraData,
-    SpecialLagrangian,
-    associative_form,
-    build_calibration,
-    build_clifford,
-    cartan_three_form,
-    cayley_form,
-    coassociative_form,
-    octonion_left_mult,
-    special_lagrangian,
-    su3_principal_plane,
-    su_lie_algebra,
-)
-from .grassmann import (
-    AscendResult,
-    CriticalCatalog,
-    SearchParams,
-    ascend,
-    comass_estimate,
-    comass_search,
-    critical_spectrum,
-    random_plane,
-    riemann_gradient,
-    trial_seed,
-)
-from .eds import (
-    FlagReport,
-    cartan_test,
-    hodge_dual_ideal_check,
-    integral_element_codim,
-    polar_space,
-)
+from . import calibrations, critical, eds, exterior, grassmann
+from .exterior import *  # noqa: F401,F403
+from .critical import *  # noqa: F401,F403
+from .calibrations import *  # noqa: F401,F403
+from .grassmann import *  # noqa: F401,F403
+from .eds import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AltForm",
-    "SkewMap",
-    "first_jet",
-    "canonical_indices",
-    "evaluate",
-    "form_from_json",
-    "form_inner",
-    "form_to_json",
-    "format_form",
-    "hodge_star",
-    "interior",
-    "parse_form",
-    "so_action",
-    "so_action_matrix",
-    "sort_index",
-    "stack_values",
-    "wedge",
-    "CriticalityReport",
-    "FormModule",
-    "OrientedPlane",
-    "SffElement",
-    "annihilator_check",
-    "cousin_matrix",
-    "criticality_reports",
-    "is_critical",
-    "p_map",
-    "phi_module",
-    "qr_fix",
-    "rho_closed",
-    "rho_product",
-    "sff_space",
-    "stabilizer_dim",
-    "stabilizer_kernel",
-    "subspace_distance",
-    "CalibrationSpec",
-    "CliffordModel",
-    "LieAlgebraData",
-    "SpecialLagrangian",
-    "associative_form",
-    "build_calibration",
-    "build_clifford",
-    "cartan_three_form",
-    "cayley_form",
-    "coassociative_form",
-    "octonion_left_mult",
-    "special_lagrangian",
-    "su3_principal_plane",
-    "su_lie_algebra",
-    "AscendResult",
-    "CriticalCatalog",
-    "SearchParams",
-    "ascend",
-    "comass_estimate",
-    "comass_search",
-    "critical_spectrum",
-    "random_plane",
-    "riemann_gradient",
-    "trial_seed",
-    "FlagReport",
-    "cartan_test",
-    "hodge_dual_ideal_check",
-    "integral_element_codim",
-    "polar_space",
+    *exterior.__all__,
+    *critical.__all__,
+    *calibrations.__all__,
+    *grassmann.__all__,
+    *eds.__all__,
     "__version__",
 ]

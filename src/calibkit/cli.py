@@ -79,6 +79,9 @@ def settings(args):
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise SystemExit2("--config must hold a JSON object")
+        unknown = sorted(set(overrides) - set(DEFAULTS))
+        if unknown:
+            raise SystemExit2(f"unknown --config key {unknown[0]!r}")
         for key, default in DEFAULTS.items():
             val = overrides.get(key, default)
             # bool is an int subclass; an int is accepted where a float is expected

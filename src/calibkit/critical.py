@@ -31,6 +31,7 @@ __all__ = [
     "CriticalityReport",
     "SffElement",
     "p_map",
+    "cousin_matrix",
     "phi_module",
     "stabilizer_dim",
     "stabilizer_kernel",
@@ -41,10 +42,7 @@ __all__ = [
     "rho_closed",
     "sff_space",
     "qr_fix",
-    "completions",
     "subspace_distance",
-    "numerical_rank",
-    "tol_scale",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -79,6 +77,8 @@ class OrientedPlane:
         n, p = f.shape
         if p > n:
             raise ValueError(f"p={p} exceeds n={n}")
+        if not np.isfinite(f).all():
+            raise ValueError("frame columns must be finite")
         gram = f.T @ f
         # rtol=0: a frame is kept as given only within tol of orthonormal
         if not np.allclose(gram, np.eye(p), rtol=0.0, atol=tol):
@@ -111,10 +111,6 @@ class OrientedPlane:
         """Orthonormal basis of the orthogonal complement, n x (n-p)."""
         return self.completion()[:, self.p :]
 
-    def rotated(self, g):
-        """Image plane under an orthogonal map g (columns g @ frame)."""
-        return OrientedPlane(np.asarray(g) @ self.frame)
-
     @classmethod
     def spanning(cls, *vectors):
         """Oriented span of the given vectors, orthonormalized in order."""
@@ -126,13 +122,12 @@ class OrientedPlane:
         return {"n": self.n, "p": self.p, "columns": self.frame.T.tolist()}
 
     @classmethod
-    def from_json(cls, obj, tol=1e-10):
+    def from_json(cls, obj):
         if isinstance(obj, str):
             obj = json.loads(obj)
         if not isinstance(obj, dict) or "columns" not in obj:
             raise ValueError("a plane must be a JSON object with a 'columns' list")
-        cols = np.array(obj["columns"], dtype=float).T
-        return cls(cols, tol=tol, orthonormalize=True)
+        return cls(np.array(obj["columns"], dtype=float).T, orthonormalize=True)
 
     def __repr__(self):
         return f"OrientedPlane(n={self.n}, p={self.p})"
@@ -155,13 +150,13 @@ class FormModule:
         self._basis = None
 
     @classmethod
-    def from_spanning(cls, n, degree, forms, tol=RANK_TOL):
-        """Orthonormalize a spanning list, discarding the numerical null space."""
+    def from_spanning(cls, n, degree, forms):
+        """Orthonormalize a spanning list, discarding the numerical null space (RANK_TOL)."""
         if not forms:
             return cls(n, degree, [])
         mat = np.vstack([f.dense() for f in forms])
         _, s, vt = np.linalg.svd(mat, full_matrices=False)
-        return cls(n, degree, vt[: numerical_rank(s, tol)])
+        return cls(n, degree, vt[: numerical_rank(s, RANK_TOL)])
 
     @property
     def basis(self):
@@ -181,13 +176,11 @@ class FormModule:
             frames = frames[None]
         return stack_values(self._coeff_mat, self._idx0, frames).T
 
-    def contains(self, form, tol=1e-9):
+    def contains(self, form):
+        """True when form lies in the module, up to RANK_TOL * max(1, |form|)."""
         v = form.dense()
         resid = v - self._coeff_mat.T @ (self._coeff_mat @ v)
-        return float(np.linalg.norm(resid)) <= tol * max(1.0, np.linalg.norm(v))
-
-    def __len__(self):
-        return self.rank
+        return float(np.linalg.norm(resid)) <= RANK_TOL * max(1.0, np.linalg.norm(v))
 
     def __repr__(self):
         return f"FormModule(n={self.n}, degree={self.degree}, rank={self.rank})"
@@ -256,23 +249,23 @@ def _action_svd(phi):
     return np.linalg.svd(mat, full_matrices=mat.shape[0] > mat.shape[1])
 
 
-def phi_module(phi, tol=RANK_TOL):
-    """Orthonormal basis of the image of o(n) acting on phi."""
+def phi_module(phi):
+    """Orthonormal basis of the image of o(n) acting on phi (rank cutoff RANK_TOL)."""
     _, s, vt = _action_svd(phi)
-    return FormModule(phi.n, phi.p, vt[: numerical_rank(s, tol)])
+    return FormModule(phi.n, phi.p, vt[: numerical_rank(s, RANK_TOL)])
 
 
-def stabilizer_dim(phi, tol=RANK_TOL):
+def stabilizer_dim(phi):
     """Dimension of the stabilizer algebra of phi inside o(n)."""
     n = phi.n
-    return n * (n - 1) // 2 - phi_module(phi, tol=tol).rank
+    return n * (n - 1) // 2 - phi_module(phi).rank
 
 
-def stabilizer_kernel(phi, tol=RANK_TOL):
+def stabilizer_kernel(phi):
     """Orthonormal basis of the stabilizer algebra, as a list of SkewMap."""
     n = phi.n
     u, s, _ = _action_svd(phi)
-    null = u[:, numerical_rank(s, tol) :]
+    null = u[:, numerical_rank(s, RANK_TOL) :]
     upper = np.triu_indices(n, 1)
     m = np.zeros((null.shape[1], n, n))
     m[:, upper[0], upper[1]] = null.T
@@ -426,11 +419,12 @@ def _adapted_values(phi, xi):
     return phi_o, T
 
 
-def sff_space(xi, phi, tol=DEFAULT_TOL, rank_tol=RANK_TOL):
+def sff_space(xi, phi, tol=DEFAULT_TOL):
     """Solution space of the adapted-frame constraint on second fundamental forms.
 
     Solves phi_o * h[s, a, c] = sum_{b, t} T[a, b, s, t] * h[t, b, c] over
-    symmetric h, returning (basis, all_trace_free).  At a critical plane with
+    symmetric h, returning (basis, all_trace_free); the solution space is the
+    numerical null space of the system at RANK_TOL.  At a critical plane with
     phi_o != 0 every solution is trace-free: the paper's Theorem 1
     (phi-critical submanifolds with nonzero critical value are minimal).
     """
@@ -454,6 +448,6 @@ def sff_space(xi, phi, tol=DEFAULT_TOL, rank_tol=RANK_TOL):
     coupling = T.transpose(2, 0, 3, 1).reshape(k * p, k * p)
     op = np.kron(phi_o * np.eye(k * p) - coupling, np.eye(p))
     _, sv, vt = np.linalg.svd(op @ sym)
-    basis = [SffElement(h=(sym @ v).reshape(k, p, p)) for v in vt[numerical_rank(sv, rank_tol) :]]
+    basis = [SffElement(h=(sym @ v).reshape(k, p, p)) for v in vt[numerical_rank(sv, RANK_TOL) :]]
     all_trace_free = bool(basis) and all(e.trace_residual() < 1e-10 for e in basis)
     return basis, all_trace_free

@@ -10,7 +10,7 @@ Hodge-dual comparison.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .critical import (
     qr_fix,
 )
 from .exterior import first_jet, hodge_star
-from .grassmann import SearchParams, comass_search
 
 __all__ = [
     "FlagReport",
@@ -33,6 +32,8 @@ __all__ = [
 ]
 
 INTEGRAL_TOL = 1e-6
+# step of the central differences that cross-check the exact linearization
+FD_STEP = 1e-6
 JACOBIAN_CUTOFF = 1e-4
 KERNEL_CUTOFF = 1e-6
 
@@ -47,14 +48,7 @@ class FlagReport:
     bound_max_over_orders: int
 
     def to_json(self):
-        return {
-            "flag_dims": self.flag_dims,
-            "polar_codims": self.polar_codims,
-            "cartan_bound": self.cartan_bound,
-            "actual_codim": self.actual_codim,
-            "involutive_at_flag": self.involutive_at_flag,
-            "bound_max_over_orders": self.bound_max_over_orders,
-        }
+        return asdict(self)
 
 
 def polar_space(e, module):
@@ -80,12 +74,13 @@ def polar_space(e, module):
     return vt[numerical_rank(s, KERNEL_CUTOFF) :].T
 
 
-def integral_element_codim(xi, module, fd_check=True, fd_step=1e-6):
+def integral_element_codim(xi, module):
     """Codimension of the variety of integral p-planes at xi.
 
     The constraint map sends a tangent perturbation of the plane to the
     module values on the perturbed plane; the codimension is the rank of its
-    linearization, computed exactly and cross-checked by finite differences.
+    linearization, computed exactly and cross-checked by central differences
+    of step FD_STEP (a RuntimeWarning when the two ranks disagree).
     """
     resid = annihilator_check(xi, module)
     if resid > INTEGRAL_TOL:
@@ -98,20 +93,19 @@ def integral_element_codim(xi, module, fd_check=True, fd_step=1e-6):
     _, first = first_jet(module.dense_matrix(), module._idx0, xi.frame[None], nn[None])
     jac = first.reshape(module.rank, p * k)  # exact linearization
     rank = numerical_rank(np.linalg.svd(jac, compute_uv=False), JACOBIAN_CUTOFF)
-    if fd_check:
-        # move[a, s] adds fd_step * nn[:, s] to column a; retract all 2 p k frames at once
-        move = np.zeros((p, k, n, p))
-        move[np.arange(p), :, :, np.arange(p)] = fd_step * nn.T
-        move = move.reshape(p * k, n, p)
-        q, _ = qr_fix(xi.frame + np.concatenate([move, -move]))
-        vals = module.values_on(q)
-        fd = (vals[:, : p * k] - vals[:, p * k :]) / (2.0 * fd_step)
-        if numerical_rank(np.linalg.svd(fd, compute_uv=False), JACOBIAN_CUTOFF) != rank:
-            warnings.warn(
-                "finite-difference and exact linearization ranks disagree; "
-                "the integral variety may be singular here",
-                RuntimeWarning,
-            )
+    # move[a, s] adds FD_STEP * nn[:, s] to column a; retract all 2 p k frames at once
+    move = np.zeros((p, k, n, p))
+    move[np.arange(p), :, :, np.arange(p)] = FD_STEP * nn.T
+    move = move.reshape(p * k, n, p)
+    q, _ = qr_fix(xi.frame + np.concatenate([move, -move]))
+    vals = module.values_on(q)
+    fd = (vals[:, : p * k] - vals[:, p * k :]) / (2.0 * FD_STEP)
+    if numerical_rank(np.linalg.svd(fd, compute_uv=False), JACOBIAN_CUTOFF) != rank:
+        warnings.warn(
+            "finite-difference and exact linearization ranks disagree; "
+            "the integral variety may be singular here",
+            RuntimeWarning,
+        )
     return rank
 
 
@@ -141,19 +135,15 @@ def cartan_test(xi, module):
     )
 
 
-def hodge_dual_ideal_check(phi, xi=None, params=None, module=None, codim_p=None):
-    """Codimensions at a critical plane for phi and at its perp for *phi.
+def hodge_dual_ideal_check(phi, xi, module=None, codim_p=None):
+    """Codimensions at a critical plane xi for phi and at its perp for *phi.
 
     The two are equal; both integers are returned so callers can assert it.
     A caller that has run cartan_test at xi passes phi's module and the
     report's actual_codim as module and codim_p, so neither is redone.
     """
-    if params is None:
-        params = SearchParams()
     if module is None:
         module = phi_module(phi)
-    if xi is None:
-        _, xi = comass_search(phi, params=params, module=module)
     dual = hodge_star(phi)
     module_dual = phi_module(dual)
     xi_perp = OrientedPlane(xi.normal_frame())

@@ -29,8 +29,11 @@ __all__ = [
     "canonical_indices",
     "first_jet",
     "stack_values",
+    "sort_index",
     "parse_form",
     "format_form",
+    "form_to_json",
+    "form_from_json",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -133,12 +136,12 @@ class AltForm:
         return cls(n, p, coeffs)
 
     @classmethod
-    def from_dense(cls, n, p, vec, tol=0.0):
+    def from_dense(cls, n, p, vec):
         idxs = canonical_indices(n, p)
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (len(idxs),):
             raise ValueError("dense vector has wrong length")
-        return cls(n, p, {I: v for I, v in zip(idxs, vec) if abs(v) > tol})
+        return cls(n, p, {I: v for I, v in zip(idxs, vec) if v != 0.0})
 
     # -- coefficient access ------------------------------------------------
 
@@ -186,9 +189,6 @@ class AltForm:
         return AltForm(self.n, self.p, {I: scalar * c for I, c in self.coeffs.items()})
 
     __rmul__ = __mul__
-
-    def prune(self, tol=DEFAULT_TOL):
-        return AltForm(self.n, self.p, {I: c for I, c in self.coeffs.items() if abs(c) > tol})
 
     def norm(self):
         return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
@@ -544,14 +544,12 @@ def parse_form(text, n=None):
     return AltForm.from_terms(n, p, terms)
 
 
-def format_form(a, tol=0.0):
+def format_form(a):
     """Inverse of parse_form (n <= 9 only)."""
     if a.n > 9:
         raise ValueError("text literals support n <= 9 only")
     parts = []
     for I, c in sorted(a.coeffs.items()):
-        if abs(c) <= tol:
-            continue
         body = "e" + "".join(str(i) for i in I)
         mag = abs(c)
         term = body if mag == 1.0 else f"{mag:.17g}*{body}"
@@ -586,7 +584,7 @@ def form_from_json(obj):
         idx, c = (term.get("idx"), term.get("c")) if isinstance(term, dict) else (None, None)
         if not isinstance(idx, list) or any(type(i) is not int for i in idx):
             raise ValueError(f"form term {k}: 'idx' must be a list of integers")
-        if not isinstance(c, (int, float)) or not math.isfinite(c):
+        if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c):
             raise ValueError(f"form term {k}: 'c' must be a finite number")
         coeffs[tuple(idx)] = coeffs.get(tuple(idx), 0.0) + c
     return AltForm(obj["n"], obj["p"], coeffs)

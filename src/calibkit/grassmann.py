@@ -15,7 +15,7 @@ a block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "SearchParams",
     "AscendResult",
     "CriticalCatalog",
+    "trial_seed",
     "random_plane",
     "riemann_gradient",
     "ascend",
@@ -64,15 +65,7 @@ class SearchParams:
             raise ValueError("grad_tol must be below 1e-6")
 
     def to_json(self):
-        return {
-            "max_iters": self.max_iters,
-            "step_init": self.step_init,
-            "armijo_c": self.armijo_c,
-            "shrink": self.shrink,
-            "grad_tol": self.grad_tol,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
 
 
 @dataclass

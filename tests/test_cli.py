@@ -199,6 +199,7 @@ def test_out_of_range_setting_is_a_usage_error(capsys, argv):
         (["module", "--family", "custom", "--form", "1e999*e123"], "coefficient"),
         (["module", "--family", "special_lagrangian", "--m", "3", "--phase", "nan"], "phase"),
         (["check", "--family", "special_lagrangian", "--m", "3", "--phase", "inf", "--seed", "0"], "phase"),
+        (["module", "--family", "custom", "--form", '{"n": 3, "p": 1, "terms": [{"idx": [1], "c": true}]}'], "'c'"),
     ],
 )
 def test_malformed_form_or_phase_is_a_usage_error(capsys, argv, field):
@@ -210,7 +211,8 @@ def test_malformed_form_or_phase_is_a_usage_error(capsys, argv, field):
 
 
 @pytest.mark.parametrize(
-    "content", ['{"cluster_tol": NaN}', '{"grad_tol": Infinity}', '{"max_iters": 0}', '{"trials": 0}']
+    "content",
+    ['{"cluster_tol": NaN}', '{"grad_tol": Infinity}', '{"max_iters": 0}', '{"trials": 0}', '{"trails": 5}'],
 )
 def test_config_value_out_of_range_is_a_usage_error(capsys, tmp_path, content):
     cfg = tmp_path / "cfg.json"
@@ -221,11 +223,34 @@ def test_config_value_out_of_range_is_a_usage_error(capsys, tmp_path, content):
     assert "error" in err
 
 
-@pytest.mark.parametrize("content", ['{"n": 7}', "[[1, 0, 0, 0, 0, 0, 0]]"])
-def test_malformed_frame_file_is_a_usage_error(capsys, tmp_path, content):
+def test_unknown_config_key_is_named(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"trials": 5, "trails": 5}')
+    code, out, err = run(capsys, "search", "--family", "associative", "--config", str(cfg))
+    assert code == 2
+    assert "'trails'" in err
+
+
+_BAD_FRAME_FILES = [
+    '{"n": 7}',
+    "[[1, 0, 0, 0, 0, 0, 0]]",
+    '{"columns": [[NaN, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0]]}',
+    '{"columns": [[Infinity, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0]]}',
+]
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        pytest.param(command, content, id=content if command == "check" else f"{command}-{content}")
+        for command in ("check", "sff")
+        for content in _BAD_FRAME_FILES
+    ],
+)
+def test_malformed_frame_file_is_a_usage_error(capsys, tmp_path, command, content):
     frame = tmp_path / "frame.json"
     frame.write_text(content)
-    code, out, err = run(capsys, "check", "--family", "associative", "--frame", str(frame))
+    code, out, err = run(capsys, command, "--family", "associative", "--frame", str(frame))
     assert code == 2
     assert out == ""
     assert "columns" in err

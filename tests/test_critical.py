@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from calibkit import (
     AltForm,
+    CalibrationSpec,
     FormModule,
     OrientedPlane,
     SearchParams,
     annihilator_check,
     associative_form,
+    build_calibration,
+    canonical_indices,
     cartan_three_form,
     cayley_form,
     coassociative_form,
@@ -22,6 +25,7 @@ from calibkit import (
     critical_spectrum,
     criticality_reports,
     evaluate,
+    hodge_star,
     is_critical,
     octonion_left_mult,
     p_map,
@@ -294,6 +298,46 @@ def test_stabilizer_rotations_preserve_value_verdict_and_cousins(family, seed):
         assert after.is_critical == before.is_critical == (xi is critical_xi)
         norms = [np.linalg.norm(cousin_matrix(phi, plane)) for plane in (xi, moved)]
         assert abs(norms[1] - norms[0]) < 1e-12
+
+
+BUILTIN_SPECS = {
+    "associative": {"family": "associative"},
+    "coassociative": {"family": "coassociative"},
+    "cayley": {"family": "cayley"},
+    "slag2": {"family": "special_lagrangian", "m": 2},
+    "slag3": {"family": "special_lagrangian", "m": 3},
+    "slag4": {"family": "special_lagrangian", "m": 4},
+    "su3": {"family": "cartan", "algebra": "su3"},
+    "su4": {"family": "cartan", "algebra": "su4"},
+}
+
+
+@pytest.mark.parametrize("family", sorted(BUILTIN_SPECS))
+def test_module_of_the_hodge_dual_is_the_dual_module(family):
+    """P(*phi) is spanned by the Hodge stars of a basis of P(phi)."""
+    phi = build_calibration(CalibrationSpec.from_json(BUILTIN_SPECS[family]))
+    starred = FormModule.from_spanning(phi.n, phi.n - phi.p, [hodge_star(b) for b in phi_module(phi).basis])
+    assert subspace_distance(phi_module(hodge_star(phi)), starred) < 1e-10
+
+
+@pytest.mark.parametrize("family", sorted(BUILTIN_SPECS))
+def test_module_is_so_n_equivariant(family):
+    """P(g.phi) = g.P(phi) for a Haar-random g in SO(n) that moves phi.
+
+    (g.a)_J = a(g^T e_J): g.phi is evaluated by permutation expansion and
+    g.P(phi) through the compound matrix det g[J, I], so neither goes through
+    so_action_matrix.
+    """
+    phi = build_calibration(CalibrationSpec.from_json(BUILTIN_SPECS[family]))
+    n, p = phi.n, phi.p
+    g, _ = qr_fix(np.random.default_rng(7).standard_normal((n, n)))
+    g[:, 0] *= np.sign(np.linalg.det(g))
+    idx = np.array(canonical_indices(n, p)) - 1
+    moved = AltForm(n, p, {tuple(J + 1): brute_eval(phi, g.T[:, J]) for J in idx})
+    assert np.linalg.norm(moved.dense() - phi.dense()) > 1e-3  # g is outside the stabilizer
+    compound = np.linalg.det(g[idx[:, None, :, None], idx[None, :, None, :]])
+    image = FormModule(n, p, phi_module(phi).dense_matrix() @ compound.T)
+    assert subspace_distance(phi_module(moved), image) < 1e-10
 
 
 # -- three-way equivalence ---------------------------------------------------
