@@ -291,13 +291,17 @@ def cousin_matrix(phi, xi):
     return first[0].T
 
 
+def check_fits(n, p, module):
+    """Raise ValueError unless p-planes in R^n are what module's forms evaluate."""
+    if (n, p) != (module.n, module.degree):
+        raise ValueError(
+            f"module of degree-{module.degree} forms on R^{module.n} against a {p}-plane in R^{n}"
+        )
+
+
 def _module_residuals(frames, module):
     """max |gamma| over the module basis on each frame of an (m, n, p) stack."""
-    if frames.shape[1:] != (module.n, module.degree):
-        raise ValueError(
-            f"module of degree-{module.degree} forms on R^{module.n} "
-            f"against a {frames.shape[2]}-plane in R^{frames.shape[1]}"
-        )
+    check_fits(frames.shape[1], frames.shape[2], module)
     if module.rank == 0:
         return np.zeros(len(frames))
     return np.max(np.abs(stack_values(module.dense_matrix(), module._idx0, frames)), axis=1)

@@ -4,7 +4,9 @@ The ideal is generated in degree p by the module of forms whose common
 zero set on the Grassmannian is the critical variety.  This module computes
 polar spaces along a flag, Cartan characters, the codimension of the space
 of integral p-planes (as the rank of the linearized constraint), and the
-Hodge-dual comparison.
+Hodge-dual comparison.  The codimension takes module forms of degree
+p > n/2, such as the duals of 3-forms, through their Hodge stars on
+(n - p) x (n - p) minors (exterior.orthonormal_jet).
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import numpy as np
 
 from .critical import (
     OrientedPlane,
-    annihilator_check,
+    check_fits,
+    completions,
     numerical_rank,
     phi_module,
     qr_fix,
 )
-from .exterior import first_jet, hodge_star
+from .exterior import first_jet, hodge_star, orthonormal_jet
 
 __all__ = [
     "FlagReport",
@@ -41,7 +44,7 @@ KERNEL_CUTOFF = 1e-6
 @dataclass
 class FlagReport:
     flag_dims: list
-    polar_codims: list  # c_1 .. c_{p-1}
+    polar_codims: list  # c_1 .. c_{p-1}, or c_0 for p = 1
     cartan_bound: int
     actual_codim: int
     involutive_at_flag: bool
@@ -80,17 +83,24 @@ def integral_element_codim(xi, module):
     The constraint map sends a tangent perturbation of the plane to the
     module values on the perturbed plane; the codimension is the rank of its
     linearization, computed exactly and cross-checked by central differences
-    of step FD_STEP (a RuntimeWarning when the two ranks disagree).
+    of step FD_STEP (a RuntimeWarning when the two ranks disagree).  Both
+    evaluate the module through orthonormal_jet: at xi's completion for the
+    exact jet, and at the completions of the 2 p k retracted frames for the
+    differences, so a module of degree p > n/2 is evaluated on
+    (n - p) x (n - p) minors of its Hodge star.
     """
-    resid = annihilator_check(xi, module)
-    if resid > INTEGRAL_TOL:
-        raise ValueError(f"plane is not an integral element (residual {resid:.3e})")
     n, p = xi.n, xi.p
     k = n - p
-    if module.rank == 0 or k == 0:
+    check_fits(n, p, module)
+    if module.rank == 0:
         return 0
-    nn = xi.normal_frame()
-    _, first = first_jet(module.dense_matrix(), module._idx0, xi.frame[None], nn[None])
+    coeffs, idx0, nn = module.dense_matrix(), module._idx0, xi.normal_frame()
+    values, first = orthonormal_jet(coeffs, idx0, xi.completion()[None], p)
+    resid = np.max(np.abs(values))
+    if resid > INTEGRAL_TOL:
+        raise ValueError(f"plane is not an integral element (residual {resid:.3e})")
+    if k == 0:
+        return 0
     jac = first.reshape(module.rank, p * k)  # exact linearization
     rank = numerical_rank(np.linalg.svd(jac, compute_uv=False), JACOBIAN_CUTOFF)
     # move[a, s] adds FD_STEP * nn[:, s] to column a; retract all 2 p k frames at once
@@ -98,8 +108,8 @@ def integral_element_codim(xi, module):
     move[np.arange(p), :, :, np.arange(p)] = FD_STEP * nn.T
     move = move.reshape(p * k, n, p)
     q, _ = qr_fix(xi.frame + np.concatenate([move, -move]))
-    vals = module.values_on(q)
-    fd = (vals[:, : p * k] - vals[:, p * k :]) / (2.0 * FD_STEP)
+    vals = orthonormal_jet(coeffs, idx0, completions(q), p, jet=False)
+    fd = (vals[: p * k] - vals[p * k :]).T / (2.0 * FD_STEP)
     if numerical_rank(np.linalg.svd(fd, compute_uv=False), JACOBIAN_CUTOFF) != rank:
         warnings.warn(
             "finite-difference and exact linearization ranks disagree; "
@@ -117,16 +127,18 @@ def cartan_test(xi, module):
     columns: xi minus the last column d of the order.  bound_max_over_orders
     is the exact max of the bound over all p! orders, taken as the max of
     c_{p-1} over the p hyperplanes "xi minus column d".  The given flag is
-    d = p - 1.
+    d = p - 1.  A 1-plane's flag is the origin alone; its one polar
+    codimension c_0, that of the empty flag, is the rank of the module of
+    1-forms.
     """
     n, p = xi.n, xi.p
     actual = integral_element_codim(xi, module)  # first: it rejects a plane the module does not fit
-    drops = range(p) if p > 1 else ()  # a 1-plane has an empty flag
-    hyper = [n - polar_space(np.delete(xi.frame, d, axis=1), module).shape[1] for d in drops]
-    codims = [0] * (p - 2) + hyper[-1:]
+    hyper = [n - polar_space(np.delete(xi.frame, d, axis=1), module).shape[1] for d in range(p)]
+    levels = list(range(1, p)) if p > 1 else list(range(p))
+    codims = [0] * (len(levels) - 1) + hyper[-1:]
     bound = sum(codims)
     return FlagReport(
-        flag_dims=list(range(1, p)),
+        flag_dims=levels,
         polar_codims=codims,
         cartan_bound=bound,
         actual_codim=actual,
@@ -139,8 +151,10 @@ def hodge_dual_ideal_check(phi, xi, module=None, codim_p=None):
     """Codimensions at a critical plane xi for phi and at its perp for *phi.
 
     The two are equal; both integers are returned so callers can assert it.
-    A caller that has run cartan_test at xi passes phi's module and the
-    report's actual_codim as module and codim_p, so neither is redone.
+    Of phi and *phi, the one of degree above n/2 is evaluated through its
+    own star, on minors of the smaller degree.  A caller that has run
+    cartan_test at xi passes phi's module and the report's actual_codim as
+    module and codim_p, so neither is redone.
     """
     if module is None:
         module = phi_module(phi)

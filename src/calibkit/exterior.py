@@ -42,12 +42,16 @@ DEFAULT_TOL = 1e-9
 _MINOR_BLOCK = 1 << 15
 # minors up to this size take their determinants as Leibniz sums, larger ones
 # by LU (measured on 500 minors: 90 against 146 us at p = 4, but 544 against
-# 204 us at p = 5)
+# 204 us at p = 5).  No built-in family has p > 4, and eds evaluates forms of
+# degree p > n/2 through orthonormal_jet, so only custom forms with p >= 5
+# reach LU: in apply, _rho_stack, the searches, sff and eds (p <= n/2)
 _LEIBNIZ_P = 4
 # from this minor size on, first_jet takes cofactors from one SVD per minor,
 # below it as Leibniz sums (measured on module rows at a random plane: the
-# sums win at p = 5, 0.37 against 0.46 ms for the su3 dual, and lose at
-# p = 6, 6.9 against 0.86 ms for a random 6-form on R^9)
+# sums win at p = 5, 0.37 against 0.46 ms for the p = 5 su3 dual, which eds
+# now takes on 3 x 3 minors, and lose at p = 6, 6.9 against 0.86 ms for a
+# random 6-form on R^9).  Only custom forms with p >= 6 reach the SVD: in
+# is_critical, the searches, sff and eds (p <= n/2)
 _SVD_COFACTOR_P = 6
 
 
@@ -460,7 +464,9 @@ def first_jet(coeff_mat, idx0, frames, normals):
     Leibniz sums, with no LAPACK call; larger determinants take LU.  Each
     frame is contracted on its own by a broadcast matmul, so it gets the same
     bits alone as in any stack.  p = 0 (a 0 x 0 minor has det 1) and forms
-    without terms need no special case.
+    without terms need no special case.  No built-in family has p > 4, and
+    eds takes forms of degree p > n/2 through orthonormal_jet, so only
+    custom forms reach LU (p >= 5) and the SVD cofactors (p >= 6).
     """
     coeff_mat = np.asarray(coeff_mat, dtype=float)
     frames = np.asarray(frames, dtype=float)
@@ -496,6 +502,53 @@ def first_jet(coeff_mat, idx0, frames, normals):
 def stack_values(coeff_mat, idx0, frames):
     """Values (m, ...) of forms on an (m, n, p) stack: first_jet without normals."""
     return first_jet(coeff_mat, idx0, frames, frames[:, :, :0])[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _star_columns(n, p):
+    """Hodge star of the basis p-forms: (complements (C, n - p), signs (C,)).
+
+    Row r is the 0-based complement J of the r-th index I of
+    canonical_indices(n, p), and *e^I = sign[r] e^J, so the rows run through
+    canonical_indices(n, n - p) in reverse.
+    """
+    idx = np.array(canonical_indices(n, p), dtype=np.intp).reshape(-1, p) - 1
+    mask = np.ones((len(idx), n), dtype=bool)
+    mask[np.arange(len(idx))[:, None], idx] = False
+    comp = np.nonzero(mask)[1].reshape(len(idx), n - p)
+    # e^I ^ e^J = sign vol, one transposition per pair i in I, j in J with i > j
+    sign = (-1.0) ** np.sum(idx[:, :, None] > comp[:, None, :], axis=(1, 2))
+    comp.flags.writeable = sign.flags.writeable = False  # shared by every caller through the cache
+    return comp, sign
+
+
+def orthonormal_jet(coeff_mat, idx0, completions, p, jet=True):
+    """first_jet(coeff_mat, idx0, Q[:, :, :p], Q[:, :, p:]) for (m, n, n) orthonormal Q.
+
+    idx0 rows must be strictly increasing.  With jet=False only the values
+    are returned, as stack_values(coeff_mat, idx0, Q[:, :, :p]) would give
+    them.  Up to p = n/2 this is first_jet itself.  Above it the forms are
+    evaluated through their Hodge stars, on (n - p) x (n - p) minors in place
+    of p x p ones: gamma(F) = det Q (*gamma)(N) for Q = [F N], and turning
+    column b of F towards column s of N turns column s of N away from column
+    b of F, so the replacement (b, s) of gamma is -det Q times the
+    replacement (s, b) of *gamma at N with normals F.  For the p = 12 dual
+    of the su(4) form this trades 455 LU determinants and SVD cofactors for
+    Leibniz sums of 3 x 3 minors.
+    """
+    completions = np.asarray(completions, dtype=float)
+    n = completions.shape[-1]
+    frames, normals = completions[:, :, :p], completions[:, :, p:]
+    if 2 * p <= n:
+        values, first = first_jet(coeff_mat, idx0, frames, normals if jet else normals[:, :, :0])
+    else:
+        comp, sign = _star_columns(n, p)
+        rank = _lex_rank(idx0, n)
+        coeff_mat = np.asarray(coeff_mat, dtype=float) * sign[rank]
+        values, first = first_jet(coeff_mat, comp[rank], normals, frames if jet else frames[:, :, :0])
+        det = np.sign(np.linalg.det(completions)).reshape((-1,) + (1,) * (values.ndim - 1))
+        values, first = det * values, -det[..., None, None] * np.swapaxes(first, -1, -2)
+    return (values, first) if jet else values
 
 
 # -- parsing / formatting ---------------------------------------------------

@@ -115,15 +115,26 @@ def test_eds_subcommand(capsys):
     assert json.loads(out)["cartan_bound"] == 3
 
 
-def test_eds_payload_independent_of_cofactor_path(capsys, monkeypatch):
-    """The dual of e123 on R^9 has p = 6, where first_jet takes SVD cofactors."""
-    args = ("eds", "--family", "custom", "--form", "e123", "--n", "9", "--trials", "3", "--json")
+def eds_payload_both_cofactor_paths(capsys, monkeypatch, literal, n):
+    """The eds payload of a custom form, checked equal under either cofactor path of 6 x 6 minors."""
+    args = ("eds", "--family", "custom", "--form", literal, "--n", str(n), "--trials", "3", "--json")
     assert exterior._SVD_COFACTOR_P <= 6
     code, svd_out, _ = run(capsys, *args)
     monkeypatch.setattr(exterior, "_SVD_COFACTOR_P", 7)
     assert run(capsys, *args) == (code, svd_out, "")
-    payload = json.loads(svd_out)
+    return json.loads(svd_out)
+
+
+def test_eds_payload_independent_of_cofactor_path(capsys, monkeypatch):
+    """The p = 6 dual of e123 on R^9 is evaluated through its own star, on 3 x 3 minors."""
+    payload = eds_payload_both_cofactor_paths(capsys, monkeypatch, "e123", 9)
     assert payload["hodge_dual"] == {"codim_p": 18, "codim_dual": 18}
+
+
+def test_eds_payload_independent_of_cofactor_path_at_half_degree(capsys, monkeypatch):
+    """e123456 on R^12 and its dual (p = n/2) reach first_jet's SVD cofactors."""
+    payload = eds_payload_both_cofactor_paths(capsys, monkeypatch, "e123456", 12)
+    assert payload["hodge_dual"] == {"codim_p": 36, "codim_dual": 36}
 
 
 def test_spinor_subcommand(capsys):

@@ -1,6 +1,7 @@
 """Pointwise exterior-differential-system checks for the induced ideal."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from calibkit import (
     OrientedPlane,
     associative_form,
     cartan_test,
+    cartan_three_form,
     cayley_form,
     coassociative_form,
     hodge_dual_ideal_check,
@@ -18,7 +20,9 @@ from calibkit import (
     polar_space,
     qr_fix,
     special_lagrangian,
+    su_lie_algebra,
 )
+from calibkit.cli import main as cli_main
 
 from test_acceptance import real_locus, stabilizer_orbit
 
@@ -151,11 +155,54 @@ def test_codim_bound_on_calibrated_planes():
         assert codim >= phi.n - phi.p
 
 
-def test_hodge_dual_codims_agree_for_g2_pair():
-    phi = associative_form()
-    xi = coordinate_plane(7, (0, 1, 2))
-    codim_p, codim_dual = hodge_dual_ideal_check(phi, xi=xi)
-    assert codim_p == codim_dual == 4
+def highest_root_case(k):
+    """The Cartan 3-form of su(k) and its highest-root plane."""
+    g = su_lie_algebra(k)
+    return cartan_three_form(g), OrientedPlane(g.highest_root_frame)
+
+
+@pytest.mark.parametrize(
+    "phi, xi, codim",
+    [
+        (associative_form(), coordinate_plane(7, (0, 1, 2)), 4),
+        (coassociative_form(), coordinate_plane(7, (3, 4, 5, 6)), 4),
+        (cayley_form(), coordinate_plane(8, (0, 1, 2, 3)), 4),
+        (special_lagrangian(3).calib, real_locus(3), 4),
+        (special_lagrangian(4).calib, real_locus(4), 7),
+        (*highest_root_case(3), 11),
+        (*highest_root_case(4), 28),
+    ],
+    ids=["associative", "coassociative", "cayley", "slag3", "slag4", "su3", "su4"],
+)
+def test_hodge_dual_codims_agree_for_every_family(phi, xi, codim):
+    """phi at xi and *phi at xi^perp; every dual of degree p > n/2 goes through its own star.
+
+    RuntimeWarnings are errors, so the finite-difference rank agrees with the
+    exact one on both sides.
+    """
+    assert hodge_dual_ideal_check(phi, xi=xi) == (codim, codim)
+
+
+@pytest.mark.parametrize("literal, n, codim", [("e1", 3, 2), ("e1 + e2", 4, 3)])
+def test_cartan_test_of_a_one_form_is_involutive(capsys, literal, n, codim):
+    """A 1-form's flag is the origin: c_0 is the module rank, and the Pfaffian system is involutive."""
+    phi = parse_form(literal, n=n)
+    line = np.zeros((n, 1))
+    line[[i - 1 for (i,) in phi.coeffs], 0] = 1.0
+    module = phi_module(phi)
+    report = cartan_test(OrientedPlane(line / np.linalg.norm(line)), module)
+    assert module.rank == codim
+    assert report.to_json() == {
+        "flag_dims": [0],
+        "polar_codims": [codim],
+        "cartan_bound": codim,
+        "actual_codim": codim,
+        "involutive_at_flag": True,
+        "bound_max_over_orders": codim,
+    }
+    assert cli_main(["eds", "--family", "custom", "--form", literal, "--n", str(n), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["cartan_bound"], payload["actual_codim"]) == (codim, codim)
 
 
 def test_flag_report_json_round_trip():

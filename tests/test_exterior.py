@@ -25,6 +25,7 @@ from calibkit import (
     interior,
     parse_form,
     phi_module,
+    qr_fix,
     so_action,
     stack_values,
     su_lie_algebra,
@@ -373,6 +374,42 @@ def test_first_jet_matches_explicit_replacements(n, p_raw, seed, empty, integral
         got = np.column_stack([row_values[i], row_first[i].reshape(len(rows), p * k)])
         assert np.max(np.abs(got - stack_values(rows, idx_all, stack).T)) < 1e-12
     assert np.array_equal(stack_values(rows, idx_all, frames), row_values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 9), p_raw=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+@example(n=6, p_raw=5, seed=1)  # p = n: no normals
+@example(n=9, p_raw=1, seed=2)  # n - p = 3, the su(4) dual's minor size
+def test_orthonormal_jet_complement_path_matches_explicit_replacements(n, p_raw, seed):
+    """Above p = n/2 the values and replacements, taken through the Hodge star, against brute_eval.
+
+    p stays at most 6, since brute_eval costs p! per term.  The second
+    completion has one column flipped, so it is negatively oriented.
+    """
+    p = n // 2 + 1 + p_raw % (min(n, 6) - n // 2)
+    k = n - p
+    rng = np.random.default_rng(seed)
+    phi = random_form(rng, n, p, density=min(1.0, 3 / math.comb(n, p)))
+    idx0, _ = phi._compact()
+    rows = rng.uniform(-1.0, 1.0, (2, len(idx0)))
+    q, _ = qr_fix(rng.standard_normal((n, n)))
+    flipped = q.copy()
+    flipped[:, rng.integers(n)] *= -1.0
+    completions = np.stack([q, flipped])
+    values, first = exterior.orthonormal_jet(rows, idx0, completions, p)
+    assert values.shape == (2, 2) and first.shape == (2, 2, p, k)
+    assert np.array_equal(exterior.orthonormal_jet(rows, idx0, completions, p, jet=False), values)
+    forms = [AltForm(n, p, {tuple(i + 1): c for i, c in zip(idx0, row)}) for row in rows]
+    for i, frame in enumerate(completions):
+        stack = np.concatenate([frame[None, :, :p], replaced_frames(frame[:, :p], frame[:, p:])])
+        for form, got in zip(forms, np.column_stack([values[i], first[i].reshape(2, p * k)])):
+            assert np.max(np.abs(got - [brute_eval(form, f) for f in stack])) < 1e-12
+    # the cached star columns carry every basis form to its Hodge star, bit for bit
+    comp, sign = exterior._star_columns(n, p)
+    starred = np.zeros((len(comp), len(comp)))
+    starred[:, exterior._lex_rank(comp, n)] = np.diag(sign)
+    basis = [hodge_star(AltForm.basis(n, *I)).dense() for I in canonical_indices(n, p)]
+    assert np.array_equal(starred, basis)
 
 
 @pytest.mark.parametrize("n, p, k", [(7, 4, 3), (8, 5, 3), (8, 6, 2), (8, 7, 2), (6, 6, 2)])
