@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -18,6 +19,7 @@ import numpy as np
 from . import calibrations, eds, grassmann
 from .calibrations import CalibrationSpec, build_calibration, build_clifford
 from .critical import (
+    DEFAULT_TOL,
     OrientedPlane,
     is_critical,
     phi_module,
@@ -25,21 +27,39 @@ from .critical import (
     subspace_distance,
 )
 from .exterior import form_from_json, form_to_json, parse_form
-from .grassmann import SearchParams, comass_search, critical_spectrum, random_plane
+from .grassmann import (
+    CLUSTER_TOL,
+    SearchParams,
+    comass_search,
+    critical_spectrum,
+    random_plane,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+# the keys --config may set, at the library's own defaults
 DEFAULTS = {
-    "trials": 200,
-    "tol": 1e-8,
-    "seed": 0,
-    "grad_tol": 1e-10,
-    "max_iters": 5000,
-    "cluster_tol": 1e-4,
+    "trials": SearchParams.trials,
+    "tol": DEFAULT_TOL,
+    "seed": SearchParams.master_seed,
+    "grad_tol": SearchParams.grad_tol,
+    "max_iters": SearchParams.max_iters,
+    "cluster_tol": CLUSTER_TOL,
 }
+
+# the spec options each family reads besides --family
+FAMILY_OPTIONS = {
+    "special_lagrangian": ("m", "phase"),
+    "cartan": ("algebra",),
+    "custom": ("form", "n"),
+}
+
+
+class SystemExit2(ValueError):
+    """Usage error, mapped to exit code 2."""
 
 
 def log(msg):
@@ -53,23 +73,6 @@ def emit(args, payload, text):
             fh.write(out)
     else:
         sys.stdout.write(out)
-
-
-def add_common(parser, plane=False):
-    parser.add_argument("--family", choices=calibrations._FAMILIES)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--phase", type=float, default=0.0)
-    parser.add_argument("--algebra")
-    parser.add_argument("--n", type=int, help="ambient dimension for --form literals")
-    parser.add_argument("--form", help="form literal (e.g. 'e123 + e145') or AltForm JSON")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--json", action="store_true", help="JSON on stdout")
-    parser.add_argument("--config", help="JSON file of default overrides")
-    parser.add_argument("--out", help="write output to a file instead of stdout")
-    if plane:
-        parser.add_argument("--frame", help="JSON file holding a plane frame")
 
 
 def settings(args):
@@ -96,37 +99,42 @@ def settings(args):
     for key in ("tol", "cluster_tol", "grad_tol"):
         if not 0 < cfg[key] < math.inf:  # also rejects NaN
             raise SystemExit2(f"tolerance {key} must be positive and finite")
-    for key in ("trials", "max_iters"):
-        if cfg[key] < 1:
-            raise SystemExit2(f"{key} must be at least 1")
+    for key, least in (("trials", 1), ("max_iters", 1), ("seed", 0)):
+        if cfg[key] < least:
+            raise SystemExit2(f"{key} must be at least {least}")
     return cfg
 
 
-class SystemExit2(Exception):
-    """Usage error, mapped to exit code 2."""
-
-
-def parse_spec(args):
-    if args.family is None:
-        raise SystemExit2("--family is required")
+def load_form(args):
+    """The calibration the spec options name; an option its family does not read is a usage error."""
+    reads = FAMILY_OPTIONS.get(args.family, ())
+    for name in ("m", "phase", "algebra", "form", "n"):
+        if getattr(args, name) is not None and name not in reads:
+            raise SystemExit2(f"--{name} does not apply to --family {args.family}")
     form = None
     if args.family == "custom":
         if not args.form:
             raise SystemExit2("--family custom requires --form")
         text = args.form.strip()
-        if text.startswith("{"):
-            form = form_from_json(text)
-        else:
+        if not text.startswith("{"):
             form = parse_form(text, n=args.n)
-    return CalibrationSpec(
-        family=args.family, m=args.m, phase=args.phase, algebra=args.algebra, form=form
-    )
+        elif args.n is not None:
+            raise SystemExit2("--n does not apply to a JSON --form, which carries its own n")
+        else:
+            form = form_from_json(text)
+    phase = 0.0 if args.phase is None else args.phase
+    spec = CalibrationSpec(family=args.family, m=args.m, phase=phase, algebra=args.algebra, form=form)
+    try:
+        return build_calibration(spec)
+    except ValueError as exc:
+        given = " ".join(f"--{k} {getattr(args, k)}" for k in reads if getattr(args, k) is not None)
+        raise SystemExit2(f"{given}: {exc}") from None
 
 
 def load_plane(args, phi, cfg):
-    if getattr(args, "frame", None) and args.seed is not None:
+    if args.frame and args.seed is not None:
         raise SystemExit2("give exactly one plane source (--frame or --seed)")
-    if getattr(args, "frame", None):
+    if args.frame:
         with open(args.frame) as fh:
             obj = json.load(fh)
         plane = OrientedPlane.from_json(obj)
@@ -137,8 +145,7 @@ def load_plane(args, phi, cfg):
             gram_err = np.max(np.abs(given.T @ given - np.eye(plane.p)))
             log(f"warning: frame re-orthonormalized (deviation {gram_err:.2e})")
         return plane
-    seed = cfg["seed"]
-    return random_plane(phi.n, phi.p, grassmann.trial_seed(seed, 0))
+    return random_plane(phi.n, phi.p, grassmann.trial_seed(cfg["seed"], 0))
 
 
 def search_params(cfg):
@@ -153,9 +160,8 @@ def search_params(cfg):
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_module(args):
-    cfg = settings(args)
-    phi = build_calibration(parse_spec(args))
+def cmd_module(args, cfg):
+    phi = load_form(args)
     module = phi_module(phi)
     n = phi.n
     payload = {
@@ -171,9 +177,8 @@ def cmd_module(args):
     return EXIT_OK
 
 
-def cmd_check(args):
-    cfg = settings(args)
-    phi = build_calibration(parse_spec(args))
+def cmd_check(args, cfg):
+    phi = load_form(args)
     plane = load_plane(args, phi, cfg)
     report = is_critical(plane, phi, tol=cfg["tol"])
     payload = report.to_json()
@@ -186,12 +191,9 @@ def cmd_check(args):
     return EXIT_OK if report.is_critical else EXIT_NEGATIVE
 
 
-def cmd_search(args):
-    cfg = settings(args)
-    phi = build_calibration(parse_spec(args))
-    catalog = critical_spectrum(
-        phi, trials=cfg["trials"], params=search_params(cfg), cluster_tol=cfg["cluster_tol"]
-    )
+def cmd_search(args, cfg):
+    phi = load_form(args)
+    catalog = critical_spectrum(phi, params=search_params(cfg), cluster_tol=cfg["cluster_tol"])
     payload = catalog.to_json()
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -205,28 +207,18 @@ def cmd_search(args):
     return EXIT_OK
 
 
-def cmd_comass(args):
-    cfg = settings(args)
-    phi = build_calibration(parse_spec(args))
-    try:
-        value, plane = comass_search(phi, trials=cfg["trials"], params=search_params(cfg))
-    except RuntimeError as exc:
-        log(str(exc))
-        return EXIT_NUMERICAL
+def cmd_comass(args, cfg):
+    phi = load_form(args)
+    value, plane = comass_search(phi, params=search_params(cfg))
     payload = {"comass": value, "maximizer": plane.to_json()["columns"]}
     emit(args, payload, f"comass estimate = {value:.12g}")
     return EXIT_OK
 
 
-def cmd_eds(args):
-    cfg = settings(args)
-    phi = build_calibration(parse_spec(args))
+def cmd_eds(args, cfg):
+    phi = load_form(args)
     module = phi_module(phi)
-    try:
-        _, plane = comass_search(phi, trials=cfg["trials"], params=search_params(cfg), module=module)
-    except RuntimeError as exc:
-        log(str(exc))
-        return EXIT_NUMERICAL
+    _, plane = comass_search(phi, params=search_params(cfg), module=module)
     report = eds.cartan_test(plane, module)
     codim_p, codim_dual = eds.hodge_dual_ideal_check(
         phi, xi=plane, module=module, codim_p=report.actual_codim
@@ -241,9 +233,8 @@ def cmd_eds(args):
     return EXIT_OK if report.involutive_at_flag else EXIT_NEGATIVE
 
 
-def cmd_sff(args):
-    cfg = settings(args)
-    phi = build_calibration(parse_spec(args))
+def cmd_sff(args, cfg):
+    phi = load_form(args)
     plane = load_plane(args, phi, cfg)
     try:
         basis, all_trace_free = sff_space(plane, phi, tol=cfg["tol"])
@@ -259,8 +250,7 @@ def cmd_sff(args):
     return EXIT_OK if all_trace_free else EXIT_NEGATIVE
 
 
-def cmd_spinor(args):
-    cfg = settings(args)
+def cmd_spinor(args, cfg):
     model = build_clifford()
     x = model.s_plus[:, 0]
     norms = {k: model.spinor_square(x, k).norm() for k in range(9)}
@@ -282,56 +272,60 @@ def cmd_spinor(args):
     return EXIT_OK
 
 
+def _group(*parents):
+    return argparse.ArgumentParser(add_help=False, parents=parents)
+
+
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="calibkit", description="calibrated geometry toolkit"
-    )
+    """The argument parser, built on first use; each subcommand takes only the options it reads."""
+    output = _group()
+    output.add_argument("--json", action="store_true", help="JSON on stdout")
+    output.add_argument("--config", help="JSON file of default overrides")
+    output.add_argument("--out", help="write output to a file instead of stdout")
+    spec = _group()
+    spec.add_argument("--family", choices=calibrations._FAMILIES, required=True)
+    spec.add_argument("--m", type=int)
+    spec.add_argument("--phase", type=float)
+    spec.add_argument("--algebra")
+    spec.add_argument("--n", type=int, help="ambient dimension for --form literals")
+    spec.add_argument("--form", help="form literal (e.g. 'e123 + e145') or AltForm JSON")
+    seed = _group()
+    seed.add_argument("--seed", type=int)
+    search = _group(seed)
+    search.add_argument("--trials", type=int)
+    plane = _group(seed)
+    plane.add_argument("--frame", help="JSON file holding a plane frame")
+    plane.add_argument("--tol", type=float)
+    basis = _group()
+    basis.add_argument("--basis", action="store_true", help="include the orthonormal basis")
+    rows = _group()
+    rows.add_argument("--csv", help="also write (trial, value, residual) rows")
+    commands = {
+        "module": ("dimension and basis of the induced form module", [spec, output, basis]),
+        "check": ("criticality report for a plane", [spec, plane, output]),
+        "search": ("multistart critical-plane search", [spec, search, output, rows]),
+        "comass": ("multistart comass estimate", [spec, search, output]),
+        "eds": ("Cartan test and Hodge-dual comparison", [spec, search, output]),
+        "sff": ("second-fundamental-form solution space", [spec, plane, output]),
+        "spinor": ("squared-spinor component report", [output]),
+    }
+    parser = argparse.ArgumentParser(prog="calibkit", description="calibrated geometry toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("module", help="dimension and basis of the induced form module")
-    add_common(p)
-    p.add_argument("--basis", action="store_true", help="include the orthonormal basis")
-    p.set_defaults(func=cmd_module)
-
-    p = sub.add_parser("check", help="criticality report for a plane")
-    add_common(p, plane=True)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("search", help="multistart critical-plane search")
-    add_common(p)
-    p.add_argument("--csv", help="also write (trial, value, residual) rows")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("comass", help="multistart comass estimate")
-    add_common(p)
-    p.set_defaults(func=cmd_comass)
-
-    p = sub.add_parser("eds", help="Cartan test and Hodge-dual comparison")
-    add_common(p)
-    p.set_defaults(func=cmd_eds)
-
-    p = sub.add_parser("sff", help="second-fundamental-form solution space")
-    add_common(p, plane=True)
-    p.set_defaults(func=cmd_sff)
-
-    p = sub.add_parser("spinor", help="squared-spinor component report")
-    add_common(p)
-    p.set_defaults(func=cmd_spinor)
+    for name, (text, groups) in commands.items():
+        sub.add_parser(name, help=text, parents=groups)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except SystemExit2 as exc:
-        log(f"error: {exc}")
-        return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        # looked up at call time, so a rebound cmd_* runs even though the parser is built once
+        return globals()[f"cmd_{args.command}"](args, settings(args))
+    except (ValueError, OSError) as exc:  # SystemExit2 and json.JSONDecodeError included
         log(f"error: {exc}")
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -432,11 +432,10 @@ def sff_space(xi, phi, tol=DEFAULT_TOL):
     phi_o != 0 every solution is trace-free: the paper's Theorem 1
     (phi-critical submanifolds with nonzero critical value are minimal).
     """
-    report = is_critical(xi, phi, tol=tol)
-    if not report.is_critical:
-        raise ValueError(
-            f"plane is not critical (residual {report.residual_cousin:.3e})"
-        )
+    # the cousin residual alone decides criticality (see criticality_reports)
+    residual = float(np.max(np.abs(cousin_matrix(phi, xi)), initial=0.0))
+    if not residual < tol * tol_scale(phi):
+        raise ValueError(f"plane is not critical (residual {residual:.3e})")
     n, p = xi.n, xi.p
     k = n - p
     if k == 0:

@@ -24,7 +24,7 @@ from .critical import (
     phi_module,
     qr_fix,
 )
-from .exterior import first_jet, hodge_star, orthonormal_jet
+from .exterior import first_jet, hodge_star, orthonormal_jet, stack_values
 
 __all__ = [
     "FlagReport",
@@ -85,9 +85,9 @@ def integral_element_codim(xi, module):
     linearization, computed exactly and cross-checked by central differences
     of step FD_STEP (a RuntimeWarning when the two ranks disagree).  Both
     evaluate the module through orthonormal_jet: at xi's completion for the
-    exact jet, and at the completions of the 2 p k retracted frames for the
-    differences, so a module of degree p > n/2 is evaluated on
-    (n - p) x (n - p) minors of its Hodge star.
+    exact jet, and for the differences at the completions of the 2 p k
+    retracted frames (at the frames alone up to p = n/2), so a module of
+    degree p > n/2 is evaluated on (n - p) x (n - p) minors of its Hodge star.
     """
     n, p = xi.n, xi.p
     k = n - p
@@ -108,7 +108,10 @@ def integral_element_codim(xi, module):
     move[np.arange(p), :, :, np.arange(p)] = FD_STEP * nn.T
     move = move.reshape(p * k, n, p)
     q, _ = qr_fix(xi.frame + np.concatenate([move, -move]))
-    vals = orthonormal_jet(coeffs, idx0, completions(q), p, jet=False)
+    if 2 * p <= n:  # orthonormal_jet would read only the frames
+        vals = stack_values(coeffs, idx0, q)
+    else:
+        vals = orthonormal_jet(coeffs, idx0, completions(q), p, jet=False)
     fd = (vals[: p * k] - vals[p * k :]).T / (2.0 * FD_STEP)
     if numerical_rank(np.linalg.svd(fd, compute_uv=False), JACOBIAN_CUTOFF) != rank:
         warnings.warn(

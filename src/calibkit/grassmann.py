@@ -46,6 +46,8 @@ __all__ = [
 
 # trials stepped together in one frame stack
 _TRIAL_BLOCK = 8
+# largest gap between sorted |values| within one catalog cluster
+CLUSTER_TOL = 1e-4
 
 
 @dataclass
@@ -297,7 +299,7 @@ def _cluster_1d(values, tol):
     return clusters
 
 
-def critical_spectrum(phi, trials=None, params=None, cluster_tol=1e-4):
+def critical_spectrum(phi, trials=None, params=None, cluster_tol=CLUSTER_TOL):
     """Multistart saddle search; catalogs converged planes and |value| clusters."""
     if params is None:
         params = SearchParams()

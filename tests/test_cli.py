@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from calibkit import CalibrationSpec, OrientedPlane, build_calibration, exterior
+from calibkit import CalibrationSpec, OrientedPlane, build_calibration, cli, exterior
 from calibkit.cli import main
 
 
@@ -47,7 +47,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "module")[0] == 2  # missing family
     assert run(capsys, "module", "--family", "custom")[0] == 2  # missing form
     assert run(capsys, "nope")[0] == 2  # unknown subcommand
-    assert run(capsys, "module", "--family", "associative", "--tol", "-1")[0] == 2
+    assert run(capsys, "module", "--family", "associative", "--tol", "-1")[0] == 2  # no --tol
 
 
 def test_check_exit_codes(capsys, tmp_path):
@@ -190,6 +190,7 @@ def test_config_file_of_wrong_type_is_a_usage_error(capsys, tmp_path, content):
         ["search", "--family", "associative", "--trials", "-3"],
         ["eds", "--family", "associative", "--trials", "0"],
         ["comass", "--family", "associative", "--trials", "0"],
+        ["check", "--family", "associative", "--seed", "0", "--tol", "-1"],
     ],
 )
 def test_out_of_range_setting_is_a_usage_error(capsys, argv):
@@ -197,6 +198,86 @@ def test_out_of_range_setting_is_a_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["search", "--family", "associative", "--tol", "1e-6"], "--tol"),
+        (["comass", "--family", "associative", "--tol", "1e-6"], "--tol"),
+        (["eds", "--family", "associative", "--tol", "1e-6"], "--tol"),
+        (["check", "--family", "associative", "--trials", "5"], "--trials"),
+        (["sff", "--family", "associative", "--trials", "5"], "--trials"),
+        (["module", "--family", "associative", "--seed", "1"], "--seed"),
+        (["module", "--family", "associative", "--trials", "5"], "--trials"),
+        (["module", "--family", "associative", "--tol", "-1"], "--tol"),
+        (["spinor", "--family", "associative"], "--family"),
+        (["spinor", "--seed", "1"], "--seed"),
+    ],
+)
+def test_option_the_subcommand_does_not_read_is_a_usage_error(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["module", "--family", "associative", "--m", "3"], "--m"),
+        (["module", "--family", "cartan", "--algebra", "su3", "--phase", "0.5"], "--phase"),
+        (["module", "--family", "special_lagrangian", "--m", "3", "--algebra", "su3"], "--algebra"),
+        (["module", "--family", "associative", "--form", "e123"], "--form"),
+        (["module", "--family", "associative", "--n", "7"], "--n"),
+        (["module", "--family", "custom", "--form", '{"n": 4, "p": 2, "terms": [{"idx": [1, 2], "c": 1}]}', "--n", "4"], "--n"),
+        (["module", "--family", "cartan", "--algebra", "su"], "--algebra"),
+        (["module", "--family", "cartan", "--algebra", "su3x"], "--algebra"),
+        (["module", "--family", "cartan", "--algebra", "su9"], "--algebra"),
+        (["module", "--family", "special_lagrangian", "--m", "9"], "--m"),
+    ],
+)
+def test_spec_option_its_family_does_not_read_or_malformed_is_named(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
+@pytest.mark.parametrize("command", ["check", "search"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_negative_seed_is_a_usage_error_that_names_it(capsys, tmp_path, command, from_config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": -1}')
+    source = ["--config", str(cfg)] if from_config else ["--seed", "-1"]
+    code, out, err = run(capsys, command, "--family", "associative", *source)
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+
+
+def test_repeated_calls_in_one_process_agree(capsys):
+    """The parser is built once per process; a call leaves nothing behind for the next."""
+    calls = [
+        ["check", "--family", "associative", "--seed", "2", "--json"],
+        ["module", "--family", "special_lagrangian", "--m", "3", "--phase", "0.3", "--json"],
+        ["module", "--family", "associative", "--seed", "1"],
+        ["comass", "--family", "associative", "--trials", "4", "--seed", "5", "--json"],
+        ["spinor"],
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    second = [run(capsys, *argv) for argv in reversed(calls)][::-1]
+    assert first == second
+    assert [code for code, _, _ in first] == [1, 0, 2, 0, 0]
+
+
+def test_subcommand_runs_through_the_module_name(capsys, monkeypatch):
+    """Dispatch reads cmd_* from the module at call time, so a function rebound after the first call runs."""
+    run(capsys, "module", "--family", "associative")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_module", lambda args, cfg: seen.append(args.family) or 0)
+    assert run(capsys, "module", "--family", "cayley") == (0, "", "")
+    assert seen == ["cayley"]
 
 
 @pytest.mark.parametrize(

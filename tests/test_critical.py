@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from calibkit import (
     su_lie_algebra,
     subspace_distance,
 )
+from calibkit import critical
 from calibkit.critical import _adapted_values, numerical_rank
 from calibkit.eds import KERNEL_CUTOFF
 
@@ -484,11 +486,19 @@ def test_sff_simple_two_form_cases():
     assert max(e.trace_residual() for e in basis) > 0.1
 
 
-def test_sff_rejects_non_critical_plane(rng):
+def test_sff_rejects_non_critical_plane(rng, monkeypatch):
+    """The verdict and its residual are is_critical's, reached without building phi's module."""
     phi = associative_form()
     q, _ = qr_fix(rng.standard_normal((7, 3)))
-    with pytest.raises(ValueError):
-        sff_space(OrientedPlane(q), phi)
+    xi = OrientedPlane(q)
+    residual = is_critical(xi, phi).residual_cousin
+
+    def no_module(*args, **kwargs):
+        raise AssertionError("sff_space built phi's module")
+
+    monkeypatch.setattr(critical, "phi_module", no_module)
+    with pytest.raises(ValueError, match=re.escape(f"plane is not critical (residual {residual:.3e})")):
+        sff_space(xi, phi)
 
 
 def test_sff_cartan_su3_is_rigid():
