@@ -68,7 +68,7 @@ def log(msg):
 
 def emit(args, payload, text):
     out = json.dumps(payload, sort_keys=True) + "\n" if args.json else text + "\n"
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(out)
     else:
@@ -77,7 +77,7 @@ def emit(args, payload, text):
 
 def settings(args):
     cfg = dict(DEFAULTS)
-    if args.config:
+    if args.config is not None:
         with open(args.config) as fh:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
@@ -132,9 +132,9 @@ def load_form(args):
 
 
 def load_plane(args, phi, cfg):
-    if args.frame and args.seed is not None:
+    if args.frame is not None and args.seed is not None:
         raise SystemExit2("give exactly one plane source (--frame or --seed)")
-    if args.frame:
+    if args.frame is not None:
         with open(args.frame) as fh:
             obj = json.load(fh)
         plane = OrientedPlane.from_json(obj)
@@ -195,7 +195,7 @@ def cmd_search(args, cfg):
     phi = load_form(args)
     catalog = critical_spectrum(phi, params=search_params(cfg), cluster_tol=cfg["cluster_tol"])
     payload = catalog.to_json()
-    if args.csv:
+    if args.csv is not None:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["trial", "value", "residual"])
@@ -272,6 +272,13 @@ def cmd_spinor(args, cfg):
     return EXIT_OK
 
 
+def _path(text):
+    """A file path option's value; argparse names the option when it is empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 def _group(*parents):
     return argparse.ArgumentParser(add_help=False, parents=parents)
 
@@ -281,8 +288,8 @@ def build_parser():
     """The argument parser, built on first use; each subcommand takes only the options it reads."""
     output = _group()
     output.add_argument("--json", action="store_true", help="JSON on stdout")
-    output.add_argument("--config", help="JSON file of default overrides")
-    output.add_argument("--out", help="write output to a file instead of stdout")
+    output.add_argument("--config", type=_path, help="JSON file of default overrides")
+    output.add_argument("--out", type=_path, help="write output to a file instead of stdout")
     spec = _group()
     spec.add_argument("--family", choices=calibrations._FAMILIES, required=True)
     spec.add_argument("--m", type=int)
@@ -295,12 +302,12 @@ def build_parser():
     search = _group(seed)
     search.add_argument("--trials", type=int)
     plane = _group(seed)
-    plane.add_argument("--frame", help="JSON file holding a plane frame")
+    plane.add_argument("--frame", type=_path, help="JSON file holding a plane frame")
     plane.add_argument("--tol", type=float)
     basis = _group()
     basis.add_argument("--basis", action="store_true", help="include the orthonormal basis")
     rows = _group()
-    rows.add_argument("--csv", help="also write (trial, value, residual) rows")
+    rows.add_argument("--csv", type=_path, help="also write (trial, value, residual) rows")
     commands = {
         "module": ("dimension and basis of the induced form module", [spec, output, basis]),
         "check": ("criticality report for a plane", [spec, plane, output]),

@@ -37,8 +37,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-# floats of minors (256 KB) that first_jet gathers at once, and of the
-# Leibniz factors or SVD factors that one determinant or cofactor step gathers
+# floats (256 KB) that first_jet gathers at once into any one of its minors,
+# normals and replacement arrays, and of the Leibniz factors or SVD factors
+# that one determinant or cofactor step gathers
 _MINOR_BLOCK = 1 << 15
 # minors up to this size take their determinants as Leibniz sums, larger ones
 # by LU (measured on 500 minors: 90 against 146 us at p = 4, but 544 against
@@ -396,11 +397,12 @@ def _leibniz_terms(p, cofactors):
 def _leibniz(minors, cofactors):
     """Determinants (N,) or cofactor matrices (N, p, p) of an (N, p, p) stack, as Leibniz sums.
 
-    Each block gathers its factors from the planar (p^2, N) view of the
-    minors at once, at most _MINOR_BLOCK floats, multiplies them into the
-    signed terms and sums the terms by halving in place.  Every operation is
-    elementwise per minor, so a minor gets the same bits alone as in any
-    stack.
+    Each block of minors takes at most _MINOR_BLOCK floats of factors from
+    the planar (p^2, N) view of the minors.  It gathers them one factor at a
+    time, multiplies each into the signed terms in place and sums the terms
+    by halving in place, so it holds two arrays of one factor's size.  Every
+    operation is elementwise per minor, so a minor gets the same bits alone
+    as in any stack.
     """
     n_min, p = minors.shape[0], minors.shape[-1]
     idx, sign = _leibniz_terms(p, cofactors)
@@ -408,11 +410,11 @@ def _leibniz(minors, cofactors):
     planar = minors.reshape(n_min, p * p).T
     step = max(1, _MINOR_BLOCK // max(1, idx.size))
     for lo in range(0, n_min, step):
-        factors = planar[:, lo : lo + step][idx]  # (f, T, b)
-        b = factors.shape[-1]
-        terms = sign * factors[0] if len(factors) else np.repeat(sign, b, axis=1)
-        for factor in factors[1:]:
-            terms *= factor
+        block = planar[:, lo : lo + step]
+        b = block.shape[1]
+        terms = sign * block[idx[0]] if len(idx) else np.repeat(sign, b, axis=1)  # (T, b)
+        for row in idx[1:]:
+            terms *= block[row]
         terms = terms.reshape(-1, out.shape[1], b)
         while len(terms) > 1:
             half = len(terms) // 2
@@ -458,15 +460,17 @@ def first_jet(coeff_mat, idx0, frames, normals):
     column b replaced by normals[i, :, s].  Since det is linear in each
     column, det(F_bs[I]) = sum_r cof_I[r, b] * normal[I_r, s], so every
     replacement comes from the cofactors of the t minors frame[I].  Every
-    evaluation in calibkit comes here.  Frames go in blocks whose minors take
-    at most _MINOR_BLOCK floats, gathered once for the determinants and the
-    cofactors.  Up to p = _LEIBNIZ_P (every search) both are elementwise
-    Leibniz sums, with no LAPACK call; larger determinants take LU.  Each
-    frame is contracted on its own by a broadcast matmul, so it gets the same
-    bits alone as in any stack.  p = 0 (a 0 x 0 minor has det 1) and forms
-    without terms need no special case.  No built-in family has p > 4, and
-    eds takes forms of degree p > n/2 through orthonormal_jet, so only
-    custom forms reach LU (p >= 5) and the SVD cofactors (p >= 6).
+    evaluation in calibkit comes here.  Frames go in blocks whose minors
+    (t p^2 floats a frame), gathered normals and replacements (t p k each)
+    each take at most _MINOR_BLOCK floats; the minors are gathered once for
+    the determinants and the cofactors.  Up to p = _LEIBNIZ_P (every search)
+    both are elementwise Leibniz sums, with no LAPACK call; larger
+    determinants take LU.  Each frame is contracted on its own by a broadcast
+    matmul, so it gets the same bits alone as in any stack.  p = 0 (a 0 x 0
+    minor has det 1) and forms without terms need no special case.  No
+    built-in family has p > 4, and eds takes forms of degree p > n/2 through
+    orthonormal_jet, so only custom forms reach LU (p >= 5) and the SVD
+    cofactors (p >= 6).
     """
     coeff_mat = np.asarray(coeff_mat, dtype=float)
     frames = np.asarray(frames, dtype=float)
@@ -480,7 +484,7 @@ def first_jet(coeff_mat, idx0, frames, normals):
     # temporaries back to the OS after every call (2.6x the page faults in a
     # search-su4 pass); an empty stack still makes one (empty) block
     values, first = [], []
-    step = max(1, _MINOR_BLOCK // max(1, t * p * p))
+    step = max(1, _MINOR_BLOCK // max(1, t * p * max(p, k)))
     for lo in range(0, max(m, 1), step):
         # np.take gathers C-contiguous blocks, so every frame is contracted
         # with unit strides whatever the size of the stack
@@ -491,6 +495,7 @@ def first_jet(coeff_mat, idx0, frames, normals):
         values.append(coeffs @ dets.reshape(b, t, 1))
         if p and k:
             cof = _cofactors(flat).reshape(b, t, p, p)
+            del minors, flat  # so the block holds only cofactors, gathered normals and replacements
             repl = np.swapaxes(cof, -1, -2) @ np.take(normals[lo : lo + step], idx0, axis=1)  # (b, t, p, k)
             first.append(coeffs @ repl.reshape(b, t, p * k))
     values = np.concatenate(values).reshape((m,) + lead)

@@ -6,11 +6,12 @@ residual (the values of the induced form module on the plane) to zero with
 a damped Gauss-Newton iteration, which also reaches saddle points of the
 form that plain ascent misses.
 
-Multistart searches step blocks of _TRIAL_BLOCK trials in lockstep, as one
-(m, n, p) frame stack.  Each trial keeps its own seed, step length,
-iteration count and stopping state, and each frame is evaluated and
-retracted on its own, so a trial gives the same bits alone (`ascend`) as in
-a block.
+Multistart searches step blocks of up to _TRIAL_BLOCK = 24 trials in
+lockstep, as one (m, n, p) frame stack, so each iteration's Python, QR and
+determinant calls are paid once per block rather than once per trial.  Each
+trial keeps its own seed, step length, iteration count and stopping state,
+and each frame is evaluated and retracted on its own, so a trial gives the
+same bits alone (`ascend`) as in any block.
 """
 
 from __future__ import annotations
@@ -44,8 +45,16 @@ __all__ = [
     "critical_spectrum",
 ]
 
-# trials stepped together in one frame stack
-_TRIAL_BLOCK = 8
+# trials stepped together in one frame stack.  Over 8, perfbench measured
+# search-small at +56% trials/s with 24, +53% with 32 and +80% with 64, which
+# runs each 40-trial job as one stack.  But perfbench keeps every pass's
+# payload, so its peak_rss_mb grows with the passes a faster program makes:
+# +10.9% at 64, past the 10% bound, against +4.9% at 24 and +8.5% at 32.
+# Raise the block once perfbench stops keeping payloads.  The bound also keeps a search's memory
+# flat in its trial count: the largest lockstep array, the su4 Gauss-Newton
+# jet, takes 24 * 91 * 3 * 12 floats (0.63 MB) per block, and each 24-trial
+# su4 job is one stack
+_TRIAL_BLOCK = 24
 # largest gap between sorted |values| within one catalog cluster
 CLUSTER_TOL = 1e-4
 

@@ -406,6 +406,24 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["dim_phi"] == 7
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["check", "--family", "associative", "--frame", ""], "--frame"),
+        (["sff", "--family", "associative", "--frame", ""], "--frame"),
+        (["search", "--family", "associative", "--trials", "3", "--out", ""], "--out"),
+        (["search", "--family", "associative", "--trials", "3", "--csv", ""], "--csv"),
+        (["comass", "--family", "associative", "--trials", "3", "--config", ""], "--config"),
+    ],
+)
+def test_empty_path_is_a_usage_error_that_names_it(capsys, argv, option):
+    """An empty path neither falls back to a default plane or stdout nor goes unread."""
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}: empty path" in err
+
+
 def test_search_csv_output(capsys, tmp_path):
     target = tmp_path / "rows.csv"
     code, _, _ = run(

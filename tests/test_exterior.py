@@ -301,23 +301,45 @@ def test_stack_evaluation_is_independent_of_the_stack(rng, family):
         assert values[j] == stack_values(c, idx0, frame[None])[0] == phi.apply(frame)
 
 
+def gather_step(t, p, k):
+    """Frames in one first_jet gather block: minors, normals and replacements each fit _MINOR_BLOCK."""
+    return exterior._MINOR_BLOCK // max(1, t * p * max(p, k))
+
+
 def test_first_jet_over_several_gather_blocks_matches_single_frames(rng):
     """Stacks longer than one gather block give each frame the bits it gets alone."""
     phi = cartan_three_form(su_lie_algebra(4))
     idx0, c = phi._compact()
     # as many frames as the double replacements of an su4 sff check: p^2 k^2
     stack = rng.standard_normal((1296, phi.n, phi.p))
-    assert len(stack) > exterior._MINOR_BLOCK // (len(c) * phi.p**2)
+    assert len(stack) > gather_step(len(c), phi.p, 0)
     values = stack_values(c, idx0, stack)
     assert np.array_equal(values, [stack_values(c, idx0, f[None])[0] for f in stack])
-    # module rows: a block holds 8 frames, so 20 frames take three blocks
+    # module rows: a block holds 2 frames, so 20 frames take ten blocks
     module = phi_module(phi)
     frames = rng.standard_normal((20, phi.n, phi.p))
     normals = rng.standard_normal((20, phi.n, phi.n - phi.p))
-    assert len(frames) > exterior._MINOR_BLOCK // (len(module._idx0) * phi.p**2)
+    assert len(frames) > gather_step(len(module._idx0), phi.p, phi.n - phi.p)
     values, first = first_jet(module.dense_matrix(), module._idx0, frames, normals)
     for i in range(len(frames)):
         alone = first_jet(module.dense_matrix(), module._idx0, frames[i : i + 1], normals[i : i + 1])
+        assert np.array_equal(values[i], alone[0][0]) and np.array_equal(first[i], alone[1][0])
+
+
+def test_first_jet_with_more_normals_than_columns_over_several_blocks(rng):
+    """k > p: the su4 p k replaced frames of an sff check, 12 normals each, take several gather blocks."""
+    phi = cartan_three_form(su_lie_algebra(4))
+    idx0, c = phi._compact()
+    n, p = phi.n, phi.p
+    k = n - p
+    comp = qr_fix(rng.standard_normal((1, n, n)))[0][0]
+    frame, normal = comp[:, :p], comp[:, p:]
+    frames = replaced_frames(frame, normal)  # as critical._adapted_values builds them
+    normals = np.broadcast_to(normal, (p * k, n, k))
+    assert k > p and len(frames) > gather_step(len(c), p, k) > 0
+    values, first = first_jet(c, idx0, frames, normals)
+    for i in range(len(frames)):
+        alone = first_jet(c, idx0, frames[i : i + 1], normals[i : i + 1])
         assert np.array_equal(values[i], alone[0][0]) and np.array_equal(first[i], alone[1][0])
 
 

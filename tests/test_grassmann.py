@@ -198,12 +198,27 @@ def test_trial_alone_equals_trial_in_block(name, sense):
 
 
 def test_catalogs_do_not_depend_on_the_block_size(monkeypatch):
+    """Blocks of 1, a ragged split (4 + 4 + 3) and the default block give the same catalog bits."""
     phi = cartan_three_form(su_lie_algebra(3))
     catalog = critical_spectrum(phi, trials=11, params=FAST).to_json()
     comass = comass_search(phi, trials=11, params=FAST)
-    monkeypatch.setattr(grassmann, "_TRIAL_BLOCK", 1)
-    assert critical_spectrum(phi, trials=11, params=FAST).to_json() == catalog
-    value, plane = comass_search(phi, trials=11, params=FAST)
+    for block in (1, 4):
+        monkeypatch.setattr(grassmann, "_TRIAL_BLOCK", block)
+        assert critical_spectrum(phi, trials=11, params=FAST).to_json() == catalog
+        value, plane = comass_search(phi, trials=11, params=FAST)
+        assert value == comass[0]
+        assert np.array_equal(plane.frame, comass[1].frame)
+
+
+def test_searches_split_over_default_blocks_match_one_stack(monkeypatch):
+    """More trials than _TRIAL_BLOCK split the default block; one stack of them all gives the same bits."""
+    phi = associative_form()
+    trials = grassmann._TRIAL_BLOCK + 6
+    catalog = critical_spectrum(phi, trials=trials, params=FAST).to_json()
+    comass = comass_search(phi, trials=trials, params=FAST)
+    monkeypatch.setattr(grassmann, "_TRIAL_BLOCK", trials)
+    assert critical_spectrum(phi, trials=trials, params=FAST).to_json() == catalog
+    value, plane = comass_search(phi, trials=trials, params=FAST)
     assert value == comass[0]
     assert np.array_equal(plane.frame, comass[1].frame)
 
