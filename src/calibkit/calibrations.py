@@ -5,7 +5,9 @@ Cayley 4-form on R^8 (both explicitly and by squaring spinors), the special
 Lagrangian family on R^(2m), and the Cartan 3-form of su(k).  Coordinate
 conventions are fixed here once; correctness is enforced by the numerical
 post-conditions (comass, stabilizer dimension, module rank) rather than by
-any particular table.
+any particular table.  One family table (_FAMILIES) names each family's
+builder and the spec options it reads; CalibrationSpec, build_calibration
+and the CLI's --family options all read it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .exterior import AltForm, form_from_json, hodge_star, parse_form, wedge
-from .critical import FormModule, OrientedPlane, qr_fix
+from .critical import FormModule, OrientedPlane, completions, qr_fix
 
 __all__ = [
     "associative_form",
@@ -107,10 +109,17 @@ class SpecialLagrangian:
     phi_w: FormModule
 
 
-def _complex_wedge(a, b):
-    re = wedge(a[0], b[0]) - wedge(a[1], b[1])
-    im = wedge(a[0], b[1]) + wedge(a[1], b[0])
-    return re, im
+def _dz_product(n, js):
+    """(Re, Im) of dz^j1 ^ .. ^ dz^jk for increasing js; the empty product is 1.
+
+    Factor j gives e^(2j-1), or i e^(2j) in its y-slot: the term with y-slots
+    c has the increasing index (2j - 1 + c_j) and coefficient i^|c|.
+    """
+    parts = ({}, {})
+    for c in itertools.product((0, 1), repeat=len(js)):
+        w = sum(c)
+        parts[w % 2][tuple(2 * j - 1 + y for j, y in zip(js, c))] = (-1.0) ** (w // 2)
+    return AltForm(n, len(js), parts[0]), AltForm(n, len(js), parts[1])
 
 
 def special_lagrangian(m, phase=0.0):
@@ -129,24 +138,14 @@ def special_lagrangian(m, phase=0.0):
     if not np.isfinite(phase):
         raise ValueError(f"phase must be finite, got {phase}")
     n = 2 * m
-
-    def dz(j):
-        return AltForm.basis(n, 2 * j - 1), AltForm.basis(n, 2 * j)
-
-    def dz_product(js):
-        acc = (AltForm.constant(n, 1.0), AltForm.constant(n, 0.0))
-        for j in js:
-            acc = _complex_wedge(acc, dz(j))
-        return acc
-
-    re_u, im_u = dz_product(range(1, m + 1))
+    re_u, im_u = _dz_product(n, range(1, m + 1))
     sigma = AltForm(n, 2, {(2 * j - 1, 2 * j): 1.0 for j in range(1, m + 1)})
     c, s = np.cos(phase), np.sin(phase)
     calib = c * re_u - s * im_u
     im_rot = s * re_u + c * im_u
     spanning = []
     for J in itertools.combinations(range(1, m + 1), m - 2):
-        re_j, im_j = dz_product(J)
+        re_j, im_j = _dz_product(n, J)
         spanning.append(wedge(re_j, sigma))
         spanning.append(wedge(im_j, sigma))
     phi_w = FormModule.from_spanning(n, m, spanning)
@@ -338,8 +337,7 @@ class CliffordModel:
         coords = self.s_plus.T @ x
         if abs(np.linalg.norm(coords) - 1.0) > 1e-8:
             raise ValueError("spinor does not lie in S+")
-        rot, _ = qr_fix(np.column_stack([coords, np.eye(8)]))
-        basis = self.s_plus @ rot[:, :8]
+        basis = self.s_plus @ completions(coords[None, :, None])[0]
         basis[:, 0] = x
         forms = [
             self._component(16.0 * np.outer(basis[:, j], x), 4) for j in range(1, 8)
@@ -374,7 +372,23 @@ def build_clifford():
 
 # -- specs -------------------------------------------------------------------
 
-_FAMILIES = ("associative", "coassociative", "cayley", "special_lagrangian", "cartan", "custom")
+def _cartan(algebra):
+    name = algebra.strip().lower().replace("(", "").replace(")", "")
+    if not name.startswith("su"):
+        raise ValueError(f"unsupported algebra {algebra!r}")
+    return cartan_three_form(su_lie_algebra(int(name[2:])))
+
+
+# family -> (builder of its form from a CalibrationSpec, the spec options it
+# reads, the first one required); n is the dimension of a text form literal
+_FAMILIES = {
+    "associative": (lambda spec: associative_form(), ()),
+    "coassociative": (lambda spec: coassociative_form(), ()),
+    "cayley": (lambda spec: cayley_form(), ()),
+    "special_lagrangian": (lambda spec: special_lagrangian(spec.m, spec.phase).calib, ("m", "phase")),
+    "cartan": (lambda spec: _cartan(spec.algebra), ("algebra",)),
+    "custom": (lambda spec: spec.form, ("form", "n")),
+}
 
 
 @dataclass
@@ -390,12 +404,9 @@ class CalibrationSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "special_lagrangian" and self.m is None:
-            raise ValueError("special_lagrangian requires m")
-        if self.family == "cartan" and self.algebra is None:
-            raise ValueError("cartan requires an algebra selector, e.g. su3")
-        if self.family == "custom" and self.form is None:
-            raise ValueError("custom requires an explicit form")
+        reads = _FAMILIES[self.family][1]
+        if reads and getattr(self, reads[0]) is None:
+            raise ValueError(f"{self.family} requires {reads[0]}")
 
     @classmethod
     def from_json(cls, obj):
@@ -415,17 +426,4 @@ class CalibrationSpec:
 
 def build_calibration(spec):
     """Build the AltForm described by a CalibrationSpec."""
-    if spec.family == "associative":
-        return associative_form()
-    if spec.family == "coassociative":
-        return coassociative_form()
-    if spec.family == "cayley":
-        return cayley_form()
-    if spec.family == "special_lagrangian":
-        return special_lagrangian(spec.m, spec.phase).calib
-    if spec.family == "cartan":
-        name = spec.algebra.strip().lower().replace("(", "").replace(")", "")
-        if not name.startswith("su"):
-            raise ValueError(f"unsupported algebra {spec.algebra!r}")
-        return cartan_three_form(su_lie_algebra(int(name[2:])))
-    return spec.form
+    return _FAMILIES[spec.family][0](spec)

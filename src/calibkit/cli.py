@@ -50,13 +50,6 @@ DEFAULTS = {
     "cluster_tol": CLUSTER_TOL,
 }
 
-# the spec options each family reads besides --family
-FAMILY_OPTIONS = {
-    "special_lagrangian": ("m", "phase"),
-    "cartan": ("algebra",),
-    "custom": ("form", "n"),
-}
-
 
 class SystemExit2(ValueError):
     """Usage error, mapped to exit code 2."""
@@ -107,15 +100,13 @@ def settings(args):
 
 def load_form(args):
     """The calibration the spec options name; an option its family does not read is a usage error."""
-    reads = FAMILY_OPTIONS.get(args.family, ())
+    reads = calibrations._FAMILIES[args.family][1]
     for name in ("m", "phase", "algebra", "form", "n"):
         if getattr(args, name) is not None and name not in reads:
             raise SystemExit2(f"--{name} does not apply to --family {args.family}")
-    form = None
-    if args.family == "custom":
-        if not args.form:
-            raise SystemExit2("--family custom requires --form")
-        text = args.form.strip()
+    form = args.form
+    if form is not None:  # so the family is custom
+        text = form.strip()
         if not text.startswith("{"):
             form = parse_form(text, n=args.n)
         elif args.n is not None:

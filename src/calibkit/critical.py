@@ -275,33 +275,23 @@ def stabilizer_kernel(phi):
 # -- criticality tests ------------------------------------------------------
 
 
-def _check_plane(phi, n, p):
-    """Raise ValueError unless phi is a degree-p form on R^n."""
-    if phi.p != p:
-        raise ValueError(f"degree {phi.p} form against a {p}-plane")
-    if phi.n != n:
-        raise ValueError(f"form on R^{phi.n} against a plane in R^{n}")
+def check_fits(n, p, form_n, degree):
+    """Raise ValueError unless p-planes in R^n are what degree-`degree` forms on R^form_n evaluate."""
+    if (n, p) != (form_n, degree):
+        raise ValueError(f"degree-{degree} forms on R^{form_n} against a {p}-plane in R^{n}")
 
 
 def cousin_matrix(phi, xi):
     """First-cousin coefficients G[s, a] = phi(e_1, .., v_s at slot a, .., e_p)."""
-    _check_plane(phi, xi.n, xi.p)
+    check_fits(xi.n, xi.p, phi.n, phi.p)
     idx0, c = phi._compact()
     _, first = first_jet(c, idx0, xi.frame[None], xi.normal_frame()[None])
     return first[0].T
 
 
-def check_fits(n, p, module):
-    """Raise ValueError unless p-planes in R^n are what module's forms evaluate."""
-    if (n, p) != (module.n, module.degree):
-        raise ValueError(
-            f"module of degree-{module.degree} forms on R^{module.n} against a {p}-plane in R^{n}"
-        )
-
-
 def _module_residuals(frames, module):
     """max |gamma| over the module basis on each frame of an (m, n, p) stack."""
-    check_fits(frames.shape[1], frames.shape[2], module)
+    check_fits(frames.shape[1], frames.shape[2], module.n, module.degree)
     if module.rank == 0:
         return np.zeros(len(frames))
     return np.max(np.abs(stack_values(module.dense_matrix(), module._idx0, frames)), axis=1)
@@ -354,7 +344,7 @@ def rho_closed(xi, phi, tol=DEFAULT_TOL):
     Both tests compare with tol times the largest |coefficient| of phi (tol
     itself for the zero form), since rho scales with phi.
     """
-    _check_plane(phi, xi.n, xi.p)
+    check_fits(xi.n, xi.p, phi.n, phi.p)
     atol = tol * tol_scale(phi)
     resid = _rho_residuals(phi, xi.frame[None], xi.normal_frame()[None])[0]
     if resid >= atol:
@@ -375,7 +365,7 @@ def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
     A plane is critical when its cousin residual is below tol times the
     largest |coefficient| of phi (tol itself for the zero form).
     """
-    _check_plane(phi, frames.shape[1], frames.shape[2])
+    check_fits(frames.shape[1], frames.shape[2], phi.n, phi.p)
     if module is None:
         module = phi_module(phi)
     normals = completions(frames)[:, :, phi.p :]

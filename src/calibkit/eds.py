@@ -91,7 +91,7 @@ def integral_element_codim(xi, module):
     """
     n, p = xi.n, xi.p
     k = n - p
-    check_fits(n, p, module)
+    check_fits(n, p, module.n, module.degree)
     if module.rank == 0:
         return 0
     coeffs, idx0, nn = module.dense_matrix(), module._idx0, xi.normal_frame()

@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -59,20 +60,12 @@ _SVD_COFACTOR_P = 6
 def sort_index(idx):
     """Sort a multi-index tuple, returning (sign, sorted tuple).
 
-    sign is the parity of the sorting permutation, or 0 on repeats.
+    sign is the parity of the sorting permutation's inversions, or 0 on repeats.
     """
-    lst = list(idx)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return 0, tuple(lst)
-    return sign, tuple(lst)
+    key = tuple(sorted(idx))
+    if len(set(key)) < len(key):
+        return 0, key
+    return (-1) ** sum(itertools.starmap(operator.gt, itertools.combinations(idx, 2))), key
 
 
 def canonical_indices(n, p):
@@ -159,9 +152,10 @@ class AltForm:
 
     def dense(self):
         """Coefficient vector over canonical_indices(n, p)."""
-        return np.array(
-            [self.coeffs.get(I, 0.0) for I in canonical_indices(self.n, self.p)]
-        )
+        idx0, c = self._compact()
+        out = np.zeros(math.comb(self.n, self.p))
+        out[_lex_rank(idx0, self.n)] = c
+        return out
 
     def _compact(self):
         """(0-based index array of shape (t, p), coefficient array of shape (t,))."""
@@ -282,17 +276,9 @@ def wedge(a, b):
 
 def hodge_star(a):
     """Hodge star with respect to the standard metric and orientation."""
-    n, p = a.n, a.p
-    full = tuple(range(1, n + 1))
-    coeffs = {}
-    for I, c in a.coeffs.items():
-        comp = tuple(i for i in full if i not in I)
-        sign, _ = sort_index(I + comp)
-        coeffs[comp] = sign * c
-    if p == 0:
-        # constant c -> c * vol
-        coeffs = {full: a.coeffs.get((), 0.0)}
-    return AltForm(n, n - p, coeffs)
+    idx0, c = a._compact()
+    c, comp = _star(c, idx0, a.n)
+    return AltForm(a.n, a.n - a.p, dict(zip(map(tuple, (comp + 1).tolist()), c.tolist())))
 
 
 def interior(v, a):
@@ -517,7 +503,7 @@ def _star_columns(n, p):
     canonical_indices(n, p), and *e^I = sign[r] e^J, so the rows run through
     canonical_indices(n, n - p) in reverse.
     """
-    idx = np.array(canonical_indices(n, p), dtype=np.intp).reshape(-1, p) - 1
+    idx = np.array(canonical_indices(n, p), dtype=np.intp).reshape(math.comb(n, p), p) - 1
     mask = np.ones((len(idx), n), dtype=bool)
     mask[np.arange(len(idx))[:, None], idx] = False
     comp = np.nonzero(mask)[1].reshape(len(idx), n - p)
@@ -525,6 +511,15 @@ def _star_columns(n, p):
     sign = (-1.0) ** np.sum(idx[:, :, None] > comp[:, None, :], axis=(1, 2))
     comp.flags.writeable = sign.flags.writeable = False  # shared by every caller through the cache
     return comp, sign
+
+
+def _star(coeff_mat, idx0, n):
+    """Hodge stars of forms with coefficients (..., t) over the increasing p-indices idx0 (t, p).
+
+    Returns the stars' coefficients (..., t) and their 0-based indices (t, n - p)."""
+    comp, sign = _star_columns(n, idx0.shape[1])
+    rank = _lex_rank(idx0, n)
+    return np.asarray(coeff_mat, dtype=float) * sign[rank], comp[rank]
 
 
 def orthonormal_jet(coeff_mat, idx0, completions, p, jet=True):
@@ -547,10 +542,8 @@ def orthonormal_jet(coeff_mat, idx0, completions, p, jet=True):
     if 2 * p <= n:
         values, first = first_jet(coeff_mat, idx0, frames, normals if jet else normals[:, :, :0])
     else:
-        comp, sign = _star_columns(n, p)
-        rank = _lex_rank(idx0, n)
-        coeff_mat = np.asarray(coeff_mat, dtype=float) * sign[rank]
-        values, first = first_jet(coeff_mat, comp[rank], normals, frames if jet else frames[:, :, :0])
+        coeff_mat, comp = _star(coeff_mat, idx0, n)
+        values, first = first_jet(coeff_mat, comp, normals, frames if jet else frames[:, :, :0])
         det = np.sign(np.linalg.det(completions)).reshape((-1,) + (1,) * (values.ndim - 1))
         values, first = det * values, -det[..., None, None] * np.swapaxes(first, -1, -2)
     return (values, first) if jet else values
@@ -570,8 +563,9 @@ def parse_form(text, n=None):
     text = text.strip()
     if not text:
         raise ValueError("empty form literal")
-    # normalize leading sign, then split on +/- separators
-    tokens = re.split(r"\s*([+-])\s*", text)
+    # normalize leading sign, then split on +/- separators; a sign right after
+    # a mantissa's e (as in 1e-05) belongs to the exponent
+    tokens = re.split(r"\s*(?<![\d.][eE])([+-])\s*", text)
     if tokens[0] == "":
         tokens = tokens[1:]
     else:
@@ -589,6 +583,8 @@ def parse_form(text, n=None):
         idx = tuple(int(ch) for ch in m.group(2))
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"index tuple in {body!r} is not strictly increasing")
+        if idx[0] == 0:
+            raise ValueError(f"index 0 in {body!r}: indices run from 1")
         terms.append((idx, coeff if sgn == "+" else -coeff))
     degrees = {len(i) for i, _ in terms}
     if len(degrees) != 1:

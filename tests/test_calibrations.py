@@ -153,6 +153,19 @@ def test_special_lagrangian_phase_rotation():
     assert phi_module(a.calib).rank == phi_module(b.calib).rank
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("phase", [0.0, 0.4, -2.3])
+def test_special_lagrangian_forms_are_a_rotated_complex_determinant(m, phase):
+    """calib + i im_upsilon = e^{i phase} det(F_x + i F_y) on any frame F, F_x and F_y its x and y rows."""
+    sl = special_lagrangian(m, phase)
+    rng = np.random.default_rng([m, 17])
+    for _ in range(5):
+        frame = rng.standard_normal((2 * m, m))
+        want = np.exp(1j * phase) * np.linalg.det(frame[0::2] + 1j * frame[1::2])
+        assert abs(sl.calib.apply(frame) - want.real) < 1e-12
+        assert abs(sl.im_upsilon.apply(frame) - want.imag) < 1e-12
+
+
 def test_special_lagrangian_rejects_bad_m():
     with pytest.raises(ValueError):
         special_lagrangian(1)

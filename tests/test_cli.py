@@ -65,6 +65,16 @@ def test_check_exit_codes(capsys, tmp_path):
     assert payload["value"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("literal, value", [("1e-3*e123 + e145", 1e-3), ("2.5E+2*e123 - 1e-05*e145", 250.0)])
+def test_custom_form_with_a_signed_exponent(capsys, tmp_path, literal, value):
+    """A coefficient in scientific notation reaches the form: the plane e123 is critical with its value."""
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(OrientedPlane(np.eye(5)[:, :3]).to_json()))
+    code, out, err = run(capsys, "check", "--family", "custom", "--form", literal, "--frame", str(frame), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == value
+
+
 def test_check_rejects_frame_and_seed_together(capsys, tmp_path):
     frame = tmp_path / "frame.json"
     frame.write_text(json.dumps(OrientedPlane(np.eye(7)[:, :3]).to_json()))

@@ -571,6 +571,22 @@ def test_parse_form_rejects_bad_input():
         parse_form("xyz")
 
 
+@pytest.mark.parametrize("mag", [1e-300, 1e-100, 1e-5, 1e-4, 0.1, 3.5, 1e16, 3e20, 1e100, 1e300])
+def test_parse_format_round_trip_over_magnitudes(mag):
+    """format_form writes small and large coefficients with signed exponents (1e-05, 3e+20)."""
+    a = AltForm(4, 2, {(1, 2): mag, (1, 3): -mag, (2, 4): 0.7 * mag})
+    assert parse_form(format_form(a), n=4).coeffs == a.coeffs
+
+
+def test_parse_form_reads_signed_exponents_and_names_index_0():
+    assert parse_form("1e-3*e123 + e145").coeffs == {(1, 2, 3): 1e-3, (1, 4, 5): 1.0}
+    assert parse_form("-2.5E+2*e12 - 3e-1*e34+e13").coeffs == {(1, 2): -250.0, (3, 4): -0.3, (1, 3): 1.0}
+    with pytest.raises(ValueError, match="malformed term"):
+        parse_form("1e - 3*e12")
+    with pytest.raises(ValueError, match="index 0 in 'e0'"):
+        parse_form("e0")
+
+
 def test_json_round_trip(rng):
     a = random_form(rng, 6, 3)
     back = form_from_json(form_to_json(a))
