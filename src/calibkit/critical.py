@@ -292,9 +292,7 @@ def cousin_matrix(phi, xi):
 def _module_residuals(frames, module):
     """max |gamma| over the module basis on each frame of an (m, n, p) stack."""
     check_fits(frames.shape[1], frames.shape[2], module.n, module.degree)
-    if module.rank == 0:
-        return np.zeros(len(frames))
-    return np.max(np.abs(stack_values(module.dense_matrix(), module._idx0, frames)), axis=1)
+    return np.max(np.abs(stack_values(module.dense_matrix(), module._idx0, frames)), axis=1, initial=0.0)
 
 
 def annihilator_check(xi, module):
@@ -391,26 +389,25 @@ def is_critical(xi, phi, tol=DEFAULT_TOL, module=None):
 
 
 def _adapted_values(phi, xi):
-    """Critical value and the double-replacement coefficients in the adapted frame.
+    """Critical value, cousin and double-replacement coefficients in the adapted frame.
 
-    Returns (phi_o, T) with T[a, b, s, t] the coefficient obtained from the
-    leading component by replacing tangent slot a with normal direction s and
-    slot b with normal direction t.  T is the first jet of the p k frames that
-    have column a replaced by normal s.
+    Returns (phi_o, G, T) from one first jet of the plane and its p k frames
+    that have column a replaced by normal s.  G[a, s] (cousin_matrix
+    transposed) replaces tangent slot a with normal direction s, and
+    T[a, b, s, t] replaces slot a with normal s and slot b with normal t.
     """
     n, p = xi.n, xi.p
     k = n - p
     comp = xi.completion()
     frame, normals = comp[:, :p], comp[:, p:]
-    phi_o = float(phi.apply(frame))
-    frames = np.broadcast_to(frame, (p, k, n, p)).copy()
-    frames[np.arange(p), :, :, np.arange(p)] = normals.T
+    frames = np.broadcast_to(frame, (1 + p * k, n, p)).copy()
+    frames[1:].reshape(p, k, n, p)[np.arange(p), :, :, np.arange(p)] = normals.T  # writes through the view
     idx0, c = phi._compact()
-    _, first = first_jet(c, idx0, frames.reshape(p * k, n, p), np.broadcast_to(normals, (p * k, n, k)))
-    T = first.reshape(p, k, p, k).transpose(0, 2, 1, 3)
+    values, first = first_jet(c, idx0, frames, np.broadcast_to(normals, (1 + p * k, n, k)))
+    T = first[1:].reshape(p, k, p, k).transpose(0, 2, 1, 3)
     # slots coincide: the replacement coefficient is zero by convention
     T[np.arange(p), np.arange(p)] = 0.0
-    return phi_o, T
+    return float(values[0]), first[0], T
 
 
 def sff_space(xi, phi, tol=DEFAULT_TOL):
@@ -422,15 +419,15 @@ def sff_space(xi, phi, tol=DEFAULT_TOL):
     phi_o != 0 every solution is trace-free: the paper's Theorem 1
     (phi-critical submanifolds with nonzero critical value are minimal).
     """
+    check_fits(xi.n, xi.p, phi.n, phi.p)
+    phi_o, G, T = _adapted_values(phi, xi)
     # the cousin residual alone decides criticality (see criticality_reports)
-    residual = float(np.max(np.abs(cousin_matrix(phi, xi)), initial=0.0))
+    residual = float(np.max(np.abs(G), initial=0.0))
     if not residual < tol * tol_scale(phi):
         raise ValueError(f"plane is not critical (residual {residual:.3e})")
-    n, p = xi.n, xi.p
-    k = n - p
+    p, k = G.shape
     if k == 0:
         return [], False
-    phi_o, T = _adapted_values(phi, xi)
     # sym maps the unknowns h[t, b, c], b <= c, in (t, b, c) order onto all of h
     b, c = np.triu_indices(p)
     t, u = np.arange(k)[:, None], np.arange(len(b))

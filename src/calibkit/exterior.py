@@ -214,7 +214,7 @@ class AltForm:
         return float(stack_values(c, idx, m[None])[0])
 
     def __repr__(self):
-        if self.n > 9:
+        if self.n > 9 or self.p == 0 or not self.coeffs:
             return f"AltForm(n={self.n}, p={self.p}, coeffs={dict(sorted(self.coeffs.items()))!r})"
         return f"AltForm(n={self.n}, p={self.p}, {format_form(self)!r})"
 
@@ -599,9 +599,9 @@ def parse_form(text, n=None):
 
 
 def format_form(a):
-    """Inverse of parse_form (n <= 9 only)."""
-    if a.n > 9:
-        raise ValueError("text literals support n <= 9 only")
+    """Inverse of parse_form (nonzero forms of degree >= 1 on n <= 9 only)."""
+    if a.n > 9 or a.p == 0 or not a.coeffs:
+        raise ValueError("text literals support nonzero forms of degree >= 1 on n <= 9 only")
     parts = []
     for I, c in sorted(a.coeffs.items()):
         body = "e" + "".join(str(i) for i in I)
@@ -611,7 +611,7 @@ def format_form(a):
             parts.append(term if c > 0 else f"-{term}")
         else:
             parts.append(("+ " if c > 0 else "- ") + term)
-    return " ".join(parts) if parts else "0"
+    return " ".join(parts)
 
 
 def form_to_json(a):

@@ -1,10 +1,11 @@
 """Sampling and first-order search on the oriented Grassmannian.
 
 Maximization/minimization uses projected gradient steps with Armijo
-backtracking and a QR retraction; the `critical` sense drives the module
-residual (the values of the induced form module on the plane) to zero with
-a damped Gauss-Newton iteration, which also reaches saddle points of the
-form that plain ascent misses.
+backtracking and a QR retraction.  Every sense ends with damped Gauss-Newton
+on the module residual (the values of the induced form module on the plane),
+which also reaches saddle points that plain ascent misses.  Its last jet, at
+the final frame of every converged trial, decides the trial and gives a
+catalog's value and residual; `ascend` adds the three-residual report.
 
 Multistart searches step blocks of up to _TRIAL_BLOCK = 24 trials in
 lockstep, as one (m, n, p) frame stack, so each iteration's Python, QR and
@@ -25,7 +26,7 @@ from .critical import (
     OrientedPlane,
     completions,
     cousin_matrix,
-    criticality_reports,
+    is_critical,
     phi_module,
     qr_fix,
     tol_scale,
@@ -198,15 +199,14 @@ def _ascent(phi, frames, params, sign, scale):
     return frames, iterations
 
 
-def _gauss_newton(frames, params, module, idx0, rows, grad_tol):
-    """Drive the module values on every frame to zero; returns (frames, iterations, ok)."""
+def _gauss_newton(frames, params, idx0, rows, grad_tol):
+    """Drive the module rows[1:] to zero; returns frames, iterations, ok and phi's (rows[0]) last value and residual."""
     m, n, p = frames.shape
     k = n - p
     iterations = np.zeros(m, dtype=int)
-    if k == 0 or p == 0 or module.rank == 0:
-        return frames, iterations, np.ones(m, dtype=bool)
     frames = frames.copy()
     ok = np.zeros(m, dtype=bool)
+    value, residual = np.zeros(m), np.zeros(m)
     active = np.ones(m, dtype=bool)
     for it in range(1, params.max_iters + 1):
         live = np.flatnonzero(active)
@@ -215,9 +215,10 @@ def _gauss_newton(frames, params, module, idx0, rows, grad_tol):
         iterations[live] = it
         nn = completions(frames[live])[:, :, p:]
         vals, first = first_jet(rows, idx0, frames[live], nn)
-        ok[live] = np.max(np.abs(first[:, 0]), axis=(1, 2)) < grad_tol
+        value[live], residual[live] = vals[:, 0], np.max(np.abs(first[:, 0]), axis=(1, 2), initial=0.0)
+        ok[live] = residual[live] < grad_tol
         r = vals[:, 1:]
-        jac = first[:, 1:].reshape(len(live), -1, p * k)  # d gamma / d A[b*k+t]
+        jac = first[:, 1:].reshape(len(live), len(rows) - 1, p * k)  # d gamma / d A[b*k+t]; p k may be 0
         delta = np.zeros((len(live), p * k))
         for i in np.flatnonzero(~ok[live]):
             delta[i] = np.linalg.lstsq(jac[i], -r[i], rcond=1e-12)[0]
@@ -229,13 +230,13 @@ def _gauss_newton(frames, params, module, idx0, rows, grad_tol):
             return norm2 < base[j] * (1.0 - params.armijo_c * s) + 1e-30
 
         frames[live], active[live], _ = _backtrack(
-            frames[live], nn, delta.reshape(-1, p, k), np.ones(len(live)), ~ok[live], 30, params.shrink, descends
+            frames[live], nn, delta.reshape(len(live), p, k), np.ones(len(live)), ~ok[live], 30, params.shrink, descends
         )
-    return frames, iterations, ok
+    return frames, iterations, ok, value, residual
 
 
 def _lockstep(phi, starts, params, sense, module):
-    """Search from each frame of an (m, n, p) stack; returns (frames, reports, converged, iterations)."""
+    """Search from each frame of an (m, n, p) stack; returns (frames, values, residuals, converged, iterations)."""
     if sense not in ("maximize", "minimize", "critical"):
         raise ValueError(f"unknown sense {sense!r}")
     idx0, rows = _module_rows(phi, module)
@@ -244,14 +245,12 @@ def _lockstep(phi, starts, params, sense, module):
     frames, iterations = starts, np.zeros(len(starts), dtype=int)
     if sense != "critical":
         frames, iterations = _ascent(phi, starts, params, 1.0 if sense == "maximize" else -1.0, scale)
-    frames, extra, ok = _gauss_newton(frames, params, module, idx0, rows, params.grad_tol * scale)
-    reports = criticality_reports(frames, phi, tol=params.grad_tol * 10, module=module)
-    converged = ok & np.array([r.is_critical for r in reports], dtype=bool)
-    return frames, reports, converged, iterations + extra
+    frames, extra, converged, values, residuals = _gauss_newton(frames, params, idx0, rows, params.grad_tol * scale)
+    return frames, values, residuals, converged, iterations + extra
 
 
 def _trials(phi, trials, params, sense, module):
-    """(frame, report, converged, iterations) of trials 0, 1, .. in order, run in lockstep blocks."""
+    """(frame, value, residual, converged, iterations) of trials 0, 1, .. in order, run in lockstep blocks."""
     for lo in range(0, trials, _TRIAL_BLOCK):
         seeds = [trial_seed(params.master_seed, t) for t in range(lo, min(trials, lo + _TRIAL_BLOCK))]
         yield from zip(*_lockstep(phi, _start_frames(phi.n, phi.p, seeds), params, sense, module))
@@ -263,8 +262,10 @@ def ascend(phi, start, params=None, sense="maximize", module=None):
         params = SearchParams()
     if module is None:
         module = phi_module(phi)
-    (frame, report, converged, iterations), = zip(*_lockstep(phi, start.frame[None], params, sense, module))
-    return AscendResult(OrientedPlane(frame), report, bool(converged), int(iterations))
+    frames, _, _, converged, iterations = _lockstep(phi, start.frame[None], params, sense, module)
+    plane = OrientedPlane(frames[0])
+    report = is_critical(plane, phi, tol=params.grad_tol * 10, module=module)
+    return AscendResult(plane, report, bool(converged[0]), int(iterations[0]))
 
 
 def comass_search(phi, trials=None, params=None, module=None):
@@ -279,7 +280,7 @@ def comass_search(phi, trials=None, params=None, module=None):
         trials = params.trials
     if module is None:
         module = phi_module(phi)
-    found = [(r.value, f) for f, r, ok, _ in _trials(phi, trials, params, "maximize", module) if ok]
+    found = [(float(v), f) for f, v, _, ok, _ in _trials(phi, trials, params, "maximize", module) if ok]
     if not found:
         raise RuntimeError("no trial converged; increase trials or max_iters")
     best = max(v for v, _ in found) - params.grad_tol * 10 * tol_scale(phi)
@@ -316,11 +317,11 @@ def critical_spectrum(phi, trials=None, params=None, cluster_tol=CLUSTER_TOL):
         trials = params.trials
     module = phi_module(phi)
     planes, values, residuals = [], [], []
-    for frame, report, converged, _ in _trials(phi, trials, params, "critical", module):
+    for frame, value, residual, converged, _ in _trials(phi, trials, params, "critical", module):
         if converged:
             planes.append(OrientedPlane(frame))
-            values.append(float(report.value))
-            residuals.append(float(report.residual_cousin))
+            values.append(float(value))
+            residuals.append(float(residual))
     clusters = _cluster_1d([abs(v) for v in values], cluster_tol)
     return CriticalCatalog(
         planes=planes,

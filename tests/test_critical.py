@@ -545,16 +545,21 @@ def test_is_critical_is_one_row_of_the_stacked_report(rng):
 @example(n=4, p_raw=2, seed=2)  # k = 1
 @example(n=6, p_raw=2, seed=3)
 def test_double_replacements_and_polar_spaces_against_brute_force(n, p_raw, seed):
-    """T of _adapted_values and polar_space against permutation expansions of explicit frames."""
+    """G and T of _adapted_values and polar_space against permutation expansions of explicit frames."""
     rng = np.random.default_rng(seed)
     p = 1 + p_raw % n
     k = n - p
     phi = random_form(rng, n, p)
     xi = OrientedPlane(qr_fix(rng.standard_normal((n, p)))[0])
     comp = xi.completion()
-    _, T = _adapted_values(phi, xi)
-    assert T.shape == (p, p, k, k)
+    phi_o, G, T = _adapted_values(phi, xi)
+    assert abs(phi_o - brute_eval(phi, comp[:, :p])) < 1e-12
+    assert G.shape == (p, k) and T.shape == (p, p, k, k)
     assert not np.any(T[np.arange(p), np.arange(p)])
+    for a, s in itertools.product(range(p), range(k)):
+        f = comp[:, :p].copy()
+        f[:, a] = comp[:, p + s]
+        assert abs(G[a, s] - brute_eval(phi, f)) < 1e-12
     for a, b in itertools.permutations(range(p), 2):
         for s, t in itertools.product(range(k), repeat=2):
             f = comp[:, :p].copy()

@@ -550,6 +550,21 @@ def test_repr_uses_literals_up_to_n9_and_coefficients_beyond():
     assert eval(text, {"AltForm": AltForm}).approx_eq(big, tol=0.0)
 
 
+def test_parse_format_round_trip_refuses_forms_without_a_literal():
+    """Degree 0 and the zero form have no literal parse_form reads: format_form raises, repr uses coeffs."""
+    for text in ("2*e", "0"):
+        with pytest.raises(ValueError, match="malformed term"):
+            parse_form(text, n=4)
+    constant, zero = AltForm.constant(4, 2.0), AltForm.zero(4, 2)
+    for a in (constant, zero, AltForm.zero(4, 0), AltForm.volume(10)):
+        with pytest.raises(ValueError, match="text literals"):
+            format_form(a)
+    assert repr(constant) == "AltForm(n=4, p=0, coeffs={(): 2.0})"
+    assert repr(zero) == "AltForm(n=4, p=2, coeffs={})"
+    for a in (constant, zero):
+        assert eval(repr(a), {"AltForm": AltForm}).approx_eq(a, tol=0.0)
+
+
 def test_parse_form_examples():
     a = parse_form("e123 + e145 - 2*e167")
     assert a.n == 7 and a.p == 3

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from calibkit import (
+    AltForm,
     OrientedPlane,
     SearchParams,
     ascend,
     associative_form,
     cartan_three_form,
     cayley_form,
+    coassociative_form,
     comass_estimate,
     comass_search,
     critical_spectrum,
     evaluate,
     is_critical,
+    parse_form,
     phi_module,
     qr_fix,
     random_plane,
@@ -23,6 +26,7 @@ from calibkit import (
     trial_seed,
 )
 from calibkit import grassmann, special_lagrangian
+from calibkit.critical import tol_scale
 from calibkit.grassmann import _cluster_1d, _lockstep, _start_frames
 
 from conftest import random_form
@@ -183,18 +187,19 @@ LOCKSTEP_FORMS = {
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_FORMS))
 @pytest.mark.parametrize("sense", ["maximize", "minimize", "critical"])
 def test_trial_alone_equals_trial_in_block(name, sense):
-    """A trial gives the same bits, iterations and report alone as inside a lockstep block."""
+    """A trial gives the same bits, iterations, value and residual alone as inside a lockstep block."""
     phi = LOCKSTEP_FORMS[name]()
     module = phi_module(phi)
     params = SearchParams(max_iters=2000, master_seed=3)
     starts = _start_frames(phi.n, phi.p, [trial_seed(3, t) for t in range(5)])
-    frames, reports, converged, iterations = _lockstep(phi, starts, params, sense, module)
+    frames, values, residuals, converged, iterations = _lockstep(phi, starts, params, sense, module)
     for t in range(len(starts)):
         alone = ascend(phi, random_plane(phi.n, phi.p, trial_seed(3, t)), params, sense=sense, module=module)
         assert np.array_equal(alone.plane.frame, frames[t])
         assert alone.iterations == iterations[t]
         assert alone.converged == converged[t]
-        assert alone.report == reports[t]
+        _, value, residual, _, _ = _lockstep(phi, starts[t : t + 1], params, sense, module)
+        assert value[0] == values[t] and residual[0] == residuals[t]
 
 
 def test_catalogs_do_not_depend_on_the_block_size(monkeypatch):
@@ -228,13 +233,65 @@ def test_comass_search_takes_the_first_trial_within_tolerance():
     phi = cayley_form()
     params = SearchParams(max_iters=2000, trials=12, master_seed=5)
     found = [
-        (r.value, f) for f, r, ok, _ in grassmann._trials(phi, 12, params, "maximize", phi_module(phi)) if ok
+        (v, f) for f, v, _, ok, _ in grassmann._trials(phi, 12, params, "maximize", phi_module(phi)) if ok
     ]
     values = [v for v, _ in found]
     assert max(values) - min(values) < 1e-12  # every converged trial ties at the comass
     value, plane = comass_search(phi, params=params)
     assert value == found[0][0]
     assert np.array_equal(plane.frame, found[0][1])
+
+
+# name -> (form, its catalog clusters and comass at 3 trials)
+DEGENERATE_FORMS = {
+    "volume": (lambda: AltForm.volume(4), [(1.0000000000000002, 3)], 0.9999999999999999),  # k = 0
+    "constant": (lambda: AltForm.constant(3, 2.0), [(2.0, 3)], 2.0),  # p = 0
+    "zero": (lambda: AltForm.zero(5, 2), [(0.0, 3)], 0.0),  # a module of rank 0
+    "e1": (lambda: parse_form("e1", n=3), [(1.0, 3)], 1.0),  # p = 1
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_FORMS))
+def test_degenerate_shapes_run_the_gauss_newton_loop(name):
+    """p k = 0, a module of rank 0 and p = 1 need no special case: each first jet already decides."""
+    make, clusters, comass = DEGENERATE_FORMS[name]
+    phi = make()
+    params = SearchParams(trials=3)
+    assert critical_spectrum(phi, params=params).clusters == clusters
+    assert comass_search(phi, params=params)[0] == comass
+    result = ascend(phi, random_plane(phi.n, phi.p, trial_seed(0, 0)), params)
+    assert result.converged and result.report.is_critical
+
+
+SEARCH_FORMS = {
+    "associative": (associative_form, 24),
+    "coassociative": (coassociative_form, 24),
+    "cayley": (cayley_form, 24),
+    "slag3": (lambda: special_lagrangian(3).calib, 24),
+    "slag4": (lambda: special_lagrangian(4).calib, 24),
+    "su3": (lambda: cartan_three_form(su_lie_algebra(3)), 24),
+    "su4": (lambda: cartan_three_form(su_lie_algebra(4)), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_FORMS))
+def test_search_values_and_residuals_pass_the_three_residual_report(name):
+    """Catalog planes and the comass maximizer are critical by is_critical, with the values the search reports."""
+    make, trials = SEARCH_FORMS[name]
+    phi = make()
+    params = SearchParams(trials=trials)
+    tol = 1e-14 * tol_scale(phi)
+    catalog = critical_spectrum(phi, params=params)
+    assert catalog.planes
+    for plane, value, residual in zip(catalog.planes, catalog.values, catalog.residuals):
+        report = is_critical(plane, phi, tol=10 * params.grad_tol)
+        assert report.is_critical
+        assert abs(report.value - value) <= tol
+        assert abs(report.residual_cousin - residual) <= tol
+    value, plane = comass_search(phi, params=params)
+    report = is_critical(plane, phi, tol=10 * params.grad_tol)
+    assert report.is_critical
+    assert abs(report.value - value) <= tol
 
 
 def test_ascent_step_scales_with_form():
