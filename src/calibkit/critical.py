@@ -58,10 +58,9 @@ def qr_fix(m):
 
 
 def completions(frames):
-    """Deterministic (m, n, n) orthonormal completions of an (m, n, p) frame stack."""
-    m, n, p = frames.shape
-    q, _ = qr_fix(np.concatenate([frames, np.broadcast_to(np.eye(n), (m, n, n))], axis=2))
-    q[:, :, :p] = frames
+    """Deterministic (m, n, n) orthonormal completions of an (m, n, p) frame stack: complete QR, frames in front."""
+    q = np.linalg.qr(frames, mode="complete")[0]
+    q[:, :, : frames.shape[2]] = frames
     return q
 
 

@@ -214,9 +214,7 @@ class AltForm:
         return float(stack_values(c, idx, m[None])[0])
 
     def __repr__(self):
-        if self.n > 9 or self.p == 0 or not self.coeffs:
-            return f"AltForm(n={self.n}, p={self.p}, coeffs={dict(sorted(self.coeffs.items()))!r})"
-        return f"AltForm(n={self.n}, p={self.p}, {format_form(self)!r})"
+        return f"AltForm(n={self.n}, p={self.p}, coeffs={dict(sorted(self.coeffs.items()))!r})"
 
 
 class SkewMap:

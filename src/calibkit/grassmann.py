@@ -3,9 +3,11 @@
 Maximization/minimization uses projected gradient steps with Armijo
 backtracking and a QR retraction.  Every sense ends with damped Gauss-Newton
 on the module residual (the values of the induced form module on the plane),
-which also reaches saddle points that plain ascent misses.  Its last jet, at
-the final frame of every converged trial, decides the trial and gives a
-catalog's value and residual; `ascend` adds the three-residual report.
+which also reaches saddle points that plain ascent misses.  Each trial
+carries its completion Q = [F N], which each retraction's one QR renews, and
+Gauss-Newton takes one jet per line-search try.  Its last jet, at the final
+frame of every converged trial, decides the trial and gives a catalog's value
+and residual; `ascend` adds the three-residual report.
 
 Multistart searches step blocks of up to _TRIAL_BLOCK = 24 trials in
 lockstep, as one (m, n, p) frame stack, so each iteration's Python, QR and
@@ -140,28 +142,37 @@ def riemann_gradient(phi, xi):
     return cousin_matrix(phi, xi)
 
 
-def _retract(frames, normals, coords):
-    """QR retraction of frame i moved by normals[i] @ coords[i].T, coords of shape (m, p, k)."""
-    q, _ = qr_fix(frames + normals @ np.swapaxes(coords, 1, 2))
+def _retract(qs, coords):
+    """QR retraction of completions Q = [F N], (m, n, n), to F + N coords[i].T; returns the moved completions.
+
+    The complete Q factor, signed so that diag(R) >= 0, has qr_fix's frame in
+    front.  The frame and Q share their p Householder reflectors, so behind it
+    are the frame's `completions`, up to round-off.
+    """
+    p = coords.shape[1]
+    q, r = np.linalg.qr(qs[:, :, :p] + qs[:, :, p:] @ np.swapaxes(coords, 1, 2), mode="complete")
+    d = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    d[d == 0] = 1.0
+    q[:, :, :p] *= d[:, None, :]
     return q
 
 
-def _backtrack(frames, normals, direction, step, pending, tries, shrink, accept):
-    """Backtracking along step * direction for the pending trials; returns (frames, moved, step).
+def _backtrack(qs, direction, step, pending, tries, shrink, accept):
+    """Backtracking from completions qs along step * direction for the pending trials; returns (qs, moved, step).
 
-    accept(j, cand, step) tells which candidates of the trials j pass.
+    accept(j, cand, step) tells which candidate completions of the trials j pass.
     """
-    frames, moved = frames.copy(), np.zeros(len(frames), dtype=bool)
+    qs, moved = qs.copy(), np.zeros(len(qs), dtype=bool)
     for _ in range(tries):
         j = np.flatnonzero(pending & ~moved)
         if not j.size:
             break
-        cand = _retract(frames[j], normals[j], step[j][:, None, None] * direction[j])
+        cand = _retract(qs[j], step[j][:, None, None] * direction[j])
         ok = accept(j, cand, step[j])
-        frames[j[ok]] = cand[ok]
+        qs[j[ok]] = cand[ok]
         moved[j[ok]] = True
         step[j[~ok]] *= shrink
-    return frames, moved, step
+    return qs, moved, step
 
 
 def _module_rows(phi, module):
@@ -170,41 +181,45 @@ def _module_rows(phi, module):
 
 
 def _ascent(phi, frames, params, sign, scale):
-    """Armijo ascent of sign * phi on every frame; returns (frames, iterations)."""
+    """Armijo ascent of sign * phi from every frame; returns (completions, iterations)."""
     phi_idx, phi_c = phi._compact()
-    frames = frames.copy()
+    qs = completions(frames)
     # the gradient scales with phi, so step lengths scale with 1 / scale
-    step = np.full(len(frames), params.step_init / scale)
-    iterations = np.zeros(len(frames), dtype=int)
-    active = np.ones(len(frames), dtype=bool)
+    step = np.full(len(qs), params.step_init / scale)
+    iterations = np.zeros(len(qs), dtype=int)
+    active = np.ones(len(qs), dtype=bool)
     for it in range(1, params.max_iters + 1):
         live = np.flatnonzero(active)
         if not live.size:
             break
         iterations[live] = it
-        nn = completions(frames[live])[:, :, phi.p :]
-        value, first = first_jet(phi_c, phi_idx, frames[live], nn)
+        value, first = first_jet(phi_c, phi_idx, qs[live, :, : phi.p], qs[live, :, phi.p :])
         gnorm2 = np.sum(first * first, axis=(1, 2))
 
         def rises(j, cand, s):
-            new_value = stack_values(phi_c, phi_idx, cand)
+            new_value = stack_values(phi_c, phi_idx, cand[:, :, : phi.p])
             return sign * (new_value - value[j]) >= params.armijo_c * s * gnorm2[j]
 
         # polished trials stop; the rest stop unless their line search succeeds
         moving = ~(np.sqrt(gnorm2) < 1e-3 * scale)
-        frames[live], active[live], trial_step = _backtrack(
-            frames[live], nn, sign * first, np.minimum(step[live] * 2.0, 10.0 / scale), moving, 60, params.shrink, rises
+        qs[live], active[live], trial_step = _backtrack(
+            qs[live], sign * first, np.minimum(step[live] * 2.0, 10.0 / scale), moving, 60, params.shrink, rises
         )
         step[live[active[live]]] = trial_step[active[live]]
-    return frames, iterations
+    return qs, iterations
 
 
-def _gauss_newton(frames, params, idx0, rows, grad_tol):
-    """Drive the module rows[1:] to zero; returns frames, iterations, ok and phi's (rows[0]) last value and residual."""
-    m, n, p = frames.shape
+def _gauss_newton(qs, params, idx0, rows, grad_tol):
+    """Drive the module rows[1:] to zero from completions qs.
+
+    Returns qs, iterations, ok and phi's (rows[0]) last value and residual.
+    Each step reads the jet that its line search took at the accepted candidate.
+    """
+    m, n, p = len(qs), qs.shape[1], idx0.shape[1]
     k = n - p
     iterations = np.zeros(m, dtype=int)
-    frames = frames.copy()
+    qs = qs.copy()
+    vals, first = first_jet(rows, idx0, qs[:, :, :p], qs[:, :, p:])
     ok = np.zeros(m, dtype=bool)
     value, residual = np.zeros(m), np.zeros(m)
     active = np.ones(m, dtype=bool)
@@ -213,26 +228,27 @@ def _gauss_newton(frames, params, idx0, rows, grad_tol):
         if not live.size:
             break
         iterations[live] = it
-        nn = completions(frames[live])[:, :, p:]
-        vals, first = first_jet(rows, idx0, frames[live], nn)
-        value[live], residual[live] = vals[:, 0], np.max(np.abs(first[:, 0]), axis=(1, 2), initial=0.0)
+        value[live], residual[live] = vals[live, 0], np.max(np.abs(first[live, 0]), axis=(1, 2), initial=0.0)
         ok[live] = residual[live] < grad_tol
-        r = vals[:, 1:]
-        jac = first[:, 1:].reshape(len(live), len(rows) - 1, p * k)  # d gamma / d A[b*k+t]; p k may be 0
+        r = vals[live, 1:]
+        jac = first[live, 1:].reshape(len(live), len(rows) - 1, p * k)  # d gamma / d A[b*k+t]; p k may be 0
         delta = np.zeros((len(live), p * k))
         for i in np.flatnonzero(~ok[live]):
             delta[i] = np.linalg.lstsq(jac[i], -r[i], rcond=1e-12)[0]
         base = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
         def descends(j, cand, s):
-            r_new = stack_values(rows, idx0, cand)[:, 1:]
+            cand_vals, cand_first = first_jet(rows, idx0, cand[:, :, :p], cand[:, :, p:])
+            r_new = cand_vals[:, 1:]
             norm2 = (r_new[:, None, :] @ r_new[:, :, None])[:, 0, 0]
-            return norm2 < base[j] * (1.0 - params.armijo_c * s) + 1e-30
+            good = norm2 < base[j] * (1.0 - params.armijo_c * s) + 1e-30
+            vals[live[j[good]]], first[live[j[good]]] = cand_vals[good], cand_first[good]
+            return good
 
-        frames[live], active[live], _ = _backtrack(
-            frames[live], nn, delta.reshape(len(live), p, k), np.ones(len(live)), ~ok[live], 30, params.shrink, descends
+        qs[live], active[live], _ = _backtrack(
+            qs[live], delta.reshape(len(live), p, k), np.ones(len(live)), ~ok[live], 30, params.shrink, descends
         )
-    return frames, iterations, ok, value, residual
+    return qs, iterations, ok, value, residual
 
 
 def _lockstep(phi, starts, params, sense, module):
@@ -242,11 +258,12 @@ def _lockstep(phi, starts, params, sense, module):
     idx0, rows = _module_rows(phi, module)
     # gradients and residuals scale with phi; the zero form keeps absolute tolerances
     scale = tol_scale(phi)
-    frames, iterations = starts, np.zeros(len(starts), dtype=int)
-    if sense != "critical":
-        frames, iterations = _ascent(phi, starts, params, 1.0 if sense == "maximize" else -1.0, scale)
-    frames, extra, converged, values, residuals = _gauss_newton(frames, params, idx0, rows, params.grad_tol * scale)
-    return frames, values, residuals, converged, iterations + extra
+    if sense == "critical":
+        qs, iterations = completions(starts), np.zeros(len(starts), dtype=int)
+    else:
+        qs, iterations = _ascent(phi, starts, params, 1.0 if sense == "maximize" else -1.0, scale)
+    qs, extra, converged, values, residuals = _gauss_newton(qs, params, idx0, rows, params.grad_tol * scale)
+    return qs[:, :, : phi.p], values, residuals, converged, iterations + extra
 
 
 def _trials(phi, trials, params, sense, module):

@@ -542,8 +542,10 @@ def test_parse_format_round_trip(rng):
         assert back.approx_eq(a, tol=1e-12)
 
 
-def test_repr_uses_literals_up_to_n9_and_coefficients_beyond():
-    assert repr(parse_form("e12 - 2*e34")) == "AltForm(n=4, p=2, 'e12 - 2*e34')"
+def test_repr_writes_the_coefficient_dict_that_eval_reads_back():
+    small = parse_form("e12 - 2*e34")
+    assert repr(small) == "AltForm(n=4, p=2, coeffs={(1, 2): 1.0, (3, 4): -2.0})"
+    assert eval(repr(small), {"AltForm": AltForm}).approx_eq(small, tol=0.0)
     big = cartan_three_form(su_lie_algebra(4))
     text = repr(big)
     assert text.startswith("AltForm(n=15, p=3, coeffs={")

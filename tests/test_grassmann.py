@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calibkit import (
     AltForm,
@@ -26,7 +28,7 @@ from calibkit import (
     trial_seed,
 )
 from calibkit import grassmann, special_lagrangian
-from calibkit.critical import tol_scale
+from calibkit.critical import completions, tol_scale
 from calibkit.grassmann import _cluster_1d, _lockstep, _start_frames
 
 from conftest import random_form
@@ -292,6 +294,32 @@ def test_search_values_and_residuals_pass_the_three_residual_report(name):
     report = is_critical(plane, phi, tol=10 * params.grad_tol)
     assert report.is_critical
     assert abs(report.value - value) <= tol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    p_raw=st.integers(0, 9),
+    scale=st.sampled_from([0.0, 1e-8, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=5, p_raw=0, scale=1.0, seed=1)  # p = 0
+@example(n=5, p_raw=5, scale=1.0, seed=2)  # p = n
+@example(n=9, p_raw=4, scale=1e3, seed=3)
+def test_retraction_carries_the_completion_of_its_frame(n, p_raw, scale, seed):
+    """Completions keep their frames; a retracted one is qr_fix's frame, then its `completions`, orthogonal."""
+    rng = np.random.default_rng(seed)
+    p = p_raw % (n + 1)
+    frames, _ = qr_fix(rng.standard_normal((3, n, p)))
+    qs = completions(frames)
+    assert np.array_equal(qs[:, :, :p], frames)
+    assert np.max(np.abs(np.swapaxes(qs, 1, 2) @ qs - np.eye(n))) <= 1e-14
+    coords = scale * rng.standard_normal((3, p, n - p))
+    moved = grassmann._retract(qs, coords)
+    expect, _ = qr_fix(frames + qs[:, :, p:] @ np.swapaxes(coords, 1, 2))
+    assert np.max(np.abs(moved[:, :, :p] - expect), initial=0.0) <= 1e-14
+    assert np.max(np.abs(moved[:, :, p:] - completions(moved[:, :, :p])[:, :, p:]), initial=0.0) <= 1e-14
+    assert np.max(np.abs(np.swapaxes(moved, 1, 2) @ moved - np.eye(n))) <= 1e-14
 
 
 def test_ascent_step_scales_with_form():
