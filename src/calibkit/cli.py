@@ -20,6 +20,7 @@ from . import calibrations, eds, grassmann
 from .calibrations import CalibrationSpec, build_calibration, build_clifford
 from .critical import (
     DEFAULT_TOL,
+    NotCriticalError,
     OrientedPlane,
     is_critical,
     phi_module,
@@ -229,6 +230,9 @@ def cmd_sff(args, cfg):
     plane = load_plane(args, phi, cfg)
     try:
         basis, all_trace_free = sff_space(plane, phi, tol=cfg["tol"])
+    except NotCriticalError as exc:
+        log(str(exc))
+        return EXIT_NEGATIVE
     except ValueError as exc:
         log(str(exc))
         return EXIT_NUMERICAL

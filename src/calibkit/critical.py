@@ -49,6 +49,10 @@ DEFAULT_TOL = 1e-8
 RANK_TOL = 1e-9
 
 
+class NotCriticalError(ValueError):
+    """sff_space was given a plane that is not critical: a negative verdict, not a failure."""
+
+
 def qr_fix(m):
     """Reduced QR of a matrix or a stack, with the sign convention diag(R) >= 0."""
     q, r = np.linalg.qr(np.asarray(m, dtype=float))
@@ -79,8 +83,8 @@ class OrientedPlane:
         if not np.isfinite(f).all():
             raise ValueError("frame columns must be finite")
         gram = f.T @ f
-        # rtol=0: a frame is kept as given only within tol of orthonormal
-        if not np.allclose(gram, np.eye(p), rtol=0.0, atol=tol):
+        # a frame is kept as given only within tol of orthonormal, entrywise
+        if not np.max(np.abs(gram - np.eye(p)), initial=0.0) <= tol:
             if not orthonormalize:
                 raise ValueError("frame columns are not orthonormal")
             f, r = qr_fix(f)
@@ -417,13 +421,14 @@ def sff_space(xi, phi, tol=DEFAULT_TOL):
     numerical null space of the system at RANK_TOL.  At a critical plane with
     phi_o != 0 every solution is trace-free: the paper's Theorem 1
     (phi-critical submanifolds with nonzero critical value are minimal).
+    Raises NotCriticalError, a ValueError, when xi is not critical.
     """
     check_fits(xi.n, xi.p, phi.n, phi.p)
     phi_o, G, T = _adapted_values(phi, xi)
     # the cousin residual alone decides criticality (see criticality_reports)
     residual = float(np.max(np.abs(G), initial=0.0))
     if not residual < tol * tol_scale(phi):
-        raise ValueError(f"plane is not critical (residual {residual:.3e})")
+        raise NotCriticalError(f"plane is not critical (residual {residual:.3e})")
     p, k = G.shape
     if k == 0:
         return [], False

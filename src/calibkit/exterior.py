@@ -38,23 +38,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-# floats (256 KB) that first_jet gathers at once into any one of its minors,
-# normals and replacement arrays, and of the Leibniz factors or SVD factors
-# that one determinant or cofactor step gathers
+# floats (256 KB) that first_jet holds at once in any one of its sub-minor
+# table, gathered normals, cofactors and replacements
 _MINOR_BLOCK = 1 << 15
-# minors up to this size take their determinants as Leibniz sums, larger ones
-# by LU (measured on 500 minors: 90 against 146 us at p = 4, but 544 against
-# 204 us at p = 5).  No built-in family has p > 4, and eds evaluates forms of
-# degree p > n/2 through orthonormal_jet, so only custom forms with p >= 5
-# reach LU: in apply, _rho_stack, the searches, sff and eds (p <= n/2)
-_LEIBNIZ_P = 4
-# from this minor size on, first_jet takes cofactors from one SVD per minor,
-# below it as Leibniz sums (measured on module rows at a random plane: the
-# sums win at p = 5, 0.37 against 0.46 ms for the p = 5 su3 dual, which eds
-# now takes on 3 x 3 minors, and lose at p = 6, 6.9 against 0.86 ms for a
-# random 6-form on R^9).  Only custom forms with p >= 6 reach the SVD: in
-# is_critical, the searches, sff and eds (p <= n/2)
-_SVD_COFACTOR_P = 6
 
 
 def sort_index(idx):
@@ -355,83 +341,71 @@ def form_inner(a, b):
     return float(sum(c * b.coeffs.get(I, 0.0) for I, c in a.coeffs.items()))
 
 
-@functools.lru_cache(maxsize=None)
-def _leibniz_terms(p, cofactors):
-    """Flat gather indices (f, T) into a p x p minor and signs (T, 1) of its Leibniz terms.
+@functools.lru_cache(maxsize=128)
+def _minor_plan(n, t, p, key, jet):
+    """How first_jet fills one frame's sub-minor table for the t rows of idx0 (key: their bytes).
 
-    det A = sum over permutations s of sgn(s) prod_i A[i, s(i)]: p! terms of
-    f = p factors.  The cofactor (r, c) is the derivative of det A in A[r, c]:
-    the (p-1)! terms with s(r) = c, factor r dropped (f = p - 1).  Cofactor
-    terms are laid out term-major, so term j of the p^2 cofactors (row-major)
-    fills columns j p^2 .. (j + 1) p^2.
+    A frame F's table holds, in order, the entry 1 (the 0 x 0 sub-minor),
+    F and -F flattened (the 1 x 1 sub-minors and their negatives), then,
+    level by level for j = 2 .. p - 1, each sub-minor M[C, R] = det F[R, C]
+    (C a column set, R a row tuple, |C| = |R| = j) that the support needs,
+    expanded along C's last column:
+        M[C, R] = sum_i (-1)^(i + j - 1) F[R_i, C[-1]] M[C - C[-1], R - R_i].
+    The cofactor (r, b) of the minor frame[I] is (-1)^(r + b) M[cols - b,
+    I - I_r], and det I = sum_r F[I_r, 0] cofactor(r, 0); without the jet
+    only column 0's cofactors are needed.  Returns (size, levels, dets,
+    cof): each level is (offset, f, g), whose E entries are the sums over
+    the rows of the products of table[f] and table[g] (both (j, E)); dets is
+    the (f, g) pair of the t determinants; cof is the table positions and
+    signs of the t p^2 cofactors (row-major per minor), or None.
     """
-    perms = list(itertools.permutations(range(p)))
-    if cofactors:
-        entries = [[(s, r) for s in perms if s[r] == c] for r in range(p) for c in range(p)]
-        terms = [entry[j] for j in range(math.factorial(p - 1)) for entry in entries]
-    else:
-        terms = [(s, None) for s in perms]
-    idx = np.array([[i * p + s[i] for i in range(p) if i != drop] for s, drop in terms], dtype=np.intp)
-    idx = np.ascontiguousarray(idx.reshape(len(terms), p - cofactors).T)
-    sign = np.array([[sort_index(s)[0]] for s, _ in terms], dtype=float)
-    idx.flags.writeable = sign.flags.writeable = False  # shared by every caller through the cache
-    return idx, sign
+    idx = np.frombuffer(key, dtype=np.intp).reshape(t, p)
+    if idx.size and not 0 <= idx.min() <= idx.max() < n:
+        raise IndexError(f"minor rows must lie in 0..{n - 1}")
+    rows = list(map(tuple, idx.tolist()))
+    cols = tuple(range(p))
+    drop = lambda tup, i: tup[:i] + tup[i + 1 :]  # noqa: E731
+
+    def entry(r, c, sign):  # position of sign * F[r, c]
+        return 1 + (sign < 0) * n * p + r * p + c
+
+    pos = {((), ()): 0}
+    pos.update({((c,), (r,)): entry(r, c, 1) for r in range(n) for c in range(p)})
+    needed = {p - 1: {(drop(cols, b), drop(I, r)) for I in rows for r in range(p) for b in range(p if jet else 1)}}
+    for j in range(p - 1, 2, -1):
+        needed[j - 1] = {(C[:-1], drop(R, i)) for C, R in needed[j] for i in range(j)}
+    size, levels = 1 + 2 * n * p, []
+    for j in range(2, p):
+        level = sorted(needed[j])
+        f = [[entry(R[i], C[-1], (-1) ** (i + j - 1)) for C, R in level] for i in range(j)]
+        g = [[pos[C[:-1], drop(R, i)] for C, R in level] for i in range(j)]
+        levels.append((size, np.array(f, dtype=np.intp), np.array(g, dtype=np.intp)))
+        pos.update(zip(level, range(size, size + len(level))))
+        size += len(level)
+    # a 0 x 0 minor has det 1 = 1 * 1
+    f = [[entry(I[r], 0, (-1) ** r) for I in rows] for r in range(p)] if p else [[0] * t]
+    g = [[pos[cols[1:], drop(I, r)] for I in rows] for r in range(p)] if p else [[0] * t]
+    dets = tuple(np.array(x, dtype=np.intp).reshape(max(p, 1), t) for x in (f, g))
+    cof = None
+    if jet:
+        at = [(I, r, b) for I in rows for r in range(p) for b in range(p)]
+        cof = (
+            np.array([pos[drop(cols, b), drop(I, r)] for I, r, b in at], dtype=np.intp),
+            np.array([(-1.0) ** (r + b) for _, r, b in at]),
+        )
+    for arr in [a for level in levels for a in level[1:]] + list(dets) + list(cof or ()):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return size, levels, dets, cof
 
 
-def _leibniz(minors, cofactors):
-    """Determinants (N,) or cofactor matrices (N, p, p) of an (N, p, p) stack, as Leibniz sums.
-
-    Each block of minors takes at most _MINOR_BLOCK floats of factors from
-    the planar (p^2, N) view of the minors.  It gathers them one factor at a
-    time, multiplies each into the signed terms in place and sums the terms
-    by halving in place, so it holds two arrays of one factor's size.  Every
-    operation is elementwise per minor, so a minor gets the same bits alone
-    as in any stack.
-    """
-    n_min, p = minors.shape[0], minors.shape[-1]
-    idx, sign = _leibniz_terms(p, cofactors)
-    out = np.empty((n_min, p * p if cofactors else 1))
-    planar = minors.reshape(n_min, p * p).T
-    step = max(1, _MINOR_BLOCK // max(1, idx.size))
-    for lo in range(0, n_min, step):
-        block = planar[:, lo : lo + step]
-        b = block.shape[1]
-        terms = sign * block[idx[0]] if len(idx) else np.repeat(sign, b, axis=1)  # (T, b)
-        for row in idx[1:]:
-            terms *= block[row]
-        terms = terms.reshape(-1, out.shape[1], b)
-        while len(terms) > 1:
-            half = len(terms) // 2
-            terms[:half] += terms[half : 2 * half]
-            if len(terms) % 2:
-                terms[0] += terms[-1]
-            terms = terms[:half]
-        out[lo : lo + step] = terms[0].T
-    return out.reshape(minors.shape) if cofactors else out[:, 0]
-
-
-def _cofactors(minors):
-    """Cofactor matrices (N, p, p) of an (N, p, p) stack of minors, p >= 1.
-
-    Below p = _SVD_COFACTOR_P they are Leibniz sums (_leibniz); from there
-    on they come from one SVD per minor.  Neither path takes an inverse, so
-    singular minors need no care.
-    """
-    p = minors.shape[-1]
-    if p < _SVD_COFACTOR_P:
-        return _leibniz(minors, True)
-    # A = U diag(s) V^T has cofactors det(U) det(V) U diag(prod_{j != i} s_j) V^T;
-    # prefix and suffix products need no division, so singular minors stay exact
-    cof = np.empty(minors.shape)
-    step = max(1, _MINOR_BLOCK // (3 * p * p))
-    for lo in range(0, len(minors), step):
-        u, s, vt = np.linalg.svd(minors[lo : lo + step])
-        ones = np.ones((len(s), 1))
-        pre = np.cumprod(np.concatenate([ones, s[:, :-1]], axis=1), axis=1)
-        suf = np.cumprod(np.concatenate([ones, s[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-        det_uv = np.sign(np.linalg.det(u) * np.linalg.det(vt))
-        cof[lo : lo + step] = (u * (det_uv[:, None] * pre * suf)[:, None, :]) @ vt
-    return cof
+def _expand(table, f, g, out):
+    """out (E, b) = sum over the rows of table[f] * table[g], added in row order."""
+    terms = table.take(f, axis=0)  # (j, E, b)
+    terms *= table.take(g, axis=0)
+    out[...] = terms[0]
+    for row in terms[1:]:
+        out += row
+    return out
 
 
 def first_jet(coeff_mat, idx0, frames, normals):
@@ -444,44 +418,54 @@ def first_jet(coeff_mat, idx0, frames, normals):
     column b replaced by normals[i, :, s].  Since det is linear in each
     column, det(F_bs[I]) = sum_r cof_I[r, b] * normal[I_r, s], so every
     replacement comes from the cofactors of the t minors frame[I].  Every
-    evaluation in calibkit comes here.  Frames go in blocks whose minors
-    (t p^2 floats a frame), gathered normals and replacements (t p k each)
-    each take at most _MINOR_BLOCK floats; the minors are gathered once for
-    the determinants and the cofactors.  Up to p = _LEIBNIZ_P (every search)
-    both are elementwise Leibniz sums, with no LAPACK call; larger
-    determinants take LU.  Each frame is contracted on its own by a broadcast
-    matmul, so it gets the same bits alone as in any stack.  p = 0 (a 0 x 0
-    minor has det 1) and forms without terms need no special case.  No
-    built-in family has p > 4, and eds takes forms of degree p > n/2 through
-    orthonormal_jet, so only custom forms reach LU (p >= 5) and the SVD
-    cofactors (p >= 6).
+    evaluation in calibkit comes here, for every p.  The minors of a frame
+    share their sub-minors, so each frame fills one table of them
+    (_minor_plan), level by level, with elementwise gather-multiply-add
+    steps: no division, no LAPACK call.  The cofactors are signed gathers
+    from the table, and each determinant is its minor's expansion along
+    column 0, so a value gets the same bits with or without normals.  The
+    table is planar (entries, frames), so a gather moves one row of the
+    block's frames at a time.  Frames go in blocks whose table, gathered
+    normals, cofactors and replacements each take at most _MINOR_BLOCK
+    floats.  Each frame is contracted on its own by a broadcast matmul, so
+    it gets the same bits alone as in any stack.  p = 0 (a 0 x 0 minor has
+    det 1) and forms without terms need no special case.
     """
     coeff_mat = np.asarray(coeff_mat, dtype=float)
     frames = np.asarray(frames, dtype=float)
     normals = np.asarray(normals, dtype=float)
+    idx0 = np.ascontiguousarray(idx0, dtype=np.intp)
     t, p = idx0.shape
-    m, k = frames.shape[0], normals.shape[-1]
+    m, n, k = frames.shape[0], frames.shape[1], normals.shape[-1]
     lead = coeff_mat.shape[:-1]
     coeffs = coeff_mat.reshape(math.prod(lead), t)
+    size, levels, dets_at, cof_at = _minor_plan(n, t, p, idx0.tobytes(), bool(p and k))
     # the outputs are concatenated from the blocks, so they are allocated after
     # the block temporaries; preallocating them let malloc hand the freed
     # temporaries back to the OS after every call (2.6x the page faults in a
     # search-su4 pass); an empty stack still makes one (empty) block
     values, first = [], []
-    step = max(1, _MINOR_BLOCK // max(1, t * p * max(p, k)))
+    step = max(1, _MINOR_BLOCK // max(size, t * p * max(p, k)))
     for lo in range(0, max(m, 1), step):
-        # np.take gathers C-contiguous blocks, so every frame is contracted
-        # with unit strides whatever the size of the stack
-        minors = np.take(frames[lo : lo + step], idx0, axis=1)  # (b, t, p, p)
-        b = len(minors)
-        flat = minors.reshape(b * t, p, p)
-        dets = _leibniz(flat, False) if p <= _LEIBNIZ_P else np.linalg.det(flat)
-        values.append(coeffs @ dets.reshape(b, t, 1))
-        if p and k:
-            cof = _cofactors(flat).reshape(b, t, p, p)
-            del minors, flat  # so the block holds only cofactors, gathered normals and replacements
-            repl = np.swapaxes(cof, -1, -2) @ np.take(normals[lo : lo + step], idx0, axis=1)  # (b, t, p, k)
-            first.append(coeffs @ repl.reshape(b, t, p * k))
+        block = frames[lo : lo + step]
+        b = len(block)
+        block = block.reshape(b, n * p).T
+        table = np.empty((size, b))
+        table[0] = 1.0
+        table[1 : 1 + n * p] = block
+        np.negative(block, out=table[1 + n * p : 1 + 2 * n * p])
+        for off, f, g in levels:
+            _expand(table, f, g, table[off : off + f.shape[1]])
+        dets = _expand(table, *dets_at, np.empty((t, b)))
+        # C-contiguous, so every frame is contracted with unit strides
+        # whatever the size of the stack
+        values.append(coeffs @ np.ascontiguousarray(dets.T).reshape(b, t, 1))
+        if cof_at is not None:
+            cof = np.empty((b, t * p * p))
+            np.multiply(table.take(cof_at[0], axis=0).T, cof_at[1], out=cof)
+            del table  # so the block holds only cofactors, gathered normals and replacements
+            repl = np.swapaxes(cof.reshape(b, t, p, p), -1, -2) @ normals[lo : lo + step].take(idx0, axis=1)
+            first.append(coeffs @ repl.reshape(b, t, p * k))  # repl: (b, t, p, k)
     values = np.concatenate(values).reshape((m,) + lead)
     if not first:
         return values, np.zeros((m,) + lead + (p, k))
@@ -530,9 +514,9 @@ def orthonormal_jet(coeff_mat, idx0, completions, p, jet=True):
     of p x p ones: gamma(F) = det Q (*gamma)(N) for Q = [F N], and turning
     column b of F towards column s of N turns column s of N away from column
     b of F, so the replacement (b, s) of gamma is -det Q times the
-    replacement (s, b) of *gamma at N with normals F.  For the p = 12 dual
-    of the su(4) form this trades 455 LU determinants and SVD cofactors for
-    Leibniz sums of 3 x 3 minors.
+    replacement (s, b) of *gamma at N with normals F.  So the p = 12 dual of
+    the su(4) form fills sub-minor tables of 3 x 3 minors, not of 12 x 12
+    ones, whose eleven levels would hold 271,232 entries a frame.
     """
     completions = np.asarray(completions, dtype=float)
     n = completions.shape[-1]

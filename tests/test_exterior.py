@@ -301,9 +301,16 @@ def test_stack_evaluation_is_independent_of_the_stack(rng, family):
         assert values[j] == stack_values(c, idx0, frame[None])[0] == phi.apply(frame)
 
 
-def gather_step(t, p, k):
-    """Frames in one first_jet gather block: minors, normals and replacements each fit _MINOR_BLOCK."""
-    return exterior._MINOR_BLOCK // max(1, t * p * max(p, k))
+def frame_floats(idx0, n, k):
+    """Floats a frame takes in the largest of first_jet's sub-minor table, normals, cofactors and replacements."""
+    t, p = idx0.shape
+    size = exterior._minor_plan(n, t, p, np.ascontiguousarray(idx0, dtype=np.intp).tobytes(), bool(p and k))[0]
+    return max(size, t * p * max(p, k))
+
+
+def gather_step(idx0, n, k):
+    """Frames in one first_jet block: each of its arrays fits _MINOR_BLOCK."""
+    return exterior._MINOR_BLOCK // frame_floats(idx0, n, k)
 
 
 def test_first_jet_over_several_gather_blocks_matches_single_frames(rng):
@@ -312,14 +319,14 @@ def test_first_jet_over_several_gather_blocks_matches_single_frames(rng):
     idx0, c = phi._compact()
     # as many frames as the double replacements of an su4 sff check: p^2 k^2
     stack = rng.standard_normal((1296, phi.n, phi.p))
-    assert len(stack) > gather_step(len(c), phi.p, 0)
+    assert len(stack) > gather_step(idx0, phi.n, 0)
     values = stack_values(c, idx0, stack)
     assert np.array_equal(values, [stack_values(c, idx0, f[None])[0] for f in stack])
     # module rows: a block holds 2 frames, so 20 frames take ten blocks
     module = phi_module(phi)
     frames = rng.standard_normal((20, phi.n, phi.p))
     normals = rng.standard_normal((20, phi.n, phi.n - phi.p))
-    assert len(frames) > gather_step(len(module._idx0), phi.p, phi.n - phi.p)
+    assert len(frames) > gather_step(module._idx0, phi.n, phi.n - phi.p)
     values, first = first_jet(module.dense_matrix(), module._idx0, frames, normals)
     for i in range(len(frames)):
         alone = first_jet(module.dense_matrix(), module._idx0, frames[i : i + 1], normals[i : i + 1])
@@ -336,7 +343,7 @@ def test_first_jet_with_more_normals_than_columns_over_several_blocks(rng):
     frame, normal = comp[:, :p], comp[:, p:]
     frames = replaced_frames(frame, normal)  # as critical._adapted_values builds them
     normals = np.broadcast_to(normal, (p * k, n, k))
-    assert k > p and len(frames) > gather_step(len(c), p, k) > 0
+    assert k > p and len(frames) > gather_step(idx0, n, k) > 0
     values, first = first_jet(c, idx0, frames, normals)
     for i in range(len(frames)):
         alone = first_jet(c, idx0, frames[i : i + 1], normals[i : i + 1])
@@ -434,89 +441,102 @@ def test_orthonormal_jet_complement_path_matches_explicit_replacements(n, p_raw,
     assert np.array_equal(starred, basis)
 
 
-@pytest.mark.parametrize("n, p, k", [(7, 4, 3), (8, 5, 3), (8, 6, 2), (8, 7, 2), (6, 6, 2)])
-def test_first_jet_svd_and_cofactor_paths_agree(monkeypatch, n, p, k):
-    """Both cofactor paths, on either side of _SVD_COFACTOR_P, against each other and brute_eval.
-
-    k normals need not complete the frame, so p = n has replacements too.  The
-    integer frames repeat a column (every minor singular, adjugates of rank
-    at most 1) or draw from {-1, 0, 1} (many singular minors).
-    """
-    rng = np.random.default_rng(10 * n + p)
-    phi = random_form(rng, n, p, density=0.25)  # brute_eval costs p! per term
-    idx0, c = phi._compact()
-    frames = np.stack(
-        [
-            rng.uniform(-1.0, 1.0, (n, p)),
-            rng.integers(-1, 2, (n, p)).astype(float),
-            rng.integers(-1, 2, (n, p)).astype(float),
-        ]
-    )
-    frames[2, :, -1] = frames[2, :, 0]
-    normals = rng.integers(-1, 2, (3, n, k)).astype(float)
-    jets = []
-    for threshold in (p + 1, p):  # the cofactor path, then the SVD path
-        monkeypatch.setattr(exterior, "_SVD_COFACTOR_P", threshold)
-        jets.append(first_jet(c, idx0, frames, normals))
-    (values, cof_first), (svd_values, svd_first) = jets
-    assert np.array_equal(values, svd_values)
-    assert np.max(np.abs(svd_first - cof_first)) < 1e-12
-    for i in range(3):
-        oracle = [brute_eval(phi, f) for f in replaced_frames(frames[i], normals[i])]
-        assert np.max(np.abs(svd_first[i].reshape(p * k) - oracle)) < 1e-12
-
-
-def small_minors(rng, p, count=40):
-    """Random, {-1, 0, 1}-integer and repeated-column (singular) p x p minors."""
-    integral = rng.integers(-1, 2, (count, p, p)).astype(float)
-    repeated = rng.uniform(-1.0, 1.0, (count, p, p))
-    repeated[:, :, -1] = repeated[:, :, 0]
-    return np.concatenate([rng.uniform(-1.0, 1.0, (count, p, p)), integral, repeated])
-
-
 def lu_cofactors(minors):
     """Cofactors as signed LU determinants of the (p-1)-minors, singular minors included."""
     p = minors.shape[-1]
     cof = np.empty(minors.shape)
     for r, c in itertools.product(range(p), repeat=2):
-        sub = np.delete(np.delete(minors, r, axis=1), c, axis=2)
-        cof[:, r, c] = (-1.0) ** (r + c) * (np.linalg.det(sub) if p > 1 else 1.0)
+        sub = np.delete(np.delete(minors, r, axis=-2), c, axis=-1)
+        cof[..., r, c] = (-1.0) ** (r + c) * (np.linalg.det(sub) if p > 1 else 1.0)
     return cof
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
-def test_leibniz_minors_match_lu_and_svd(monkeypatch, rng, p):
-    """The closed-form determinants and cofactors against LU and against the SVD cofactor path."""
-    minors = small_minors(rng, p)
-    assert np.max(np.abs(exterior._leibniz(minors, False) - np.linalg.det(minors))) < 1e-12
-    cof = exterior._leibniz(minors, True)
-    assert np.max(np.abs(cof - lu_cofactors(minors))) < 1e-12
-    assert np.array_equal(exterior._cofactors(minors), cof)  # below _SVD_COFACTOR_P
-    monkeypatch.setattr(exterior, "_SVD_COFACTOR_P", 1)
-    assert np.max(np.abs(exterior._cofactors(minors) - cof)) < 1e-12
-    # integer minors have integer determinants and cofactors, which the sums hit exactly
-    integral = minors[40:80]
-    assert np.array_equal(exterior._leibniz(integral, False), np.round(np.linalg.det(integral)))
-    assert np.array_equal(cof[40:80], np.round(lu_cofactors(integral)))
+def kernel_frames(rng, kind, m, n, p):
+    """m frames: uniform in [-1, 1], {-1, 0, 1}-integer, or uniform with a repeated column."""
+    if kind == "integral":
+        return rng.integers(-1, 2, (m, n, p)).astype(float)
+    frames = rng.uniform(-1.0, 1.0, (m, n, p))
+    if kind == "repeated" and p > 1:
+        frames[:, :, -1] = frames[:, :, 0]  # every minor singular, adjugates of rank at most 1
+    return frames
 
 
-def test_leibniz_over_several_gather_blocks_matches_single_minors(rng):
-    """At p = 4 a stack spanning several Leibniz gather blocks gives each minor the bits it gets alone."""
-    minors = small_minors(rng, 4, count=250)
-    for cofactors in (False, True):
-        idx, _ = exterior._leibniz_terms(4, cofactors)
-        assert len(minors) > 2 * (exterior._MINOR_BLOCK // idx.size)
-        stacked = exterior._leibniz(minors, cofactors)
-        assert np.array_equal(stacked, [exterior._leibniz(a[None], cofactors)[0] for a in minors])
-    # through first_jet, with one term: a frame alone has a single minor
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    p_raw=st.integers(0, 9),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["uniform", "integral", "repeated"]),
+)
+@example(n=9, p_raw=7, seed=1, kind="uniform")  # p = 7
+@example(n=8, p_raw=6, seed=2, kind="repeated")  # p = 6, once SVD cofactors
+@example(n=9, p_raw=9, seed=3, kind="integral")  # p = n = 9
+@example(n=3, p_raw=0, seed=4, kind="uniform")  # p = 0
+def test_minor_table_matches_lu_and_brute_force(n, p_raw, seed, kind):
+    """The sub-minor table's determinants, cofactors and jets against LU and brute_eval.
+
+    With the identity as coefficients over every p-index and the basis
+    vectors as normals, first_jet returns the minors' determinants, and
+    first[I, b, I_r] is the cofactor (r, b) of the minor I.
+    """
+    rng = np.random.default_rng(seed)
+    p = p_raw % (n + 1)
+    idx0 = np.array(canonical_indices(n, p), dtype=np.intp).reshape(math.comb(n, p), p) - 1
+    t, m = len(idx0), 3
+    frames = kernel_frames(rng, kind, m, n, p)
+    eye = np.broadcast_to(np.eye(n), (m, n, n))
+    dets, first = first_jet(np.eye(t), idx0, frames, eye)
+    assert np.array_equal(stack_values(np.eye(t), idx0, frames), dets)
+    if p == 0:
+        assert np.array_equal(dets, np.ones((m, 1)))
+    else:
+        cof = first[:, np.arange(t)[:, None, None], np.arange(p), idx0[:, :, None]]  # (m, t, r, b)
+        minors = frames.take(idx0, axis=1)
+        lu_dets, lu_cof = np.linalg.det(minors), lu_cofactors(minors)
+        assert np.max(np.abs(dets - lu_dets)) < 1e-12
+        assert np.max(np.abs(cof - lu_cof)) < 1e-12
+        if kind == "integral":  # integer minors have integer determinants and cofactors, hit exactly
+            assert np.array_equal(dets, np.round(lu_dets)) and np.array_equal(cof, np.round(lu_cof))
+    # a random form and normals against the brute-force oracle, which costs
+    # p! per term: every frame up to p = 6, the first one at p = 7
+    k = n - p
+    normals = kernel_frames(rng, kind, m, n, k)
+    if p <= 7:
+        phi = random_form(rng, n, p, density=min(1.0, 3 / math.comb(n, p)))
+        idx, c = phi._compact()
+        values, first = first_jet(c, idx, frames, normals)
+        for i in range(m if p <= 6 else 1):
+            stack = np.concatenate([frames[i][None], replaced_frames(frames[i], normals[i])])
+            got = np.concatenate([[values[i]], first[i].reshape(p * k)])
+            assert np.max(np.abs(got - [brute_eval(phi, f) for f in stack])) < 1e-12
+    # a stack over three gather blocks gives each frame the bits it gets alone
+    rows = rng.uniform(-1.0, 1.0, (2, t))
+    frames, normals = kernel_frames(rng, kind, 5, n, p), kernel_frames(rng, kind, 5, n, k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exterior, "_MINOR_BLOCK", 2 * frame_floats(idx0, n, k))
+        assert gather_step(idx0, n, k) == 2
+        values, first = first_jet(rows, idx0, frames, normals)
+        for i in range(len(frames)):
+            alone = first_jet(rows, idx0, frames[i : i + 1], normals[i : i + 1])
+            assert np.array_equal(values[i], alone[0][0]) and np.array_equal(first[i], alone[1][0])
+
+
+def test_first_jet_of_one_minor_over_several_gather_blocks_matches_single_frames(rng):
+    """A one-term 4-form's stack over several gather blocks gives each frame the bits it gets alone."""
     phi = AltForm.basis(8, 1, 2, 3, 4)
     idx0, c = phi._compact()
-    frames = rng.standard_normal((300, 8, 4))
-    normals = rng.standard_normal((300, 8, 4))
+    count = 2 * gather_step(idx0, 8, 4) + 1
+    frames = kernel_frames(rng, "uniform", count, 8, 4)
+    normals = kernel_frames(rng, "integral", count, 8, 4)
     values, first = first_jet(c, idx0, frames, normals)
     for i in range(len(frames)):
         alone = first_jet(c, idx0, frames[i : i + 1], normals[i : i + 1])
         assert values[i] == alone[0][0] and np.array_equal(first[i], alone[1][0])
+
+
+def test_first_jet_rejects_rows_outside_the_frame():
+    with pytest.raises(IndexError):
+        stack_values(np.ones(1), np.array([[0, 7]]), np.zeros((1, 7, 2)))
 
 
 def test_evaluate_accepts_frames_and_planes(rng):

@@ -246,7 +246,7 @@ def test_comass_search_takes_the_first_trial_within_tolerance():
 
 # name -> (form, its catalog clusters and comass at 3 trials)
 DEGENERATE_FORMS = {
-    "volume": (lambda: AltForm.volume(4), [(1.0000000000000002, 3)], 0.9999999999999999),  # k = 0
+    "volume": (lambda: AltForm.volume(4), [(1.0, 3)], 0.9999999999999998),  # k = 0
     "constant": (lambda: AltForm.constant(3, 2.0), [(2.0, 3)], 2.0),  # p = 0
     "zero": (lambda: AltForm.zero(5, 2), [(0.0, 3)], 0.0),  # a module of rank 0
     "e1": (lambda: parse_form("e1", n=3), [(1.0, 3)], 1.0),  # p = 1
