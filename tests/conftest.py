@@ -49,3 +49,32 @@ def perm_sign(perm):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def svd_cofactors(minors):
+    """Cofactors of an (..., p, p) stack, one SVD per minor: an oracle apart from first_jet's sub-minor table.
+
+    A = U diag(s) V^T has cofactors det(U) det(V) U diag(prod_{j != i} s_j) V^T;
+    prefix and suffix products need no division, so singular minors stay exact.
+    """
+    u, s, vt = np.linalg.svd(minors)
+    ones = np.ones(s.shape[:-1] + (1,))
+    pre = np.cumprod(np.concatenate([ones, s[..., :-1]], axis=-1), axis=-1)
+    suf = np.cumprod(np.concatenate([ones, s[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+    det_uv = np.sign(np.linalg.det(u) * np.linalg.det(vt))
+    return (u * (det_uv[..., None] * pre * suf)[..., None, :]) @ vt
+
+
+def svd_jet(coeff_mat, idx0, frames, normals):
+    """The replacements (m, ..., p, k) of first_jet, from the SVD cofactors of the minors frame[I]."""
+    coeff_mat = np.asarray(coeff_mat, dtype=float)
+    idx0 = np.asarray(idx0, dtype=np.intp)
+    frames, normals = np.asarray(frames, dtype=float), np.asarray(normals, dtype=float)
+    (t, p), m, k = idx0.shape, len(frames), normals.shape[-1]
+    lead = coeff_mat.shape[:-1]
+    if p == 0 or k == 0:
+        return np.zeros((m,) + lead + (p, k))
+    cof = svd_cofactors(frames.take(idx0, axis=1))  # (m, t, p, p)
+    repl = np.swapaxes(cof, -1, -2) @ normals.take(idx0, axis=1)  # (m, t, p, k)
+    first = np.einsum("lt,mtx->mlx", coeff_mat.reshape(-1, t), repl.reshape(m, t, p * k))
+    return first.reshape((m,) + lead + (p, k))

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from calibkit import CalibrationSpec, OrientedPlane, build_calibration, cli
+from calibkit import CalibrationSpec, OrientedPlane, build_calibration, cli, critical, eds, exterior, grassmann
 from calibkit.cli import main
+
+from conftest import svd_jet
 
 
 def run(capsys, *argv):
@@ -125,23 +127,35 @@ def test_eds_subcommand(capsys):
     assert json.loads(out)["cartan_bound"] == 3
 
 
-def eds_payload(capsys, literal, n):
-    """The eds payload of a custom form, the same bytes in two runs."""
+def eds_payload_both_cofactor_paths(capsys, monkeypatch, literal, n):
+    """The eds payload of a custom form, checked equal with first_jet's replacements taken from SVD cofactors."""
     args = ("eds", "--family", "custom", "--form", literal, "--n", str(n), "--trials", "3", "--json")
-    code, out, _ = run(capsys, *args)
-    assert run(capsys, *args) == (code, out, "")
-    return json.loads(out)
+    code, table_out, _ = run(capsys, *args)
+    table_jet, degrees = exterior.first_jet, set()
+
+    def svd_first_jet(coeff_mat, idx0, frames, normals):
+        values, _ = table_jet(coeff_mat, idx0, frames, normals)
+        first = svd_jet(coeff_mat, idx0, frames, normals)
+        if first.size:
+            degrees.add(np.shape(idx0)[1])
+        return values, first
+
+    for module in (exterior, critical, eds, grassmann):
+        monkeypatch.setattr(module, "first_jet", svd_first_jet)
+    assert run(capsys, *args) == (code, table_out, "")
+    assert degrees  # the run took replacements from SVD cofactors
+    return json.loads(table_out)
 
 
-def test_eds_payload_of_a_dual_above_half_degree(capsys):
+def test_eds_payload_independent_of_cofactor_path(capsys, monkeypatch):
     """The p = 6 dual of e123 on R^9 is evaluated through its own star, on 3 x 3 minors."""
-    payload = eds_payload(capsys, "e123", 9)
+    payload = eds_payload_both_cofactor_paths(capsys, monkeypatch, "e123", 9)
     assert payload["hodge_dual"] == {"codim_p": 18, "codim_dual": 18}
 
 
-def test_eds_payload_at_half_degree(capsys):
+def test_eds_payload_independent_of_cofactor_path_at_half_degree(capsys, monkeypatch):
     """e123456 on R^12 and its dual (p = n/2) take first_jet's 6 x 6 minors."""
-    payload = eds_payload(capsys, "e123456", 12)
+    payload = eds_payload_both_cofactor_paths(capsys, monkeypatch, "e123456", 12)
     assert payload["hodge_dual"] == {"codim_p": 36, "codim_dual": 36}
 
 

@@ -35,7 +35,7 @@ from calibkit import exterior
 from calibkit.exterior import sort_index
 from calibkit.grassmann import _module_rows
 
-from conftest import brute_eval, perm_sign, random_form
+from conftest import brute_eval, perm_sign, random_form, svd_cofactors, svd_jet
 
 
 # -- oracles ----------------------------------------------------------------
@@ -441,6 +441,35 @@ def test_orthonormal_jet_complement_path_matches_explicit_replacements(n, p_raw,
     assert np.array_equal(starred, basis)
 
 
+@pytest.mark.parametrize("n, p, k", [(7, 4, 3), (8, 5, 3), (8, 6, 2), (8, 7, 2), (6, 6, 2)])
+def test_first_jet_svd_and_cofactor_paths_agree(n, p, k):
+    """The sub-minor table's cofactors against SVD cofactors (svd_jet) and brute_eval.
+
+    k normals need not complete the frame, so p = n has replacements too.  The
+    integer frames repeat a column (every minor singular, adjugates of rank
+    at most 1) or draw from {-1, 0, 1} (many singular minors).
+    """
+    rng = np.random.default_rng(10 * n + p)
+    phi = random_form(rng, n, p, density=0.25)  # brute_eval costs p! per term
+    idx0, c = phi._compact()
+    frames = np.stack(
+        [
+            rng.uniform(-1.0, 1.0, (n, p)),
+            rng.integers(-1, 2, (n, p)).astype(float),
+            rng.integers(-1, 2, (n, p)).astype(float),
+        ]
+    )
+    frames[2, :, -1] = frames[2, :, 0]
+    normals = rng.integers(-1, 2, (3, n, k)).astype(float)
+    values, first = first_jet(c, idx0, frames, normals)
+    assert np.array_equal(values, stack_values(c, idx0, frames))
+    assert np.max(np.abs(svd_jet(c, idx0, frames, normals) - first)) < 1e-12
+    for i in range(3):
+        assert abs(values[i] - brute_eval(phi, frames[i])) < 1e-12
+        oracle = [brute_eval(phi, f) for f in replaced_frames(frames[i], normals[i])]
+        assert np.max(np.abs(first[i].reshape(p * k) - oracle)) < 1e-12
+
+
 def lu_cofactors(minors):
     """Cofactors as signed LU determinants of the (p-1)-minors, singular minors included."""
     p = minors.shape[-1]
@@ -449,6 +478,40 @@ def lu_cofactors(minors):
         sub = np.delete(np.delete(minors, r, axis=-2), c, axis=-1)
         cof[..., r, c] = (-1.0) ** (r + c) * (np.linalg.det(sub) if p > 1 else 1.0)
     return cof
+
+
+def small_minors(rng, p, count=40):
+    """Random, {-1, 0, 1}-integer and repeated-column (singular) p x p minors."""
+    integral = rng.integers(-1, 2, (count, p, p)).astype(float)
+    repeated = rng.uniform(-1.0, 1.0, (count, p, p))
+    repeated[:, :, -1] = repeated[:, :, 0]
+    return np.concatenate([rng.uniform(-1.0, 1.0, (count, p, p)), integral, repeated])
+
+
+def minor_jet(minors):
+    """Determinants (N,) and cofactors (N, p, p) of an (N, p, p) stack through first_jet.
+
+    Each minor is a frame of the one-term form e1..p, with the basis vectors
+    as normals, so first[i, b, s] is the cofactor (s, b) of minor i.
+    """
+    count, p, _ = minors.shape
+    dets, first = first_jet(np.ones(1), np.arange(p)[None], minors, np.broadcast_to(np.eye(p), (count, p, p)))
+    return dets, np.swapaxes(first, -1, -2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_leibniz_minors_match_lu_and_svd(rng, p):
+    """The table's determinants and cofactors (Leibniz sums, factored column by column) against LU and SVD."""
+    minors = small_minors(rng, p)
+    dets, cof = minor_jet(minors)
+    assert np.max(np.abs(dets - np.linalg.det(minors))) < 1e-12
+    assert np.max(np.abs(cof - lu_cofactors(minors))) < 1e-12
+    assert np.max(np.abs(svd_cofactors(minors) - cof)) < 1e-12
+    assert np.array_equal(stack_values(np.ones(1), np.arange(p)[None], minors), dets)
+    # integer minors have integer determinants and cofactors, which the table hits exactly
+    integral = minors[40:80]
+    assert np.array_equal(dets[40:80], np.round(np.linalg.det(integral)))
+    assert np.array_equal(cof[40:80], np.round(lu_cofactors(integral)))
 
 
 def kernel_frames(rng, kind, m, n, p):
@@ -521,8 +584,15 @@ def test_minor_table_matches_lu_and_brute_force(n, p_raw, seed, kind):
             assert np.array_equal(values[i], alone[0][0]) and np.array_equal(first[i], alone[1][0])
 
 
-def test_first_jet_of_one_minor_over_several_gather_blocks_matches_single_frames(rng):
-    """A one-term 4-form's stack over several gather blocks gives each frame the bits it gets alone."""
+def test_leibniz_over_several_gather_blocks_matches_single_minors(rng):
+    """At p = 4 a stack spanning several gather blocks gives each minor the bits it gets alone."""
+    minors = small_minors(rng, 4, count=gather_step(np.arange(4)[None], 4, 4))
+    assert len(minors) > 2 * gather_step(np.arange(4)[None], 4, 4)
+    dets, cof = minor_jet(minors)
+    for i in range(len(minors)):
+        alone = minor_jet(minors[i : i + 1])
+        assert dets[i] == alone[0][0] and np.array_equal(cof[i], alone[1][0])
+    # a one-term 4-form on R^8: a frame alone has a single minor
     phi = AltForm.basis(8, 1, 2, 3, 4)
     idx0, c = phi._compact()
     count = 2 * gather_step(idx0, 8, 4) + 1
