@@ -118,6 +118,8 @@ def load_form(args):
     spec = CalibrationSpec(family=args.family, m=args.m, phase=phase, algebra=args.algebra, form=form)
     try:
         return build_calibration(spec)
+    except np.linalg.LinAlgError:
+        raise
     except ValueError as exc:
         given = " ".join(f"--{k} {getattr(args, k)}" for k in reads if getattr(args, k) is not None)
         raise SystemExit2(f"{given}: {exc}") from None
@@ -327,12 +329,12 @@ def main(argv=None):
     try:
         # looked up at call time, so a rebound cmd_* runs even though the parser is built once
         return globals()[f"cmd_{args.command}"](args, settings(args))
+    except (np.linalg.LinAlgError, RuntimeError) as exc:  # LinAlgError is a ValueError, so it goes first
+        log(f"error: {exc}")
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:  # SystemExit2 and json.JSONDecodeError included
         log(f"error: {exc}")
         return EXIT_USAGE
-    except RuntimeError as exc:
-        log(f"error: {exc}")
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -302,6 +302,20 @@ def test_subcommand_runs_through_the_module_name(capsys, monkeypatch):
     assert seen == ["cayley"]
 
 
+@pytest.mark.parametrize("name", ["phi_module", "build_calibration"])
+def test_lapack_failure_is_a_numerical_failure(capsys, monkeypatch, name):
+    """LinAlgError is a ValueError, yet a LAPACK failure exits 3, not 2, wherever it is raised."""
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, name, fail)
+    code, out, err = run(capsys, "module", "--family", "associative", "--json")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert "SVD did not converge" in err
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from calibkit import (
@@ -29,7 +29,7 @@ from calibkit import (
 )
 from calibkit import grassmann, special_lagrangian
 from calibkit.critical import completions, tol_scale
-from calibkit.grassmann import _cluster_1d, _lockstep, _start_frames
+from calibkit.grassmann import _cluster_1d, _damped_step, _lockstep, _start_frames
 
 from conftest import random_form
 
@@ -183,6 +183,7 @@ LOCKSTEP_FORMS = {
     "cayley": cayley_form,
     "slag4": lambda: special_lagrangian(4).calib,
     "su3": lambda: cartan_three_form(su_lie_algebra(3)),
+    "su4": lambda: cartan_three_form(su_lie_algebra(4)),  # the tall 90 x 36 Gauss-Newton Jacobian
 }
 
 
@@ -263,6 +264,68 @@ def test_degenerate_shapes_run_the_gauss_newton_loop(name):
     assert comass_search(phi, params=params)[0] == comass
     result = ascend(phi, random_plane(phi.n, phi.p, trial_seed(0, 0)), params)
     assert result.converged and result.report.is_critical
+
+
+def test_su4_catalog_of_the_search_su4_workload():
+    """The 24-trial su(4) catalog at seed 1, as `calibkit search --family cartan --algebra su4` gives it."""
+    phi = cartan_three_form(su_lie_algebra(4))
+    catalog = critical_spectrum(phi, params=SearchParams(trials=24, master_seed=1))
+    assert [count for _, count in catalog.clusters] == [14, 8, 2]
+    assert [center for center, _ in catalog.clusters] == pytest.approx([0.0, 0.1**0.5, 0.5], abs=1e-12)
+
+
+# Gauss-Newton Jacobians: su4's and su3's tall ones, and wide ones
+STEP_SHAPES = [(90, 36), (20, 15), (7, 12), (13, 16)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(STEP_SHAPES),
+    rank_raw=st.integers(0, 36),
+    scale=st.sampled_from([1e-6, 1.0, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(90, 36), rank_raw=36, scale=1.0, seed=0)  # full rank
+@example(shape=(20, 15), rank_raw=7, scale=1.0, seed=1)  # rank-deficient
+@example(shape=(7, 12), rank_raw=0, scale=1.0, seed=2)  # a zero Jacobian
+def test_damped_step_is_the_lstsq_step_up_to_its_damping(shape, rank_raw, scale, seed):
+    """Against lstsq(J, -r, rcond=1e-12), whose nonzero singular values are >= 1e-3 sigma_max.
+
+    On J's row space the steps agree to 1e-8 relative beyond the damping's own
+    shrink mu / (sigma_min^2 + mu); the null-space part is round-off of order
+    eps |J| (|r| + |J| |lstsq step|) / mu.  A trial's step has the same bits
+    alone as in a stack.
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    rank = rank_raw % (min(shape) + 1)
+    jac = scale * rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    r = rng.standard_normal(rows)
+    _, sigma, vt = np.linalg.svd(jac)
+    assume(rank == 0 or sigma[rank - 1] >= 1e-3 * sigma[0])
+    want = np.linalg.lstsq(jac, -r, rcond=1e-12)[0]
+    step = _damped_step(jac[None], r[None])[0]
+    other = rng.standard_normal((rows, cols))
+    assert np.array_equal(_damped_step(np.stack([other, jac, 1e3 * other]), np.stack([r, r, r]))[1], step)
+    mu = 1e-12 * np.max(np.sum(jac * jac, axis=0), initial=0.0) + np.finfo(float).tiny
+    shrink = mu / (sigma[rank - 1] ** 2 + mu) if rank else 0.0
+    row = vt[:rank]
+    assert np.linalg.norm(row @ (step - want)) <= (1e-8 + shrink) * np.linalg.norm(want)
+    null_part = np.linalg.norm(step - row.T @ (row @ step))
+    noise = np.finfo(float).eps * sigma[0] * (np.linalg.norm(r) + sigma[0] * np.linalg.norm(want)) / mu
+    assert null_part <= 10 * noise
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(5, 4), (5, 0), (0, 4), (0, 0)],  # a zero Jacobian; p k = 0; a module of rank 0; both
+)
+def test_damped_step_is_zero_without_a_jacobian(rows, cols):
+    """A zero, empty or rank-0 Jacobian gives a zero step of p k entries, for any residual."""
+    step = _damped_step(np.zeros((3, rows, cols)), np.ones((3, rows)))
+    assert step.shape == (3, cols)
+    assert np.all(step == 0.0)
+    assert _damped_step(np.zeros((0, rows, cols)), np.zeros((0, rows))).shape == (0, cols)
 
 
 SEARCH_FORMS = {
