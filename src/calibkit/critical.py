@@ -68,6 +68,22 @@ def completions(frames):
     return q
 
 
+def _retract(qs, coords):
+    """QR retraction of completions Q = [F N], (m, n, n), to F + N coords[i].T; returns the moved completions.
+
+    The complete Q factor, signed so that diag(R) >= 0, has qr_fix's frame in
+    front.  The frame and Q share their p Householder reflectors, so behind it
+    are the frame's `completions`, up to round-off.  qs may broadcast against
+    coords, so one completion is moved to every coordinate of a stack.
+    """
+    p = coords.shape[1]
+    q, r = np.linalg.qr(qs[:, :, :p] + qs[:, :, p:] @ np.swapaxes(coords, 1, 2), mode="complete")
+    d = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    d[d == 0] = 1.0
+    q[:, :, :p] *= d[:, None, :]
+    return q
+
+
 class OrientedPlane:
     """An oriented p-plane in R^n, stored as an n x p orthonormal frame."""
 
@@ -116,10 +132,8 @@ class OrientedPlane:
 
     @classmethod
     def spanning(cls, *vectors):
-        """Oriented span of the given vectors, orthonormalized in order."""
-        f = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-        q, _ = qr_fix(f)
-        return cls(q)
+        """Oriented span of the given vectors, orthonormalized in order; dependent vectors raise ValueError."""
+        return cls(np.column_stack([np.asarray(v, dtype=float) for v in vectors]), orthonormalize=True)
 
     def to_json(self):
         return {"n": self.n, "p": self.p, "columns": self.frame.T.tolist()}

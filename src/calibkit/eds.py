@@ -16,15 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .critical import (
-    OrientedPlane,
-    check_fits,
-    completions,
-    numerical_rank,
-    phi_module,
-    qr_fix,
-)
-from .exterior import first_jet, hodge_star, orthonormal_jet, stack_values
+from .critical import OrientedPlane, _retract, check_fits, numerical_rank, phi_module
+from .exterior import first_jet, hodge_star, orthonormal_jet
 
 __all__ = [
     "FlagReport",
@@ -83,19 +76,20 @@ def integral_element_codim(xi, module):
     The constraint map sends a tangent perturbation of the plane to the
     module values on the perturbed plane; the codimension is the rank of its
     linearization, computed exactly and cross-checked by central differences
-    of step FD_STEP (a RuntimeWarning when the two ranks disagree).  Both
-    evaluate the module through orthonormal_jet: at xi's completion for the
-    exact jet, and for the differences at the completions of the 2 p k
-    retracted frames (at the frames alone up to p = n/2), so a module of
-    degree p > n/2 is evaluated on (n - p) x (n - p) minors of its Hodge star.
+    of step FD_STEP (a RuntimeWarning when the two ranks disagree).  The
+    differences move xi's completion by the search's retraction, to the
+    coordinates +-FD_STEP E_(a,s).  Both evaluate the module through
+    orthonormal_jet, at the exact jet's completion and at the 2 p k moved
+    ones, so a module of degree p > n/2 is evaluated on (n - p) x (n - p)
+    minors of its Hodge star.
     """
     n, p = xi.n, xi.p
     k = n - p
     check_fits(n, p, module.n, module.degree)
     if module.rank == 0:
         return 0
-    coeffs, idx0, nn = module.dense_matrix(), module._idx0, xi.normal_frame()
-    values, first = orthonormal_jet(coeffs, idx0, xi.completion()[None], p)
+    coeffs, idx0, q = module.dense_matrix(), module._idx0, xi.completion()[None]
+    values, first = orthonormal_jet(coeffs, idx0, q, p)
     resid = np.max(np.abs(values))
     if resid > INTEGRAL_TOL:
         raise ValueError(f"plane is not an integral element (residual {resid:.3e})")
@@ -103,15 +97,9 @@ def integral_element_codim(xi, module):
         return 0
     jac = first.reshape(module.rank, p * k)  # exact linearization
     rank = numerical_rank(np.linalg.svd(jac, compute_uv=False), JACOBIAN_CUTOFF)
-    # move[a, s] adds FD_STEP * nn[:, s] to column a; retract all 2 p k frames at once
-    move = np.zeros((p, k, n, p))
-    move[np.arange(p), :, :, np.arange(p)] = FD_STEP * nn.T
-    move = move.reshape(p * k, n, p)
-    q, _ = qr_fix(xi.frame + np.concatenate([move, -move]))
-    if 2 * p <= n:  # orthonormal_jet would read only the frames
-        vals = stack_values(coeffs, idx0, q)
-    else:
-        vals = orthonormal_jet(coeffs, idx0, completions(q), p, jet=False)
+    # the 2 p k planes at coordinates +-FD_STEP E_(a,s), retracted at once
+    coords = FD_STEP * np.eye(p * k).reshape(p * k, p, k)
+    vals = orthonormal_jet(coeffs, idx0, _retract(q, np.concatenate([coords, -coords])), p, jet=False)
     fd = (vals[: p * k] - vals[p * k :]).T / (2.0 * FD_STEP)
     if numerical_rank(np.linalg.svd(fd, compute_uv=False), JACOBIAN_CUTOFF) != rank:
         warnings.warn(

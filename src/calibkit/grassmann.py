@@ -1,18 +1,19 @@
 """Sampling and first-order search on the oriented Grassmannian.
 
 Maximization/minimization uses projected gradient steps with Armijo
-backtracking and a QR retraction.  Every sense ends with damped Gauss-Newton
-on the module residual (the values of the induced form module on the plane),
-which also reaches saddle points that plain ascent misses.  Its step is a
+backtracking.  Every sense ends with damped Gauss-Newton on the module
+residual (the values of the induced form module on the plane), which also
+reaches saddle points that plain ascent misses.  Its step is a
 Levenberg-Marquardt step at a fixed damping (`_damped_step`): the normal
 equations (J^T J + mu I) d = -J^T r of every unconverged trial are solved in
 one batched LU solve, which costs a fraction of an SVD, and the step is 0
 along the null directions of J, such as those tangent to a Morse-Bott
-critical set.  Each trial carries its completion Q = [F N], which each
-retraction's one QR renews, and Gauss-Newton takes one jet per line-search
-try.  Its last jet, at the final frame of every converged trial, decides the
-trial and gives a catalog's value and residual; `ascend` adds the
-three-residual report.
+critical set.  Both phases are step rules for one backtracking line search
+(`_line_search`).  Each trial carries its completion Q = [F N], which the
+one QR of each retraction (`critical._retract`) renews, and each try takes
+one jet at its candidate; an accepted candidate's jet is the one the next
+step reads.  A trial's final jet, at the frame it returns, gives its value,
+residual and verdict; `ascend` adds the three-residual report.
 
 Multistart searches step blocks of up to _TRIAL_BLOCK = 24 trials in
 lockstep, as one (m, n, p) frame stack, so each iteration's Python, QR and
@@ -31,6 +32,7 @@ import numpy as np
 from .critical import (
     CriticalityReport,
     OrientedPlane,
+    _retract,
     completions,
     cousin_matrix,
     is_critical,
@@ -38,7 +40,7 @@ from .critical import (
     qr_fix,
     tol_scale,
 )
-from .exterior import first_jet, stack_values
+from .exterior import first_jet
 
 __all__ = [
     "SearchParams",
@@ -78,10 +80,14 @@ class SearchParams:
     master_seed: int = 0
 
     def __post_init__(self):
-        if min(self.max_iters, self.step_init, self.armijo_c, self.shrink, self.grad_tol) <= 0:
+        if not all(v > 0 for v in (self.max_iters, self.step_init, self.grad_tol)):  # NaN included
             raise ValueError("search parameters must be positive")
+        if not (0 < self.armijo_c < 1 and 0 < self.shrink < 1):
+            raise ValueError("armijo_c and shrink must lie in (0, 1)")
         if self.grad_tol >= 1e-6:
             raise ValueError("grad_tol must be below 1e-6")
+        if min(self.trials, self.master_seed) < 0:
+            raise ValueError("trials and master_seed must not be negative")
 
     def to_json(self):
         return asdict(self)
@@ -147,70 +153,66 @@ def riemann_gradient(phi, xi):
     return cousin_matrix(phi, xi)
 
 
-def _retract(qs, coords):
-    """QR retraction of completions Q = [F N], (m, n, n), to F + N coords[i].T; returns the moved completions.
-
-    The complete Q factor, signed so that diag(R) >= 0, has qr_fix's frame in
-    front.  The frame and Q share their p Householder reflectors, so behind it
-    are the frame's `completions`, up to round-off.
-    """
-    p = coords.shape[1]
-    q, r = np.linalg.qr(qs[:, :, :p] + qs[:, :, p:] @ np.swapaxes(coords, 1, 2), mode="complete")
-    d = np.sign(np.diagonal(r, axis1=1, axis2=2))
-    d[d == 0] = 1.0
-    q[:, :, :p] *= d[:, None, :]
-    return q
-
-
-def _backtrack(qs, direction, step, pending, tries, shrink, accept):
-    """Backtracking from completions qs along step * direction for the pending trials; returns (qs, moved, step).
-
-    accept(j, cand, step) tells which candidate completions of the trials j pass.
-    """
-    qs, moved = qs.copy(), np.zeros(len(qs), dtype=bool)
-    for _ in range(tries):
-        j = np.flatnonzero(pending & ~moved)
-        if not j.size:
-            break
-        cand = _retract(qs[j], step[j][:, None, None] * direction[j])
-        ok = accept(j, cand, step[j])
-        qs[j[ok]] = cand[ok]
-        moved[j[ok]] = True
-        step[j[~ok]] *= shrink
-    return qs, moved, step
-
-
 def _module_rows(phi, module):
     """Stack phi's own dense coefficients on top of the module's."""
     return module._idx0, np.vstack([phi.dense()[None, :], module.dense_matrix()])
 
 
-def _ascent(phi, frames, params, sign, scale):
-    """Armijo ascent of sign * phi from every frame; returns (completions, iterations)."""
-    phi_idx, phi_c = phi._compact()
-    qs = completions(frames)
-    # the gradient scales with phi, so step lengths scale with 1 / scale
-    step = np.full(len(qs), params.step_init / scale)
-    iterations = np.zeros(len(qs), dtype=int)
-    active = np.ones(len(qs), dtype=bool)
+def _line_search(qs, coeffs, idx0, step, params, tries, rule):
+    """Backtracking line searches from completions qs in lockstep; returns (qs, iterations, values, first).
+
+    Each iteration, rule(values, first, step) reads the live trials' jets of
+    the forms coeffs and their steps, and returns their directions, first
+    steps, which of them move, and accept(j, values, step), which tells which
+    candidates of the moving trials j pass.  Each try takes one first_jet at
+    the candidates; an accepted one's jet and step are kept.  A trial that
+    does not move stops.  values and first are the jets at the returned qs.
+    """
+    m, p = len(qs), idx0.shape[1]
+    qs = qs.copy()
+    values, first = first_jet(coeffs, idx0, qs[:, :, :p], qs[:, :, p:])
+    iterations = np.zeros(m, dtype=int)
+    active = np.ones(m, dtype=bool)
     for it in range(1, params.max_iters + 1):
         live = np.flatnonzero(active)
         if not live.size:
             break
         iterations[live] = it
-        value, first = first_jet(phi_c, phi_idx, qs[live, :, : phi.p], qs[live, :, phi.p :])
+        direction, trial_step, moving, accept = rule(values[live], first[live], step[live])
+        moved = np.zeros(len(live), dtype=bool)
+        for _ in range(tries):
+            j = np.flatnonzero(moving & ~moved)
+            if not j.size:
+                break
+            cand = _retract(qs[live[j]], trial_step[j][:, None, None] * direction[j])
+            cand_values, cand_first = first_jet(coeffs, idx0, cand[:, :, :p], cand[:, :, p:])
+            ok = accept(j, cand_values, trial_step[j])
+            t = live[j[ok]]
+            qs[t], values[t], first[t] = cand[ok], cand_values[ok], cand_first[ok]
+            moved[j[ok]] = True
+            trial_step[j[~ok]] *= params.shrink
+        active[live] = moved
+        step[live[moved]] = trial_step[moved]
+    return qs, iterations, values, first
+
+
+def _ascent(phi, frames, params, sign, scale):
+    """Armijo ascent of sign * phi from every frame; returns (completions, iterations)."""
+    phi_idx, phi_c = phi._compact()
+
+    def rule(value, first, step):
         gnorm2 = np.sum(first * first, axis=(1, 2))
 
-        def rises(j, cand, s):
-            new_value = stack_values(phi_c, phi_idx, cand[:, :, : phi.p])
+        def rises(j, new_value, s):
             return sign * (new_value - value[j]) >= params.armijo_c * s * gnorm2[j]
 
-        # polished trials stop; the rest stop unless their line search succeeds
+        # the step doubles, up to a cap; polished trials stop
         moving = ~(np.sqrt(gnorm2) < 1e-3 * scale)
-        qs[live], active[live], trial_step = _backtrack(
-            qs[live], sign * first, np.minimum(step[live] * 2.0, 10.0 / scale), moving, 60, params.shrink, rises
-        )
-        step[live[active[live]]] = trial_step[active[live]]
+        return sign * first, np.minimum(step * 2.0, 10.0 / scale), moving, rises
+
+    # the gradient scales with phi, so step lengths scale with 1 / scale
+    step = np.full(len(frames), params.step_init / scale)
+    qs, iterations, _, _ = _line_search(completions(frames), phi_c, phi_idx, step, params, 60, rule)
     return qs, iterations
 
 
@@ -233,43 +235,35 @@ def _damped_step(jac, r):
 def _gauss_newton(qs, params, idx0, rows, grad_tol):
     """Drive the module rows[1:] to zero from completions qs.
 
-    Returns qs, iterations, ok and phi's (rows[0]) last value and residual.
-    Each step reads the jet that its line search took at the accepted candidate.
+    Returns qs, iterations, ok and phi's (rows[0]) value and residual, all
+    read from each trial's final jet, at the frame it returns.
     """
-    m, n, p = len(qs), qs.shape[1], idx0.shape[1]
-    k = n - p
-    iterations = np.zeros(m, dtype=int)
-    qs = qs.copy()
-    vals, first = first_jet(rows, idx0, qs[:, :, :p], qs[:, :, p:])
-    ok = np.zeros(m, dtype=bool)
-    value, residual = np.zeros(m), np.zeros(m)
-    active = np.ones(m, dtype=bool)
-    for it in range(1, params.max_iters + 1):
-        live = np.flatnonzero(active)
-        if not live.size:
-            break
-        iterations[live] = it
-        value[live], residual[live] = vals[live, 0], np.max(np.abs(first[live, 0]), axis=(1, 2), initial=0.0)
-        ok[live] = residual[live] < grad_tol
-        r = vals[live, 1:]
-        todo = np.flatnonzero(~ok[live])
-        delta = np.zeros((len(live), p * k))
+    p = idx0.shape[1]
+    k = qs.shape[1] - p
+
+    def residual(first):
+        return np.max(np.abs(first[:, 0]), axis=(1, 2), initial=0.0)
+
+    def rule(vals, first, step):
+        ok = residual(first) < grad_tol
+        r = vals[:, 1:]
+        todo = np.flatnonzero(~ok)
+        delta = np.zeros((len(vals), p * k))
         # d gamma / d A[b*k+t]; p k may be 0
-        delta[todo] = _damped_step(first[live[todo], 1:].reshape(len(todo), len(rows) - 1, p * k), r[todo])
+        delta[todo] = _damped_step(first[todo, 1:].reshape(len(todo), len(rows) - 1, p * k), r[todo])
         base = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
-        def descends(j, cand, s):
-            cand_vals, cand_first = first_jet(rows, idx0, cand[:, :, :p], cand[:, :, p:])
-            r_new = cand_vals[:, 1:]
+        def descends(j, new_vals, s):
+            r_new = new_vals[:, 1:]
             norm2 = (r_new[:, None, :] @ r_new[:, :, None])[:, 0, 0]
-            good = norm2 < base[j] * (1.0 - params.armijo_c * s) + 1e-30
-            vals[live[j[good]]], first[live[j[good]]] = cand_vals[good], cand_first[good]
-            return good
+            return norm2 < base[j] * (1.0 - params.armijo_c * s) + 1e-30
 
-        qs[live], active[live], _ = _backtrack(
-            qs[live], delta.reshape(len(live), p, k), np.ones(len(live)), ~ok[live], 30, params.shrink, descends
-        )
-    return qs, iterations, ok, value, residual
+        # the full step first; converged trials stop
+        return delta.reshape(len(vals), p, k), np.ones_like(step), ~ok, descends
+
+    qs, iterations, vals, first = _line_search(qs, rows, idx0, np.ones(len(qs)), params, 30, rule)
+    res = residual(first)
+    return qs, iterations, res < grad_tol, vals[:, 0], res
 
 
 def _lockstep(phi, starts, params, sense, module):

@@ -145,6 +145,13 @@ def test_plane_spanning_preserves_first_direction():
     assert np.allclose(xi.frame[:, 1], [0.0, 1.0, 0.0])
 
 
+def test_plane_spanning_rejects_dependent_vectors():
+    with pytest.raises(ValueError, match="dependent"):
+        OrientedPlane.spanning([1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="dependent"):
+        OrientedPlane.spanning([1.0, 2.0, 0.0], [0.0, 0.0, 0.0])
+
+
 # -- FormModule --------------------------------------------------------------
 
 

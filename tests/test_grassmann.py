@@ -29,6 +29,7 @@ from calibkit import (
 )
 from calibkit import grassmann, special_lagrangian
 from calibkit.critical import completions, tol_scale
+from calibkit.exterior import stack_values
 from calibkit.grassmann import _cluster_1d, _damped_step, _lockstep, _start_frames
 
 from conftest import random_form
@@ -147,6 +148,20 @@ def test_search_params_validation():
         SearchParams(grad_tol=1e-3)
     with pytest.raises(ValueError):
         SearchParams(step_init=-1.0)
+    for bad in (
+        {"armijo_c": 5.0},
+        {"armijo_c": 1.0},
+        {"shrink": 1.0},
+        {"shrink": 0.0},
+        {"trials": -5},
+        {"master_seed": -1},
+        {"step_init": float("nan")},
+        {"grad_tol": float("nan")},
+        {"armijo_c": float("nan")},
+    ):
+        with pytest.raises(ValueError):
+            SearchParams(**bad)
+    assert SearchParams(trials=0).trials == 0
 
 
 def test_cluster_1d():
@@ -203,6 +218,20 @@ def test_trial_alone_equals_trial_in_block(name, sense):
         assert alone.converged == converged[t]
         _, value, residual, _, _ = _lockstep(phi, starts[t : t + 1], params, sense, module)
         assert value[0] == values[t] and residual[0] == residuals[t]
+
+
+@pytest.mark.parametrize("name", ["associative", "su3"])
+@pytest.mark.parametrize("sense", ["maximize", "critical"])
+@pytest.mark.parametrize("max_iters", [1, 3])
+def test_search_results_are_read_at_the_returned_frames(name, sense, max_iters):
+    """Trials stopped by max_iters report the value at the frame they return, bit for bit."""
+    phi = LOCKSTEP_FORMS[name]()
+    module = phi_module(phi)
+    starts = _start_frames(phi.n, phi.p, [trial_seed(2, t) for t in range(6)])
+    frames, values, residuals, converged, _ = _lockstep(phi, starts, SearchParams(max_iters=max_iters), sense, module)
+    idx0, rows = grassmann._module_rows(phi, module)
+    assert np.array_equal(values, stack_values(rows, idx0, frames)[:, 0])
+    assert np.array_equal(converged, residuals < SearchParams().grad_tol * tol_scale(phi))
 
 
 def test_catalogs_do_not_depend_on_the_block_size(monkeypatch):
