@@ -2,7 +2,7 @@
 
 Machine-readable output goes to stdout, logs to stderr.  Exit codes:
 0 success / affirmative verdict, 1 negative verdict, 2 usage error,
-3 numerical failure.
+3 numerical failure or any other fault (its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
@@ -335,6 +336,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:  # SystemExit2 and json.JSONDecodeError included
         log(f"error: {exc}")
         return EXIT_USAGE
+    except Exception:  # a fault, such as a RuntimeWarning raised as an error
+        traceback.print_exc()
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -203,6 +203,12 @@ class FormModule:
         return f"FormModule(n={self.n}, degree={self.degree}, rank={self.rank})"
 
 
+def _module_rows(phi, module):
+    """Stack phi's own dense coefficients on top of the module's: (idx0, rows) for first_jet."""
+    check_fits(phi.n, phi.p, module.n, module.degree)
+    return module._idx0, np.vstack([phi.dense()[None, :], module.dense_matrix()])
+
+
 def numerical_rank(s, cutoff):
     """Number of singular values s (descending) above cutoff * s[0]; 0 for a zero matrix."""
     return int(np.sum(s > cutoff * s[0])) if s.size and s[0] > 0 else 0
@@ -306,15 +312,10 @@ def cousin_matrix(phi, xi):
     return first[0].T
 
 
-def _module_residuals(frames, module):
-    """max |gamma| over the module basis on each frame of an (m, n, p) stack."""
-    check_fits(frames.shape[1], frames.shape[2], module.n, module.degree)
-    return np.max(np.abs(stack_values(module.dense_matrix(), module._idx0, frames)), axis=1, initial=0.0)
-
-
 def annihilator_check(xi, module):
     """max |gamma(xi)| over the module basis; ~0 iff xi is critical."""
-    return float(_module_residuals(xi.frame[None], module)[0])
+    check_fits(xi.n, xi.p, module.n, module.degree)
+    return float(np.max(np.abs(module.values_on(xi.frame)), initial=0.0))
 
 
 def _rho_stack(phi, rest):
@@ -377,23 +378,25 @@ def rho_closed(xi, phi, tol=DEFAULT_TOL):
 def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
     """Three-residual criticality report of each frame of an (m, n, p) orthonormal stack.
 
-    A plane is critical when its cousin residual is below tol times the
-    largest |coefficient| of phi (tol itself for the zero form).
+    The value, cousin coefficients and module values come from one first jet
+    of the search's rows [phi; module], so a searched plane reports its
+    catalog value bit for bit.  A plane is critical when its cousin residual
+    is below tol times the largest |coefficient| of phi (tol for the zero form).
     """
     check_fits(frames.shape[1], frames.shape[2], phi.n, phi.p)
     if module is None:
         module = phi_module(phi)
+    idx0, rows = _module_rows(phi, module)
     normals = completions(frames)[:, :, phi.p :]
-    idx0, c = phi._compact()
-    values, first = first_jet(c, idx0, frames, normals)
-    cousin = np.max(np.abs(first), axis=(1, 2), initial=0.0)
-    residual_module = _module_residuals(frames, module)
+    values, first = first_jet(rows, idx0, frames, normals)
+    cousin = np.max(np.abs(first[:, 0]), axis=(1, 2), initial=0.0)
+    residual_module = np.max(np.abs(values[:, 1:]), axis=1, initial=0.0)
     residual_rho = _rho_residuals(phi, frames, normals)
     # the cousin coefficients scale with phi; the zero form keeps the absolute tol
     atol = tol * tol_scale(phi)
     return [
         CriticalityReport(float(g), float(mod), float(rho), float(v), bool(g < atol))
-        for g, mod, rho, v in zip(cousin, residual_module, residual_rho, values)
+        for g, mod, rho, v in zip(cousin, residual_module, residual_rho, values[:, 0])
     ]
 
 

@@ -1,12 +1,12 @@
 """Pointwise exterior-differential-system analysis of the induced ideal.
 
 The ideal is generated in degree p by the module of forms whose common
-zero set on the Grassmannian is the critical variety.  This module computes
-polar spaces along a flag, Cartan characters, the codimension of the space
-of integral p-planes (as the rank of the linearized constraint), and the
-Hodge-dual comparison.  The codimension takes module forms of degree
-p > n/2, such as the duals of 3-forms, through their Hodge stars on
-(n - p) x (n - p) minors (exterior.orthonormal_jet).
+zero set on the Grassmannian is the critical variety.  Cartan's test reads
+the polar codimensions, the Cartan bound and the codimension of the space of
+integral p-planes from one jet of the module at the plane; polar_space
+computes a polar space along any flag.  Module forms of degree p > n/2, such
+as the duals of 3-forms, go through their Hodge stars on (n - p) x (n - p)
+minors (exterior.orthonormal_jet), also in the Hodge-dual comparison.
 """
 
 from __future__ import annotations
@@ -71,60 +71,50 @@ def polar_space(e, module):
 
 
 def integral_element_codim(xi, module):
-    """Codimension of the variety of integral p-planes at xi.
-
-    The constraint map sends a tangent perturbation of the plane to the
-    module values on the perturbed plane; the codimension is the rank of its
-    linearization, computed exactly and cross-checked by central differences
-    of step FD_STEP (a RuntimeWarning when the two ranks disagree).  The
-    differences move xi's completion by the search's retraction, to the
-    coordinates +-FD_STEP E_(a,s).  Both evaluate the module through
-    orthonormal_jet, at the exact jet's completion and at the 2 p k moved
-    ones, so a module of degree p > n/2 is evaluated on (n - p) x (n - p)
-    minors of its Hodge star.
-    """
-    n, p = xi.n, xi.p
-    k = n - p
-    check_fits(n, p, module.n, module.degree)
-    if module.rank == 0:
-        return 0
-    coeffs, idx0, q = module.dense_matrix(), module._idx0, xi.completion()[None]
-    values, first = orthonormal_jet(coeffs, idx0, q, p)
-    resid = np.max(np.abs(values))
-    if resid > INTEGRAL_TOL:
-        raise ValueError(f"plane is not an integral element (residual {resid:.3e})")
-    if k == 0:
-        return 0
-    jac = first.reshape(module.rank, p * k)  # exact linearization
-    rank = numerical_rank(np.linalg.svd(jac, compute_uv=False), JACOBIAN_CUTOFF)
-    # the 2 p k planes at coordinates +-FD_STEP E_(a,s), retracted at once
-    coords = FD_STEP * np.eye(p * k).reshape(p * k, p, k)
-    vals = orthonormal_jet(coeffs, idx0, _retract(q, np.concatenate([coords, -coords])), p, jet=False)
-    fd = (vals[: p * k] - vals[p * k :]).T / (2.0 * FD_STEP)
-    if numerical_rank(np.linalg.svd(fd, compute_uv=False), JACOBIAN_CUTOFF) != rank:
-        warnings.warn(
-            "finite-difference and exact linearization ranks disagree; "
-            "the integral variety may be singular here",
-            RuntimeWarning,
-        )
-    return rank
+    """Codimension of the variety of integral p-planes at xi (cartan_test's actual_codim)."""
+    return cartan_test(xi, module).actual_codim
 
 
 def cartan_test(xi, module):
     """Cartan's test at the flag built from the frame columns in order.
 
-    Below level p - 1 every polar space is all of R^n, so c_1 .. c_{p-2} are 0
-    and the Cartan bound of a column order is c_{p-1} of its first p - 1
-    columns: xi minus the last column d of the order.  bound_max_over_orders
-    is the exact max of the bound over all p! orders, taken as the max of
-    c_{p-1} over the p hyperplanes "xi minus column d".  The given flag is
-    d = p - 1.  A 1-plane's flag is the origin alone; its one polar
-    codimension c_0, that of the empty flag, is the rank of the module of
-    1-forms.
+    One jet of the module at xi's completion gives its values on xi and the
+    exact linearization J[g, b, s] of the constraint map (column b turned
+    towards normal s).  actual_codim, the codimension of the variety of
+    integral p-planes at xi, is the rank of J, cross-checked by central
+    differences of step FD_STEP at completions moved by the search's
+    retraction to the coordinates +-FD_STEP E_(b,s) (a RuntimeWarning when
+    the ranks disagree).  Below level p - 1 every polar space is all of R^n,
+    so c_1 .. c_{p-2} are 0 and the Cartan bound of a column order is c_{p-1}
+    of xi minus the order's last column d.  At an integral xi that polar
+    space is xi + ker J[:, d, :], so c_{p-1} is the rank of J[:, d, :] at
+    KERNEL_CUTOFF; bound_max_over_orders, the exact max over all p! orders,
+    is its max over d.  The given flag is d = p - 1.  A 1-plane's one polar
+    codimension c_0, of the empty flag, is the module's rank.  An empty J
+    (module rank 0, or p = n) has rank 0.  orthonormal_jet evaluates a
+    module of degree p > n/2 on (n - p) x (n - p) minors of its Hodge star.
     """
     n, p = xi.n, xi.p
-    actual = integral_element_codim(xi, module)  # first: it rejects a plane the module does not fit
-    hyper = [n - polar_space(np.delete(xi.frame, d, axis=1), module).shape[1] for d in range(p)]
+    k = n - p
+    check_fits(n, p, module.n, module.degree)
+    coeffs, idx0, q = module.dense_matrix(), module._idx0, xi.completion()[None]
+    values, first = orthonormal_jet(coeffs, idx0, q, p)
+    resid = np.max(np.abs(values), initial=0.0)
+    if resid > INTEGRAL_TOL:
+        raise ValueError(f"plane is not an integral element (residual {resid:.3e})")
+    jac = first[0]  # exact linearization, (rank, p, k)
+    hyper = [numerical_rank(s, KERNEL_CUTOFF) for s in np.linalg.svd(np.swapaxes(jac, 0, 1), compute_uv=False)]
+    actual = numerical_rank(np.linalg.svd(jac.reshape(module.rank, p * k), compute_uv=False), JACOBIAN_CUTOFF)
+    # the 2 p k planes at coordinates +-FD_STEP E_(a,s), retracted at once
+    coords = FD_STEP * np.eye(p * k).reshape(p * k, p, k)
+    vals = orthonormal_jet(coeffs, idx0, _retract(q, np.concatenate([coords, -coords])), p, jet=False)
+    fd = (vals[: p * k] - vals[p * k :]).T / (2.0 * FD_STEP)
+    if numerical_rank(np.linalg.svd(fd, compute_uv=False), JACOBIAN_CUTOFF) != actual:
+        warnings.warn(
+            "finite-difference and exact linearization ranks disagree; "
+            "the integral variety may be singular here",
+            RuntimeWarning,
+        )
     levels = list(range(1, p)) if p > 1 else list(range(p))
     codims = [0] * (len(levels) - 1) + hyper[-1:]
     bound = sum(codims)

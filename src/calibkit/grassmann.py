@@ -32,6 +32,7 @@ import numpy as np
 from .critical import (
     CriticalityReport,
     OrientedPlane,
+    _module_rows,
     _retract,
     completions,
     cousin_matrix,
@@ -80,6 +81,9 @@ class SearchParams:
     master_seed: int = 0
 
     def __post_init__(self):
+        counts = (self.max_iters, self.trials, self.master_seed)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in counts):
+            raise ValueError("max_iters, trials and master_seed must be integers")
         if not all(v > 0 for v in (self.max_iters, self.step_init, self.grad_tol)):  # NaN included
             raise ValueError("search parameters must be positive")
         if not (0 < self.armijo_c < 1 and 0 < self.shrink < 1):
@@ -151,11 +155,6 @@ def riemann_gradient(phi, xi):
     the corresponding tangent rotation.
     """
     return cousin_matrix(phi, xi)
-
-
-def _module_rows(phi, module):
-    """Stack phi's own dense coefficients on top of the module's."""
-    return module._idx0, np.vstack([phi.dense()[None, :], module.dense_matrix()])
 
 
 def _line_search(qs, coeffs, idx0, step, params, tries, rule):

@@ -10,6 +10,10 @@ from calibkit.cli import main
 
 from conftest import svd_jet
 
+# custom 5- and 6-forms on R^9, whose sub-minor tables reach 4 x 4 and 5 x 5 sub-minors
+FIVE_FORM = "e12345 + e16789 + e13579 - e24689 + e23456"
+SIX_FORM = "e123456 + e124789 + e356789 - e134679 + e235678"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -125,6 +129,44 @@ def test_eds_subcommand(capsys):
     code, out, _ = run(capsys, "eds", "--family", "coassociative", "--trials", "5", "--json")
     assert code == 1  # non-involutive verdict
     assert json.loads(out)["cartan_bound"] == 3
+
+
+@pytest.mark.parametrize(
+    "spec, code, codims",
+    [
+        (["--family", "associative"], 0, (4, 4)),
+        (["--family", "coassociative"], 1, (4, 3)),
+        (["--family", "cayley"], 0, (4, 4)),
+        (["--family", "special_lagrangian", "--m", "3"], 1, (4, 3)),
+        (["--family", "special_lagrangian", "--m", "4"], 1, (7, 4)),
+        (["--family", "cartan", "--algebra", "su3"], 1, (11, 5)),
+        (["--family", "cartan", "--algebra", "su4"], 1, (28, 12)),
+    ],
+    ids=["associative", "coassociative", "cayley", "slag3", "slag4", "su3", "su4"],
+)
+def test_eds_codims_agree_on_both_sides_of_the_hodge_dual(capsys, spec, code, codims):
+    """Each family's eds run checks phi and *phi by finite differences without a RuntimeWarning (an error here)."""
+    got, out, err = run(capsys, "eds", *spec, "--trials", "3", "--json")
+    assert (got, err) == (code, "")
+    payload = json.loads(out)
+    assert (payload["actual_codim"], payload["cartan_bound"]) == codims
+    assert payload["hodge_dual"]["codim_p"] == payload["hodge_dual"]["codim_dual"] == payload["actual_codim"]
+
+
+@pytest.mark.parametrize(
+    "literal, runs",
+    [
+        (FIVE_FORM, [("check", [], 1), ("search", ["--trials", "24"], 0), ("eds", ["--trials", "3"], 1)]),
+        (SIX_FORM, [("check", [], 1), ("search", ["--trials", "8"], 0)]),
+    ],
+    ids=["five-form", "six-form"],
+)
+def test_custom_forms_of_degree_five_and_six_on_r9(capsys, literal, runs):
+    """End-to-end runs of first_jet's sub-minor tables at p > 4, in check, search and eds."""
+    for command, extra, code in runs:
+        got, out, err = run(capsys, command, "--family", "custom", "--form", literal, "--n", "9", *extra, "--json")
+        assert (got, err) == (code, "")
+        assert json.loads(out)
 
 
 def eds_payload_both_cofactor_paths(capsys, monkeypatch, literal, n):
@@ -314,6 +356,20 @@ def test_lapack_failure_is_a_numerical_failure(capsys, monkeypatch, name):
     assert code == cli.EXIT_NUMERICAL
     assert out == ""
     assert "SVD did not converge" in err
+
+
+def test_any_other_exception_exits_3_with_its_traceback(capsys, monkeypatch):
+    """An exception that is neither a usage error nor a numerical failure exits 3, never 1, a negative verdict."""
+
+    def fail(args, cfg):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "cmd_check", fail)
+    code, out, err = run(capsys, "check", "--family", "associative", "--json")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().endswith("TypeError: unsupported operand")
 
 
 @pytest.mark.parametrize(

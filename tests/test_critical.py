@@ -125,6 +125,14 @@ def test_annihilator_check_rejects_a_plane_the_module_does_not_fit():
             annihilator_check(OrientedPlane(frame), module)
 
 
+def test_criticality_report_rejects_a_module_that_does_not_fit_phi():
+    """The module's rows are stacked under phi's, so a module of another degree or dimension is refused."""
+    xi = OrientedPlane(np.eye(7)[:, :3])
+    for other in (coassociative_form(), cayley_form()):
+        with pytest.raises(ValueError, match="against a"):
+            is_critical(xi, associative_form(), module=phi_module(other))
+
+
 def test_plane_reversed_flips_sign(rng):
     phi = associative_form()
     q, _ = qr_fix(rng.standard_normal((7, 3)))

@@ -8,11 +8,13 @@ import pytest
 
 from calibkit import (
     OrientedPlane,
+    SearchParams,
     associative_form,
     cartan_test,
     cartan_three_form,
     cayley_form,
     coassociative_form,
+    critical_spectrum,
     hodge_dual_ideal_check,
     integral_element_codim,
     parse_form,
@@ -25,6 +27,7 @@ from calibkit import (
 from calibkit.cli import main as cli_main
 
 from test_acceptance import real_locus, stabilizer_orbit
+from test_cli import FIVE_FORM
 
 
 def coordinate_plane(n, cols):
@@ -85,13 +88,14 @@ def test_cartan_test_associative_involutive():
     assert report.bound_max_over_orders == 4
 
 
+def brute_cartan_bound(xi, module, order):
+    """Cartan bound of one column order, with every level's polar space from polar_space."""
+    return sum(xi.n - polar_space(xi.frame[:, list(order[:a])], module).shape[1] for a in range(1, xi.p))
+
+
 def brute_bound_max(xi, module):
     """Max of the Cartan bound over all p! column orders, every level computed."""
-    n, p = xi.n, xi.p
-    return max(
-        sum(n - polar_space(xi.frame[:, list(order[:a])], module).shape[1] for a in range(1, p))
-        for order in itertools.permutations(range(p))
-    )
+    return max(brute_cartan_bound(xi, module, order) for order in itertools.permutations(range(xi.p)))
 
 
 @pytest.mark.parametrize(
@@ -114,6 +118,32 @@ def test_bound_max_over_orders_is_exact(phi, base):
         report = cartan_test(xi, module)
         assert report.bound_max_over_orders == brute_bound_max(xi, module)
         assert report.bound_max_over_orders >= report.cartan_bound
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        cartan_three_form(su_lie_algebra(3)),
+        cartan_three_form(su_lie_algebra(4)),
+        special_lagrangian(4).calib,
+        parse_form(FIVE_FORM, n=9),
+    ],
+    ids=["su3", "su4", "slag4", "five-form"],
+)
+def test_polar_codims_from_the_jacobian_match_polar_space_at_searched_planes(phi):
+    """At a searched plane of each non-maximal |value| cluster, both bounds equal polar_space's.
+
+    cartan_test reads each polar codimension as the rank of a slice of the
+    module Jacobian; polar_space computes each polar space on its own.
+    """
+    module = phi_module(phi)
+    catalog = critical_spectrum(phi, params=SearchParams(trials=24))
+    assert len(catalog.clusters) >= 2
+    for center, _ in catalog.clusters[:-1]:
+        xi = next(plane for plane, v in zip(catalog.planes, catalog.values) if abs(abs(v) - center) < 1e-4)
+        report = cartan_test(xi, module)
+        assert report.cartan_bound == brute_cartan_bound(xi, module, range(xi.p))
+        assert report.bound_max_over_orders == brute_bound_max(xi, module)
 
 
 def test_bound_max_over_orders_exceeds_the_given_flag():

@@ -33,7 +33,7 @@ from calibkit import (
 )
 from calibkit import exterior
 from calibkit.exterior import sort_index
-from calibkit.grassmann import _module_rows
+from calibkit.critical import _module_rows
 
 from conftest import brute_eval, perm_sign, random_form, svd_cofactors, svd_jet
 

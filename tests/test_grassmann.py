@@ -28,7 +28,7 @@ from calibkit import (
     trial_seed,
 )
 from calibkit import grassmann, special_lagrangian
-from calibkit.critical import completions, tol_scale
+from calibkit.critical import _module_rows, completions, tol_scale
 from calibkit.exterior import stack_values
 from calibkit.grassmann import _cluster_1d, _damped_step, _lockstep, _start_frames
 
@@ -158,10 +158,21 @@ def test_search_params_validation():
         {"step_init": float("nan")},
         {"grad_tol": float("nan")},
         {"armijo_c": float("nan")},
+        {"max_iters": 2.5},
+        {"max_iters": 100.0},
+        {"trials": 2.5},
+        {"master_seed": 1.0},
+        {"max_iters": True},
+        {"trials": True},
+        {"master_seed": False},
+        {"trials": "3"},
+        {"max_iters": "3"},
     ):
         with pytest.raises(ValueError):
             SearchParams(**bad)
     assert SearchParams(trials=0).trials == 0
+    params = SearchParams(max_iters=np.int64(7), trials=np.int32(3), master_seed=np.uint8(2))
+    assert (params.max_iters, params.trials, params.master_seed) == (7, 3, 2)
 
 
 def test_cluster_1d():
@@ -229,7 +240,7 @@ def test_search_results_are_read_at_the_returned_frames(name, sense, max_iters):
     module = phi_module(phi)
     starts = _start_frames(phi.n, phi.p, [trial_seed(2, t) for t in range(6)])
     frames, values, residuals, converged, _ = _lockstep(phi, starts, SearchParams(max_iters=max_iters), sense, module)
-    idx0, rows = grassmann._module_rows(phi, module)
+    idx0, rows = _module_rows(phi, module)
     assert np.array_equal(values, stack_values(rows, idx0, frames)[:, 0])
     assert np.array_equal(converged, residuals < SearchParams().grad_tol * tol_scale(phi))
 
@@ -386,6 +397,26 @@ def test_search_values_and_residuals_pass_the_three_residual_report(name):
     report = is_critical(plane, phi, tol=10 * params.grad_tol)
     assert report.is_critical
     assert abs(report.value - value) <= tol
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_FORMS))
+def test_reports_give_catalog_values_bit_for_bit(name):
+    """is_critical takes the search's own jet of [phi; module], so every catalog plane reports its catalog value.
+
+    ascend from trial 0's seed returns catalog plane 0 and reports its value too.
+    """
+    make, trials = SEARCH_FORMS[name]
+    phi = make()
+    module = phi_module(phi)
+    params = SearchParams(trials=trials)
+    catalog = critical_spectrum(phi, params=params)
+    assert catalog.planes
+    for plane, value in zip(catalog.planes, catalog.values):
+        assert is_critical(plane, phi, module=module).value == value
+    alone = ascend(phi, random_plane(phi.n, phi.p, trial_seed(0, 0)), params, sense="critical", module=module)
+    assert alone.converged
+    assert np.array_equal(alone.plane.frame, catalog.planes[0].frame)
+    assert alone.value == catalog.values[0]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
