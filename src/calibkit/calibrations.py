@@ -178,11 +178,9 @@ class LieAlgebraData:
             raise ValueError("structure constants are not antisymmetric")
         if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > 1e-10:
             raise ValueError("the metric is not invariant (c not totally antisymmetric)")
-        jac = (
-            np.einsum("ijm,mkl->ijkl", c, c)
-            + np.einsum("jkm,mil->ijkl", c, c)
-            + np.einsum("kim,mjl->ijkl", c, c)
-        )
+        # cc[i, j, k, l] = sum_m c[i, j, m] c[m, k, l]; the Jacobi sum is cyclic in (i, j, k)
+        cc = np.tensordot(c, c, axes=(2, 0))
+        jac = cc + cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3)
         if np.max(np.abs(jac)) > 1e-10:
             raise ValueError("structure constants violate the Jacobi identity")
         self.structure = c
@@ -222,7 +220,7 @@ def su_lie_algebra(k):
     # the brackets of all pairs i < j, in their coordinates -tr([X_i, X_j] X_l)
     i, j = np.triu_indices(n, 1)
     br = basis[i] @ basis[j] - basis[j] @ basis[i]
-    coords = -np.trace(br[:, None] @ basis[None], axis1=-2, axis2=-1).real
+    coords = -np.einsum("pab,lba->pl", br, basis).real
     structure = np.zeros((n, n, n))
     structure[i, j] = coords
     structure[j, i] = -coords

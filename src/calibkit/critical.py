@@ -4,12 +4,15 @@ Three equivalent tests are implemented: the first-cousin coefficients
 (residual_cousin), vanishing of the induced module of forms
 (residual_module), and closure under the associated alternating vector
 product (residual_rho).  The module is the image of o(n) acting on the
-form; its annihilator on the Grassmannian is exactly the critical set.
+form; its annihilator on the Grassmannian is exactly the critical set.  The
+o(n) action splits into small blocks, generators against indices, so the
+module is built, stored and evaluated block by block.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,6 +20,7 @@ import numpy as np
 from .exterior import (
     AltForm,
     SkewMap,
+    _lex_rank,
     canonical_indices,
     evaluate,
     first_jet,
@@ -155,9 +159,16 @@ class FormModule:
 
     Row i holds the coefficients of the i-th basis form over
     canonical_indices(n, degree).  The basis as AltForms is built on first use.
+    The module also carries a block layout, which first_jet contracts group
+    by group: blocks is a list of groups (r, cols), where cols (G, c) holds
+    the canonical positions of G blocks of c indices each, and each block
+    has r rows, zero off its own indices.  The rows run through the groups,
+    and through their blocks, in order.  The default, one group of one block
+    over every index, fits any rows; phi_module stores its rows in the block
+    order of the o(n) action.
     """
 
-    def __init__(self, n, degree, rows):
+    def __init__(self, n, degree, rows, blocks=None):
         self.n = n
         self.degree = degree
         self._idx0 = np.array(canonical_indices(n, degree), dtype=np.intp) - 1
@@ -165,6 +176,18 @@ class FormModule:
         self._coeff_mat = np.asarray(rows, dtype=float).reshape(-1, len(self._idx0)) + 0.0
         self.rank = self._coeff_mat.shape[0]
         self._basis = None
+        if blocks is None:
+            blocks = [(self.rank, np.arange(len(self._idx0))[None])]
+        # a module of rank 0 is one group of no rows over no indices
+        blocks = [(r, cols) for r, cols in blocks if r] or [(0, np.zeros((1, 0), dtype=np.intp))]
+        # first_jet's groups (G, r, c) over the blocks' indices, in order
+        self._blocks = blocks
+        self._groups, row = [], 0
+        for r, cols in blocks:
+            rows = self._coeff_mat[row : row + len(cols) * r].reshape(len(cols), r, len(self._idx0))
+            self._groups.append(np.take_along_axis(rows, cols[:, None, :], axis=2))
+            row += len(cols) * r
+        self._block_idx0 = self._idx0[np.concatenate([cols.ravel() for _, cols in blocks])]
 
     @classmethod
     def from_spanning(cls, n, degree, forms):
@@ -204,9 +227,39 @@ class FormModule:
 
 
 def _module_rows(phi, module):
-    """Stack phi's own dense coefficients on top of the module's: (idx0, rows) for first_jet."""
+    """(idx0, groups) for first_jet of phi's terms and the module's groups: the rows [phi; module].
+
+    The module's blocks that hold one of phi's indices join phi's block, so
+    no index repeats: a repeated index would take its share of every
+    per-frame array of the jet (su4's 12 would halve its frames per gather
+    block).  Their rows come first, so the module's rows may come permuted,
+    which no norm or Gauss-Newton step sees.  Without such blocks phi's block
+    is its compact terms, as AltForm.apply evaluates them.
+    """
     check_fits(phi.n, phi.p, module.n, module.degree)
-    return module._idx0, np.vstack([phi.dense()[None, :], module.dense_matrix()])
+    idx0, c = phi._compact()
+    is_term = np.zeros(len(module._idx0), dtype=bool)
+    is_term[_lex_rank(idx0, phi.n)] = True
+    dense = np.zeros(len(module._idx0))
+    dense[is_term] = c  # phi's terms run in canonical order
+    joined, groups, cols = [], [], []
+    for (_, at), g in zip(module._blocks, module._groups):
+        hit = is_term[at].any(axis=1)
+        joined += zip(at[hit], g[hit])
+        if not hit.all():
+            groups.append(g[~hit])
+            cols.append(at[~hit].ravel())
+    # phi's block: its other terms, then the joined blocks' indices and rows
+    for at, _ in joined:
+        is_term[at] = False
+    head_cols = np.concatenate([np.flatnonzero(is_term)] + [at for at, _ in joined])
+    head = np.zeros((1 + sum(len(b) for _, b in joined), len(head_cols)))
+    head[0] = dense[head_cols]
+    row, col = 1, np.count_nonzero(is_term)
+    for at, b in joined:
+        head[row : row + len(b), col : col + len(at)] = b
+        row, col = row + len(b), col + len(at)
+    return module._idx0[np.concatenate([head_cols] + cols)], [head[None]] + groups
 
 
 def numerical_rank(s, cutoff):
@@ -263,19 +316,63 @@ def p_map(theta, phi):
     return so_action(theta, phi)
 
 
-def _action_svd(phi):
-    """SVD (u, s, vt) of so_action_matrix(phi), with u square.
+def _action_blocks(phi):
+    """SVDs of the blocks of so_action_matrix(phi): the connected components of its nonzero pattern.
 
-    The rows vt[:rank] span the module; the columns u[:, rank:] the stabilizer.
+    A generator and an index are joined by a nonzero entry.  The matrix is
+    zero off its blocks, so its SVD is the union of theirs.  The blocks of
+    each shape take one batched SVD.  Returns the generators whose row is
+    zero, and for each shape, in the order of its first block, the blocks'
+    (gens (G, r), cols (G, c), u (G, r, r), vt, ranks (G,)); a rank counts
+    the block's singular values above RANK_TOL times the largest of all.
     """
     mat = so_action_matrix(phi)
-    return np.linalg.svd(mat, full_matrices=mat.shape[0] > mat.shape[1])
+    nz = mat != 0
+    live = nz.any(axis=1)
+    gens, cols = np.flatnonzero(live), np.flatnonzero(nz.any(axis=0))
+    nz = nz[np.ix_(gens, cols)]
+    # each index takes the least label among the indices it shares a generator
+    # with, until every block is labelled by its first index
+    label = np.arange(len(cols))
+    while True:
+        row = np.where(nz, label, len(cols)).min(axis=1, initial=len(cols))
+        new = np.where(nz, row[:, None], len(cols)).min(axis=0, initial=len(cols))
+        if np.array_equal(new, label):
+            break
+        label = new
+    # generators and indices sorted by block, and each block's counts and first position
+    gens, cols = gens[np.argsort(row, kind="stable")], cols[np.argsort(label, kind="stable")]
+    ids = np.flatnonzero(np.bincount(label, minlength=len(cols)))
+    r, c = np.bincount(row, minlength=len(cols))[ids], np.bincount(label, minlength=len(cols))[ids]
+    r0, c0 = np.cumsum(r) - r, np.cumsum(c) - c
+    shapes = []
+    for rs, cs in dict.fromkeys(zip(r.tolist(), c.tolist())):
+        j = np.flatnonzero((r == rs) & (c == cs))
+        g, cc = gens[r0[j, None] + np.arange(rs)], cols[c0[j, None] + np.arange(cs)]
+        shapes.append((g, cc, *np.linalg.svd(mat[g[:, :, None], cc[:, None, :]], full_matrices=rs > cs)))
+    top = max((s[:, 0].max() for *_, s, _ in shapes), default=0.0)
+    return np.flatnonzero(~live), [(g, cc, u, vt, np.sum(s > RANK_TOL * top, axis=1)) for g, cc, u, s, vt in shapes]
 
 
 def phi_module(phi):
-    """Orthonormal basis of the image of o(n) acting on phi (rank cutoff RANK_TOL)."""
-    _, s, vt = _action_svd(phi)
-    return FormModule(phi.n, phi.p, vt[: numerical_rank(s, RANK_TOL)])
+    """Orthonormal basis of the image of o(n) acting on phi (rank cutoff RANK_TOL), built block by block.
+
+    Each block of the action takes its leading right singular vectors over
+    its own indices, so the basis forms are block-sparse.  The rows go in
+    groups of blocks of one shape and rank, the module's block layout.
+    """
+    n, p = phi.n, phi.p
+    layout, parts = [], []
+    for _, cols, _, vt, ranks in _action_blocks(phi)[1]:
+        for rank in dict.fromkeys(ranks[ranks > 0].tolist()):
+            layout.append((rank, cols[ranks == rank]))
+            parts.append(vt[ranks == rank, :rank])
+    rows = np.zeros((sum(v.shape[0] * v.shape[1] for v in parts), math.comb(n, p)))
+    at = 0
+    for (rank, cols), v in zip(layout, parts):
+        rows[np.arange(at, at + len(v) * rank).reshape(len(v), rank, 1), cols[:, None, :]] = v
+        at += len(v) * rank
+    return FormModule(n, p, rows, blocks=layout)
 
 
 def stabilizer_dim(phi):
@@ -285,13 +382,22 @@ def stabilizer_dim(phi):
 
 
 def stabilizer_kernel(phi):
-    """Orthonormal basis of the stabilizer algebra, as a list of SkewMap."""
+    """Orthonormal basis of the stabilizer algebra, as a list of SkewMap.
+
+    Each block of the action gives its trailing left singular vectors, and
+    each generator whose row is zero its unit vector.
+    """
     n = phi.n
-    u, s, _ = _action_svd(phi)
-    null = u[:, numerical_rank(s, RANK_TOL) :]
+    zero, shapes = _action_blocks(phi)
+    null = [np.eye(n * (n - 1) // 2)[zero]]
+    for gens, _, u, _, ranks in shapes:
+        for g, v, rank in zip(gens, u, ranks):
+            null.append(np.zeros((len(g) - rank, n * (n - 1) // 2)))
+            null[-1][:, g] = v[:, rank:].T
+    null = np.concatenate(null)
     upper = np.triu_indices(n, 1)
-    m = np.zeros((null.shape[1], n, n))
-    m[:, upper[0], upper[1]] = null.T
+    m = np.zeros((len(null), n, n))
+    m[:, upper[0], upper[1]] = null
     return [SkewMap(x - x.T) for x in m]
 
 
@@ -380,8 +486,10 @@ def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
 
     The value, cousin coefficients and module values come from one first jet
     of the search's rows [phi; module], so a searched plane reports its
-    catalog value bit for bit.  A plane is critical when its cousin residual
-    is below tol times the largest |coefficient| of phi (tol for the zero form).
+    catalog value bit for bit.  residual_module is the Euclidean norm of the
+    module's values, which no orthonormal change of its basis moves.  A
+    plane is critical when its cousin residual is below tol times the
+    largest |coefficient| of phi (tol for the zero form).
     """
     check_fits(frames.shape[1], frames.shape[2], phi.n, phi.p)
     if module is None:
@@ -390,7 +498,7 @@ def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
     normals = completions(frames)[:, :, phi.p :]
     values, first = first_jet(rows, idx0, frames, normals)
     cousin = np.max(np.abs(first[:, 0]), axis=(1, 2), initial=0.0)
-    residual_module = np.max(np.abs(values[:, 1:]), axis=1, initial=0.0)
+    residual_module = np.linalg.norm(values[:, 1:], axis=1)
     residual_rho = _rho_residuals(phi, frames, normals)
     # the cousin coefficients scale with phi; the zero form keeps the absolute tol
     atol = tol * tol_scale(phi)

@@ -97,7 +97,7 @@ def cartan_test(xi, module):
     n, p = xi.n, xi.p
     k = n - p
     check_fits(n, p, module.n, module.degree)
-    coeffs, idx0, q = module.dense_matrix(), module._idx0, xi.completion()[None]
+    coeffs, idx0, q = module._groups, module._block_idx0, xi.completion()[None]
     values, first = orthonormal_jet(coeffs, idx0, q, p)
     resid = np.max(np.abs(values), initial=0.0)
     if resid > INTEGRAL_TOL:

@@ -261,8 +261,8 @@ def wedge(a, b):
 def hodge_star(a):
     """Hodge star with respect to the standard metric and orientation."""
     idx0, c = a._compact()
-    c, comp = _star(c, idx0, a.n)
-    return AltForm(a.n, a.n - a.p, dict(zip(map(tuple, (comp + 1).tolist()), c.tolist())))
+    sign, comp = _star(idx0, a.n)
+    return AltForm(a.n, a.n - a.p, dict(zip(map(tuple, (comp + 1).tolist()), (c * sign).tolist())))
 
 
 def interior(v, a):
@@ -408,15 +408,40 @@ def _expand(table, f, g, out):
     return out
 
 
+def _groups(coeff_mat, t):
+    """(groups, lead shape) of first_jet's coefficients; an (..., t) array is the one group (1, L, t)."""
+    if isinstance(coeff_mat, list):
+        return coeff_mat, (sum(len(g) * g.shape[1] for g in coeff_mat),)
+    coeff_mat = np.asarray(coeff_mat, dtype=float)
+    lead = coeff_mat.shape[:-1]
+    return [coeff_mat.reshape(1, math.prod(lead), t)], lead
+
+
+def _contract(groups, x):
+    """(b, R, w): each group's (G, r, c) coefficients times its G runs of c rows of x (b, t, w), block by block."""
+    b, _, w = x.shape
+    parts, col = [], 0
+    for g in groups:
+        blocks, r, c = g.shape
+        parts.append((g @ x[:, col : col + blocks * c].reshape(b, blocks, c, w)).reshape(b, blocks * r, w))
+        col += blocks * c
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
 def first_jet(coeff_mat, idx0, frames, normals):
     """Values of forms at frames and at every one-column normal replacement.
 
-    coeff_mat: (..., t) coefficients over the p-indices idx0 (0-based, (t, p)).
+    coeff_mat: (..., t) coefficients over the p-indices idx0 (0-based, (t, p)),
+    or a list of groups.  A group is a (G, r, c) stack of G blocks of r
+    forms, each block's forms with their c coefficients over the next c rows
+    of idx0, so the groups take consecutive runs of idx0, in order; an
+    (..., t) array is the one group (1, L, t).
     frames: (m, n, p) stack of frames; normals: (m, n, k).
     Returns (values, first) with values of shape (m, ...) and first of shape
-    (m, ..., p, k), where first[i, ..., b, s] is the value on frame i with
-    column b replaced by normals[i, :, s].  Since det is linear in each
-    column, det(F_bs[I]) = sum_r cof_I[r, b] * normal[I_r, s], so every
+    (m, ..., p, k), where ... is the array's lead shape, or (R,) for the R
+    forms of the groups, in order; first[i, ..., b, s] is the value on frame
+    i with column b replaced by normals[i, :, s].  Since det is linear in
+    each column, det(F_bs[I]) = sum_r cof_I[r, b] * normal[I_r, s], so every
     replacement comes from the cofactors of the t minors frame[I].  Every
     evaluation in calibkit comes here, for every p.  The minors of a frame
     share their sub-minors, so each frame fills one table of them
@@ -427,18 +452,18 @@ def first_jet(coeff_mat, idx0, frames, normals):
     table is planar (entries, frames), so a gather moves one row of the
     block's frames at a time.  Frames go in blocks whose table, gathered
     normals, cofactors and replacements each take at most _MINOR_BLOCK
-    floats.  Each frame is contracted on its own by a broadcast matmul, so
-    it gets the same bits alone as in any stack.  p = 0 (a 0 x 0 minor has
-    det 1) and forms without terms need no special case.
+    floats.  Each frame is contracted on its own, one group at a time, by a
+    broadcast matmul (_contract), so it gets the same bits alone as in any
+    stack; a block-sparse module (critical.phi_module) contracts only its
+    blocks' coefficients.  p = 0 (a 0 x 0 minor has det 1) and forms
+    without terms need no special case.
     """
-    coeff_mat = np.asarray(coeff_mat, dtype=float)
     frames = np.asarray(frames, dtype=float)
     normals = np.asarray(normals, dtype=float)
     idx0 = np.ascontiguousarray(idx0, dtype=np.intp)
     t, p = idx0.shape
     m, n, k = frames.shape[0], frames.shape[1], normals.shape[-1]
-    lead = coeff_mat.shape[:-1]
-    coeffs = coeff_mat.reshape(math.prod(lead), t)
+    groups, lead = _groups(coeff_mat, t)
     size, levels, dets_at, cof_at = _minor_plan(n, t, p, idx0.tobytes(), bool(p and k))
     # the outputs are concatenated from the blocks, so they are allocated after
     # the block temporaries; preallocating them let malloc hand the freed
@@ -459,13 +484,13 @@ def first_jet(coeff_mat, idx0, frames, normals):
         dets = _expand(table, *dets_at, np.empty((t, b)))
         # C-contiguous, so every frame is contracted with unit strides
         # whatever the size of the stack
-        values.append(coeffs @ np.ascontiguousarray(dets.T).reshape(b, t, 1))
+        values.append(_contract(groups, np.ascontiguousarray(dets.T).reshape(b, t, 1)))
         if cof_at is not None:
             cof = np.empty((b, t * p * p))
             np.multiply(table.take(cof_at[0], axis=0).T, cof_at[1], out=cof)
             del table  # so the block holds only cofactors, gathered normals and replacements
             repl = np.swapaxes(cof.reshape(b, t, p, p), -1, -2) @ normals[lo : lo + step].take(idx0, axis=1)
-            first.append(coeffs @ repl.reshape(b, t, p * k))  # repl: (b, t, p, k)
+            first.append(_contract(groups, repl.reshape(b, t, p * k)))  # repl: (b, t, p, k)
     values = np.concatenate(values).reshape((m,) + lead)
     if not first:
         return values, np.zeros((m,) + lead + (p, k))
@@ -495,28 +520,30 @@ def _star_columns(n, p):
     return comp, sign
 
 
-def _star(coeff_mat, idx0, n):
-    """Hodge stars of forms with coefficients (..., t) over the increasing p-indices idx0 (t, p).
+def _star(idx0, n):
+    """Hodge stars *e^I = sign e^J of the basis forms over the increasing p-indices idx0 (t, p).
 
-    Returns the stars' coefficients (..., t) and their 0-based indices (t, n - p)."""
+    Returns the signs (t,) and the 0-based indices J (t, n - p)."""
     comp, sign = _star_columns(n, idx0.shape[1])
     rank = _lex_rank(idx0, n)
-    return np.asarray(coeff_mat, dtype=float) * sign[rank], comp[rank]
+    return sign[rank], comp[rank]
 
 
 def orthonormal_jet(coeff_mat, idx0, completions, p, jet=True):
     """first_jet(coeff_mat, idx0, Q[:, :, :p], Q[:, :, p:]) for (m, n, n) orthonormal Q.
 
-    idx0 rows must be strictly increasing.  With jet=False only the values
-    are returned, as stack_values(coeff_mat, idx0, Q[:, :, :p]) would give
-    them.  Up to p = n/2 this is first_jet itself.  Above it the forms are
+    coeff_mat is first_jet's: an (..., t) array or a list of groups.  idx0
+    rows must be strictly increasing.  With jet=False only the values are
+    returned, as stack_values(coeff_mat, idx0, Q[:, :, :p]) would give them.
+    Up to p = n/2 this is first_jet itself.  Above it the forms are
     evaluated through their Hodge stars, on (n - p) x (n - p) minors in place
     of p x p ones: gamma(F) = det Q (*gamma)(N) for Q = [F N], and turning
     column b of F towards column s of N turns column s of N away from column
     b of F, so the replacement (b, s) of gamma is -det Q times the
-    replacement (s, b) of *gamma at N with normals F.  So the p = 12 dual of
-    the su(4) form fills sub-minor tables of 3 x 3 minors, not of 12 x 12
-    ones, whose eleven levels would hold 271,232 entries a frame.
+    replacement (s, b) of *gamma at N with normals F.  The star maps each
+    group's columns like any others.  So the p = 12 dual of the su(4) form
+    fills sub-minor tables of 3 x 3 minors, not of 12 x 12 ones, whose
+    eleven levels would hold 271,232 entries a frame.
     """
     completions = np.asarray(completions, dtype=float)
     n = completions.shape[-1]
@@ -524,9 +551,14 @@ def orthonormal_jet(coeff_mat, idx0, completions, p, jet=True):
     if 2 * p <= n:
         values, first = first_jet(coeff_mat, idx0, frames, normals if jet else normals[:, :, :0])
     else:
-        coeff_mat, comp = _star(coeff_mat, idx0, n)
-        values, first = first_jet(coeff_mat, comp, normals, frames if jet else frames[:, :, :0])
-        det = np.sign(np.linalg.det(completions)).reshape((-1,) + (1,) * (values.ndim - 1))
+        groups, lead = _groups(coeff_mat, len(idx0))
+        sign, comp = _star(idx0, n)
+        cuts = np.cumsum([len(g) * g.shape[2] for g in groups])[:-1]
+        groups = [g * s.reshape(len(g), 1, -1) for g, s in zip(groups, np.split(sign, cuts))]
+        values, first = first_jet(groups, comp, normals, frames if jet else frames[:, :, :0])
+        m = len(completions)
+        values, first = values.reshape((m,) + lead), first.reshape((m,) + lead + first.shape[-2:])
+        det = np.sign(np.linalg.det(completions)).reshape((m,) + (1,) * len(lead))
         values, first = det * values, -det[..., None, None] * np.swapaxes(first, -1, -2)
     return (values, first) if jet else values
 

@@ -8,7 +8,10 @@ Levenberg-Marquardt step at a fixed damping (`_damped_step`): the normal
 equations (J^T J + mu I) d = -J^T r of every unconverged trial are solved in
 one batched LU solve, which costs a fraction of an SVD, and the step is 0
 along the null directions of J, such as those tangent to a Morse-Bott
-critical set.  Both phases are step rules for one backtracking line search
+critical set.  The step does not change when the module's orthonormal basis
+does (J -> QJ, r -> Qr), so its jet contracts the module block by block, as
+critical.phi_module builds it: su4's 90 rows take 2,511 coefficients, not
+90 * 455.  Both phases are step rules for one backtracking line search
 (`_line_search`).  Each trial carries its completion Q = [F N], which the
 one QR of each retraction (`critical._retract`) renews, and each try takes
 one jet at its candidate; an accepted candidate's jet is the one the next
@@ -62,9 +65,11 @@ __all__ = [
 # payload, so its peak_rss_mb grows with the passes a faster program makes:
 # +10.9% at 64, past the 10% bound, against +4.9% at 24 and +8.5% at 32.
 # Raise the block once perfbench stops keeping payloads.  The bound also keeps a search's memory
-# flat in its trial count: the largest lockstep array, the su4 Gauss-Newton
-# jet, takes 24 * 91 * 3 * 12 floats (0.63 MB) per block, and each 24-trial
-# su4 job is one stack
+# flat in its trial count: the largest lockstep arrays are the su4
+# Gauss-Newton jet, 24 * 91 * 3 * 12 floats (0.63 MB) per block, and its
+# 24 * 90 * 36 Jacobian, while the block-sparse module's coefficients take
+# 2,511 floats; a 24-trial su4 job is one stack, and its search peaks at
+# 3.5 MB (tracemalloc)
 _TRIAL_BLOCK = 24
 # largest gap between sorted |values| within one catalog cluster
 CLUSTER_TOL = 1e-4
@@ -232,9 +237,9 @@ def _damped_step(jac, r):
 
 
 def _gauss_newton(qs, params, idx0, rows, grad_tol):
-    """Drive the module rows[1:] to zero from completions qs.
+    """Drive the module's values to zero from completions qs; rows are critical._module_rows' groups [phi; module].
 
-    Returns qs, iterations, ok and phi's (rows[0]) value and residual, all
+    Returns qs, iterations, ok and phi's (row 0) value and residual, all
     read from each trial's final jet, at the frame it returns.
     """
     p = idx0.shape[1]
@@ -249,7 +254,7 @@ def _gauss_newton(qs, params, idx0, rows, grad_tol):
         todo = np.flatnonzero(~ok)
         delta = np.zeros((len(vals), p * k))
         # d gamma / d A[b*k+t]; p k may be 0
-        delta[todo] = _damped_step(first[todo, 1:].reshape(len(todo), len(rows) - 1, p * k), r[todo])
+        delta[todo] = _damped_step(first[todo, 1:].reshape(len(todo), r.shape[1], p * k), r[todo])
         base = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
         def descends(j, new_vals, s):

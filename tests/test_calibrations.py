@@ -32,6 +32,8 @@ from calibkit import (
 )
 from calibkit.calibrations import _su_coords, _su_matrix_basis
 
+from conftest import su_structure
+
 
 def test_associative_frozen_values():
     phi = associative_form()
@@ -188,7 +190,7 @@ def test_su_lie_algebra_valid(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_su_structure_constants_match_pairwise_loop(k):
-    """The stacked brackets equal, bit for bit, one bracket and trace per pair."""
+    """The brackets' coordinates from one einsum equal, bit for bit, one bracket and trace per pair and the stacked traces."""
     basis = _su_matrix_basis(k)
     n = len(basis)
     expected = np.zeros((n, n, n))
@@ -197,7 +199,9 @@ def test_su_structure_constants_match_pairwise_loop(k):
         coords = _su_coords(br, basis)
         expected[i, j] = coords
         expected[j, i] = -coords
-    assert np.array_equal(su_lie_algebra(k).structure, expected)
+    structure = su_lie_algebra(k).structure
+    assert np.array_equal(structure, expected)
+    assert np.array_equal(structure, su_structure(k))
 
 
 def test_lie_algebra_data_validation():
@@ -207,6 +211,13 @@ def test_lie_algebra_data_validation():
         LieAlgebraData(dim=3, structure=c)
     with pytest.raises(ValueError):
         LieAlgebraData(dim=3, structure=np.zeros((2, 2, 2)))
+    # e012 + e034 is totally antisymmetric, but on (e1, e2, e3) only [e3, [e1, e2]] = [e3, e0] = -e4 is nonzero
+    c = np.zeros((5, 5, 5))
+    for idx in [(0, 1, 2), (0, 3, 4)]:
+        for perm in itertools.permutations(range(3)):
+            c[tuple(idx[q] for q in perm)] = (-1.0) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+    with pytest.raises(ValueError, match="Jacobi"):
+        LieAlgebraData(dim=5, structure=c)
 
 
 def test_cartan_form_su2_is_volume():

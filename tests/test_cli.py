@@ -1,6 +1,10 @@
 """CLI behavior: output channels, exit codes, config handling, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,10 +46,13 @@ def test_module_custom_form(capsys):
 
 
 def test_module_with_basis(capsys):
+    """The block-sparse basis: the seven 4-term forms of Lambda^3_7, coefficients +-1/2."""
     code, out, _ = run(capsys, "module", "--family", "associative", "--basis", "--json")
     assert code == 0
     payload = json.loads(out)
     assert len(payload["basis"]) == 7
+    assert all(len(form["terms"]) == 4 for form in payload["basis"])
+    assert all(abs(abs(term["c"]) - 0.5) <= 1e-15 for form in payload["basis"] for term in form["terms"])
 
 
 def test_usage_errors(capsys):
@@ -535,3 +542,20 @@ def test_search_determinism_byte_identical(capsys, tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("algebra, trials", [("su3", "30"), ("su4", "24")], ids=["su3-two-blocks", "su4"])
+def test_seeded_searches_give_the_same_bytes_in_two_processes(algebra, trials):
+    """Two fresh processes print the same catalog bytes: the module's per-block SVDs included.
+
+    30 su3 trials span two lockstep blocks; 24 su4 trials take its tall
+    Gauss-Newton Jacobians in one stack.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "calibkit.cli", "search", "--family", "cartan", "--algebra", algebra]
+    argv += ["--trials", trials, "--seed", "5", "--json"]
+    runs = [subprocess.run(argv, env=env, capture_output=True, timeout=300) for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert json.loads(runs[0].stdout)["trials"] == int(trials)
+    assert runs[0].stdout == runs[1].stdout

@@ -48,10 +48,11 @@ from calibkit import (
     subspace_distance,
 )
 from calibkit import critical
-from calibkit.critical import _adapted_values, numerical_rank
+from calibkit.critical import _adapted_values, _module_rows, completions, numerical_rank, tol_scale
 from calibkit.eds import KERNEL_CUTOFF
+from calibkit.exterior import _lex_rank, orthonormal_jet
 
-from conftest import brute_eval, random_form
+from conftest import brute_eval, dense_coefficients, dense_phi_module, dense_stabilizer_kernel, random_form
 
 
 def expm_skew(theta):
@@ -355,6 +356,116 @@ def test_module_is_so_n_equivariant(family):
     compound = np.linalg.det(g[idx[:, None, :, None], idx[None, :, None, :]])
     image = FormModule(n, p, phi_module(phi).dense_matrix() @ compound.T)
     assert subspace_distance(phi_module(moved), image) < 1e-10
+
+
+# -- the block module --------------------------------------------------------
+
+
+def assert_block_module_matches_the_dense_svd(phi):
+    """phi_module and stabilizer_kernel against one SVD of the whole action matrix."""
+    n = phi.n
+    module, oracle = phi_module(phi), dense_phi_module(phi)
+    assert module.rank == oracle.rank
+    assert subspace_distance(module, oracle) <= 1e-12
+    rows = module.dense_matrix()
+    assert np.max(np.abs(rows @ rows.T - np.eye(module.rank)), initial=0.0) < 1e-12
+    kernel = stabilizer_kernel(phi)
+    want = dense_stabilizer_kernel(phi)
+    got = np.reshape([theta.entries[np.triu_indices(n, 1)] for theta in kernel], (len(kernel), n * (n - 1) // 2))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got.T @ got - want.T @ want), initial=0.0) <= 1e-12
+    for theta in kernel:
+        assert np.max(np.abs(so_action(theta, phi).dense()), initial=0.0) <= 1e-12 * tol_scale(phi)
+
+
+# beside the built-in families: the p = 12 dual of su4, a rank-0 module whose
+# generators' rows are all zero, the zero form, a form of one block, and one
+# whose terms reach two module blocks, of 2 and 6 indices
+MORE_BLOCK_FORMS = {
+    "su4-dual": lambda: hodge_star(cartan_three_form(su_lie_algebra(4))),
+    "volume": lambda: parse_form("e1234", n=4),
+    "zero": lambda: AltForm.zero(5, 2),
+    "one-block": lambda: parse_form("e12 + 2*e13 + 3*e23", n=3),
+    "two-joined": lambda: parse_form("3*e17 + 2*e23 + 3*e24 + 3*e26 + 3*e36 + 2*e57", n=7),
+}
+BLOCK_FORMS = sorted(BUILTIN_SPECS) + sorted(MORE_BLOCK_FORMS)
+
+
+def block_form(name):
+    if name in BUILTIN_SPECS:
+        return build_calibration(CalibrationSpec.from_json(BUILTIN_SPECS[name]))
+    return MORE_BLOCK_FORMS[name]()
+
+
+@pytest.mark.parametrize("name", BLOCK_FORMS)
+def test_block_module_matches_the_dense_svd(name):
+    assert_block_module_matches_the_dense_svd(block_form(name))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 7),
+    p_raw=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.05, 0.2, 0.5]),
+)
+def test_block_module_of_random_sparse_forms_matches_the_dense_svd(n, p_raw, seed, density):
+    assert_block_module_matches_the_dense_svd(random_form(np.random.default_rng(seed), n, 1 + p_raw % n, density))
+
+
+def test_block_module_layout():
+    """Block-sparse basis forms: associative has the seven 4-term forms of Lambda^3_7, su4 none over 34 terms."""
+    module = phi_module(associative_form())
+    assert [len(b.coeffs) for b in module.basis] == [4] * 7
+    assert all(abs(abs(c) - 0.5) <= 1e-15 for b in module.basis for c in b.coeffs.values())
+    su4 = phi_module(cartan_three_form(su_lie_algebra(4)))
+    assert su4.rank == 90 and max(len(b.coeffs) for b in su4.basis) <= 34
+    assert len(phi_module(parse_form("e12 + 2*e13 + 3*e23", n=3))._groups) == 1
+
+
+@pytest.mark.parametrize("name", BLOCK_FORMS)
+def test_grouped_contraction_matches_the_dense_one(name, rng):
+    """The module's groups and [phi; module]'s give the dense rows' jet to 1e-14, over no repeated index.
+
+    The jets go through orthonormal_jet, whose star path (the p = 12 dual of
+    su4) maps each group's columns.
+    """
+    phi = block_form(name)
+    module = phi_module(phi)
+    n, p = phi.n, phi.p
+    qs = completions(qr_fix(rng.standard_normal((5, n, p)))[0])
+    dense = orthonormal_jet(module.dense_matrix(), module._idx0, qs, p)
+    grouped = orthonormal_jet(module._groups, module._block_idx0, qs, p)
+    for a, b in zip(dense, grouped):
+        assert a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= 1e-14
+    # the search's rows: phi, then the module's rows in some order, each index
+    # once; a frame gets the same bits alone as in the stack
+    idx0, groups = _module_rows(phi, module)
+    assert len(np.unique(idx0, axis=0)) == len(idx0)
+    values, first = orthonormal_jet(groups, idx0, qs, p)
+    for i in range(len(qs)):
+        alone = orthonormal_jet(groups, idx0, qs[i : i + 1], p)
+        assert np.array_equal(values[i], alone[0][0]) and np.array_equal(first[i], alone[1][0])
+    rows = np.zeros((1 + module.rank, len(module._idx0)))
+    rows[:, _lex_rank(idx0, n)] = dense_coefficients(groups, len(idx0))
+    assert np.array_equal(rows[0], phi.dense())
+    assert sorted(map(tuple, rows[1:])) == sorted(map(tuple, module.dense_matrix()))
+
+
+@pytest.mark.parametrize("name", ["associative", "su3", "su4", "one-block"])
+def test_criticality_reports_do_not_depend_on_the_module_basis(name, rng):
+    """residual_module is |Phi(xi)|_2: every field stays put when the module's rows rotate."""
+    phi = block_form(name)
+    module = phi_module(phi)
+    q = qr_fix(rng.standard_normal((module.rank, module.rank)))[0]
+    rotated = FormModule(phi.n, phi.p, q @ module.dense_matrix())
+    frames = qr_fix(rng.standard_normal((6, phi.n, phi.p)))[0]
+    for a, b in zip(criticality_reports(frames, phi, module=module), criticality_reports(frames, phi, module=rotated)):
+        assert a.is_critical == b.is_critical
+        for field in ("residual_cousin", "residual_module", "residual_rho", "value"):
+            assert abs(getattr(a, field) - getattr(b, field)) <= 1e-14
+    norms = np.linalg.norm(module.values_on(frames), axis=0)
+    assert np.max(np.abs([r.residual_module for r in criticality_reports(frames, phi)] - norms)) <= 1e-14
 
 
 # -- three-way equivalence ---------------------------------------------------

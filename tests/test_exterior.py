@@ -392,15 +392,16 @@ def test_first_jet_matches_explicit_replacements(n, p_raw, seed, empty, integral
     idx0, c = phi._compact()
     values, first = first_jet(c, idx0, frames, normals)
     assert values.shape == (m,) and first.shape == (m, p, k)
-    # stacked module rows over the canonical indices
-    idx_all, rows = _module_rows(phi, phi_module(phi))
+    # phi's terms stacked on the module's groups
+    module = phi_module(phi)
+    idx_all, rows = _module_rows(phi, module)
     row_values, row_first = first_jet(rows, idx_all, frames, normals)
-    assert row_values.shape == (m, len(rows)) and row_first.shape == (m, len(rows), p, k)
+    assert row_values.shape == (m, 1 + module.rank) and row_first.shape == (m, 1 + module.rank, p, k)
     for i in range(m):
         stack = np.concatenate([frames[i][None], replaced_frames(frames[i], normals[i])])
         for f, v in zip(stack, np.concatenate([[values[i]], first[i].reshape(p * k)])):
             assert abs(v - brute_eval(phi, f)) < 1e-12
-        got = np.column_stack([row_values[i], row_first[i].reshape(len(rows), p * k)])
+        got = np.column_stack([row_values[i], row_first[i].reshape(1 + module.rank, p * k)])
         assert np.max(np.abs(got - stack_values(rows, idx_all, stack).T)) < 1e-12
     assert np.array_equal(stack_values(rows, idx_all, frames), row_values)
 
