@@ -419,9 +419,9 @@ def cousin_matrix(phi, xi):
 
 
 def annihilator_check(xi, module):
-    """max |gamma(xi)| over the module basis; ~0 iff xi is critical."""
+    """|Phi(xi)|_2, which no orthonormal change of the module's basis moves (residual_module); ~0 iff critical."""
     check_fits(xi.n, xi.p, module.n, module.degree)
-    return float(np.max(np.abs(module.values_on(xi.frame)), initial=0.0))
+    return float(np.linalg.norm(module.values_on(xi.frame)))
 
 
 def _rho_stack(phi, rest):

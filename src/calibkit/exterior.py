@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-# floats (256 KB) that first_jet holds at once in any one of its sub-minor
-# table, gathered normals, cofactors and replacements
+# floats (256 KB) that first_jet holds at once in any one block array: its
+# sub-minor table, determinant terms, minors M, gradients V or replacements
 _MINOR_BLOCK = 1 << 15
 
 
@@ -351,13 +351,14 @@ def _minor_plan(n, t, p, key, jet):
     (C a column set, R a row tuple, |C| = |R| = j) that the support needs,
     expanded along C's last column:
         M[C, R] = sum_i (-1)^(i + j - 1) F[R_i, C[-1]] M[C - C[-1], R - R_i].
-    The cofactor (r, b) of the minor frame[I] is (-1)^(r + b) M[cols - b,
-    I - I_r], and det I = sum_r F[I_r, 0] cofactor(r, 0); without the jet
-    only column 0's cofactors are needed.  Returns (size, levels, dets,
-    cof): each level is (offset, f, g), whose E entries are the sums over
-    the rows of the products of table[f] and table[g] (both (j, E)); dets is
-    the (f, g) pair of the t determinants; cof is the table positions and
-    signs of the t p^2 cofactors (row-major per minor), or None.
+    det I = sum_r (-1)^r F[I_r, 0] M[cols - 0, I - I_r]; the jet needs
+    M[cols - b, J] for every column b and row tuple J = I - I_r.  Returns
+    (size, levels, dets, grad): each level is (offset, f, g), whose E
+    entries are the sums over the rows of the products of table[f] and
+    table[g] (both (j, E)); dets is the (f, g) pair of the t determinants;
+    grad (jet only) is (at, sign, jinv, S): the table positions and signs of
+    the p x S matrix (-1)^b M[cols - b, J] over the S tuples J as np.unique
+    sorts them, and jinv (t, p), the J of each (I, r).
     """
     idx = np.frombuffer(key, dtype=np.intp).reshape(t, p)
     if idx.size and not 0 <= idx.min() <= idx.max() < n:
@@ -386,16 +387,47 @@ def _minor_plan(n, t, p, key, jet):
     f = [[entry(I[r], 0, (-1) ** r) for I in rows] for r in range(p)] if p else [[0] * t]
     g = [[pos[cols[1:], drop(I, r)] for I in rows] for r in range(p)] if p else [[0] * t]
     dets = tuple(np.array(x, dtype=np.intp).reshape(max(p, 1), t) for x in (f, g))
-    cof = None
+    grad = None
     if jet:
-        at = [(I, r, b) for I in rows for r in range(p) for b in range(p)]
-        cof = (
-            np.array([pos[drop(cols, b), drop(I, r)] for I, r, b in at], dtype=np.intp),
-            np.array([(-1.0) ** (r + b) for _, r, b in at]),
-        )
-    for arr in [a for level in levels for a in level[1:]] + list(dets) + list(cof or ()):
+        kept = np.nonzero(~np.eye(p, dtype=bool))[1].reshape(p, p - 1)  # row r: every column but r
+        tuples, jinv = np.unique(idx[:, kept].reshape(t * p, p - 1), axis=0, return_inverse=True)
+        s, b = len(tuples), np.arange(p)[:, None]
+        at = np.zeros((1, s), dtype=np.intp)  # p = 1: the 0 x 0 minor
+        if p == 2:  # M[(1 - b,), J] = F[J_0, 1 - b]
+            at = 1 + tuples.T * p + 1 - b
+        elif p > 2:  # the last level holds every (cols - b, J), sorted: b = p - 1 .. 0, then J
+            at = size - (b + 1) * s + np.arange(s)
+        grad = (at.ravel(), np.repeat((-1.0) ** np.arange(p), s), jinv.reshape(t, p), s)
+    for arr in [a for level in levels for a in level[1:]] + list(dets) + list(grad[:3] if grad else ()):
         arr.flags.writeable = False  # shared by every caller through the cache
-    return size, levels, dets, cof
+    return size, levels, dets, grad
+
+
+@functools.lru_cache(maxsize=32)
+def _gradients(n, t, p, key, shapes, coeffs):
+    """Gamma (S, R n) of first_jet's groups (shapes, coefficient bytes) over the t p-indices idx0 (key).
+
+    Gamma[J, (l, i)] sums (-1)^r c_{l, I} over the (I, r) with I - I_r = J
+    and I_r = i; on increasing rows that is one term.  The cache holds a
+    search's two (phi and [phi; module]) for seven families.
+    """
+    jinv, s = _minor_plan(n, t, p, key, True)[3][2:]
+    idx = np.frombuffer(key, dtype=np.intp).reshape(t, p)
+    # the form l and index row q of each coefficient, group by group
+    ell, q, row, col = [], [], 0, 0
+    for blocks, r, c in shapes:
+        block, form, term = np.indices((blocks, r, c)).reshape(3, -1)
+        ell.append(row + block * r + form)
+        q.append(col + block * c + term)
+        row, col = row + blocks * r, col + blocks * c
+    coeffs = np.frombuffer(coeffs)
+    live = coeffs != 0.0
+    ell, q = np.concatenate(ell)[live], np.concatenate(q)[live]
+    at = (jinv[q] * row + ell[:, None]) * n + idx[q]  # (terms, p): the (J, l, i) of each (I, r)
+    signed = coeffs[live, None] * (-1.0) ** np.arange(p)
+    gamma = np.bincount(at.ravel(), signed.ravel(), minlength=s * row * n).reshape(s, row * n)
+    gamma.flags.writeable = False  # shared by every caller through the cache
+    return gamma
 
 
 def _expand(table, f, g, out):
@@ -440,23 +472,23 @@ def first_jet(coeff_mat, idx0, frames, normals):
     Returns (values, first) with values of shape (m, ...) and first of shape
     (m, ..., p, k), where ... is the array's lead shape, or (R,) for the R
     forms of the groups, in order; first[i, ..., b, s] is the value on frame
-    i with column b replaced by normals[i, :, s].  Since det is linear in
-    each column, det(F_bs[I]) = sum_r cof_I[r, b] * normal[I_r, s], so every
-    replacement comes from the cofactors of the t minors frame[I].  Every
-    evaluation in calibkit comes here, for every p.  The minors of a frame
-    share their sub-minors, so each frame fills one table of them
-    (_minor_plan), level by level, with elementwise gather-multiply-add
-    steps: no division, no LAPACK call.  The cofactors are signed gathers
-    from the table, and each determinant is its minor's expansion along
-    column 0, so a value gets the same bits with or without normals.  The
-    table is planar (entries, frames), so a gather moves one row of the
-    block's frames at a time.  Frames go in blocks whose table, gathered
-    normals, cofactors and replacements each take at most _MINOR_BLOCK
-    floats.  Each frame is contracted on its own, one group at a time, by a
-    broadcast matmul (_contract), so it gets the same bits alone as in any
-    stack; a block-sparse module (critical.phi_module) contracts only its
-    blocks' coefficients.  p = 0 (a 0 x 0 minor has det 1) and forms
-    without terms need no special case.
+    i with column b replaced by normals[i, :, s].  Every evaluation in
+    calibkit comes here, for every p.  The minors of a frame share their
+    sub-minors, so each frame fills one table of them (_minor_plan), level
+    by level, with elementwise gather-multiply-add steps: no division, no
+    LAPACK call.  Each determinant is its minor's expansion along column 0,
+    contracted group by group (_contract), so a block-sparse module
+    (critical.phi_module) takes only its blocks' coefficients.  The
+    replacements come from gradients (Jacobi's formula: det is linear in
+    column b): first = V N with V = M Gamma, where M (p x S) holds the
+    frame's signed (p - 1)-minors (-1)^b M[cols - b, J] and Gamma
+    (_gradients, cached) the coefficients.  Every product is one matmul per
+    frame, broadcast over the stack, so a frame gets the same bits alone as
+    in any stack, and a value the same bits with or without normals.  The
+    table is planar (entries, frames).  Frames go in blocks whose table,
+    determinant terms (p t), M (p S), V (p R n) and replacements (R p k)
+    each take at most _MINOR_BLOCK floats.  p = 0 (a 0 x 0 minor has det 1)
+    and forms without terms need no special case.
     """
     frames = np.asarray(frames, dtype=float)
     normals = np.asarray(normals, dtype=float)
@@ -464,13 +496,20 @@ def first_jet(coeff_mat, idx0, frames, normals):
     t, p = idx0.shape
     m, n, k = frames.shape[0], frames.shape[1], normals.shape[-1]
     groups, lead = _groups(coeff_mat, t)
-    size, levels, dets_at, cof_at = _minor_plan(n, t, p, idx0.tobytes(), bool(p and k))
+    forms, key = math.prod(lead), idx0.tobytes()
+    size, levels, dets_at, grad = _minor_plan(n, t, p, key, bool(p and k))
+    floats = max(size, p * t)
+    if grad is not None:
+        at, sign, _, s = grad
+        coeffs = np.concatenate([np.ravel(g) for g in groups], dtype=float).tobytes()
+        gamma = _gradients(n, t, p, key, tuple(g.shape for g in groups), coeffs)
+        floats = max(floats, p * s, p * forms * n, forms * p * k)
     # the outputs are concatenated from the blocks, so they are allocated after
     # the block temporaries; preallocating them let malloc hand the freed
     # temporaries back to the OS after every call (2.6x the page faults in a
     # search-su4 pass); an empty stack still makes one (empty) block
     values, first = [], []
-    step = max(1, _MINOR_BLOCK // max(size, t * p * max(p, k)))
+    step = max(1, _MINOR_BLOCK // floats)
     for lo in range(0, max(m, 1), step):
         block = frames[lo : lo + step]
         b = len(block)
@@ -485,16 +524,16 @@ def first_jet(coeff_mat, idx0, frames, normals):
         # C-contiguous, so every frame is contracted with unit strides
         # whatever the size of the stack
         values.append(_contract(groups, np.ascontiguousarray(dets.T).reshape(b, t, 1)))
-        if cof_at is not None:
-            cof = np.empty((b, t * p * p))
-            np.multiply(table.take(cof_at[0], axis=0).T, cof_at[1], out=cof)
-            del table  # so the block holds only cofactors, gathered normals and replacements
-            repl = np.swapaxes(cof.reshape(b, t, p, p), -1, -2) @ normals[lo : lo + step].take(idx0, axis=1)
-            first.append(_contract(groups, repl.reshape(b, t, p * k)))  # repl: (b, t, p, k)
+        if grad is not None:
+            minors = np.empty((b, p * s))
+            np.multiply(table.take(at, axis=0).T, sign, out=minors)
+            del table  # so the block holds only M, V and the replacements
+            v = minors.reshape(b, p, s) @ gamma  # (b, p, R n)
+            repl = (v.reshape(b, p * forms, n) @ normals[lo : lo + step]).reshape(b, p, forms, k)
+            first.append(np.swapaxes(repl, 1, 2).copy())  # (b, R, p, k), C-contiguous
     values = np.concatenate(values).reshape((m,) + lead)
-    if not first:
-        return values, np.zeros((m,) + lead + (p, k))
-    return values, np.concatenate(first).reshape((m,) + lead + (p, k))
+    first = np.concatenate(first) if first else np.zeros((m, forms, p, k))
+    return values, first.reshape((m,) + lead + (p, k))
 
 
 def stack_values(coeff_mat, idx0, frames):

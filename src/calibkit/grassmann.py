@@ -9,9 +9,10 @@ equations (J^T J + mu I) d = -J^T r of every unconverged trial are solved in
 one batched LU solve, which costs a fraction of an SVD, and the step is 0
 along the null directions of J, such as those tangent to a Morse-Bott
 critical set.  The step does not change when the module's orthonormal basis
-does (J -> QJ, r -> Qr), so its jet contracts the module block by block, as
-critical.phi_module builds it: su4's 90 rows take 2,511 coefficients, not
-90 * 455.  Both phases are step rules for one backtracking line search
+does (J -> QJ, r -> Qr), so its jet takes the module as critical.phi_module
+builds it: su4's values contract 2,511 coefficients, not 90 * 455, and J
+comes from one cached 105 x 1,365 gradient matrix (exterior._gradients).
+Both phases are step rules for one backtracking line search
 (`_line_search`).  Each trial carries its completion Q = [F N], which the
 one QR of each retraction (`critical._retract`) renews, and each try takes
 one jet at its candidate; an accepted candidate's jet is the one the next
@@ -67,9 +68,9 @@ __all__ = [
 # Raise the block once perfbench stops keeping payloads.  The bound also keeps a search's memory
 # flat in its trial count: the largest lockstep arrays are the su4
 # Gauss-Newton jet, 24 * 91 * 3 * 12 floats (0.63 MB) per block, and its
-# 24 * 90 * 36 Jacobian, while the block-sparse module's coefficients take
-# 2,511 floats; a 24-trial su4 job is one stack, and its search peaks at
-# 3.5 MB (tracemalloc)
+# 24 * 90 * 36 Jacobian, while [phi; module]'s cached gradient matrix takes
+# 105 * 1,365 floats (1.1 MB); a 24-trial su4 job is one stack, and its
+# search peaks at 3.8 MB (tracemalloc), 5.8 MB when it builds the caches
 _TRIAL_BLOCK = 24
 # largest gap between sorted |values| within one catalog cluster
 CLUSTER_TOL = 1e-4

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from calibkit import AltForm, FormModule, canonical_indices, so_action_matrix
+from calibkit import AltForm, FormModule, canonical_indices, exterior, so_action_matrix
 from calibkit.calibrations import _su_matrix_basis
 from calibkit.critical import RANK_TOL, numerical_rank
 
@@ -95,6 +95,63 @@ def svd_jet(coeff_mat, idx0, frames, normals):
     repl = np.swapaxes(cof, -1, -2) @ normals.take(idx0, axis=1)  # (m, t, p, k)
     first = np.einsum("lt,mtx->mlx", coeff_mat.reshape(-1, t), repl.reshape(m, t, p * k))
     return first.reshape((m,) + lead + (p, k))
+
+
+def cofactor_positions(n, idx0):
+    """Sub-minor table positions (t p^2,) and signs of the cofactors (r, b) of the minors frame[I], row-major per minor.
+
+    The cofactor (r, b) of frame[I] is (-1)^(r + b) M[cols - b, I - I_r],
+    found by name in the table first_jet fills with the jet (_minor_plan).
+    """
+    t, p = idx0.shape
+    rows, cols = list(map(tuple, idx0.tolist())), tuple(range(p))
+    drop = lambda tup, i: tup[:i] + tup[i + 1 :]  # noqa: E731
+    pos = {((), ()): 0}
+    pos.update({((c,), (r,)): 1 + r * p + c for r in range(n) for c in range(p)})
+    needed = {p - 1: {(drop(cols, b), drop(I, r)) for I in rows for r in range(p) for b in range(p)}}
+    for j in range(p - 1, 2, -1):
+        needed[j - 1] = {(C[:-1], drop(R, i)) for C, R in needed[j] for i in range(j)}
+    size = 1 + 2 * n * p
+    for j in range(2, p):
+        level = sorted(needed[j])
+        pos.update(zip(level, range(size, size + len(level))))
+        size += len(level)
+    at = [(I, r, b) for I in rows for r in range(p) for b in range(p)]
+    return (
+        np.array([pos[drop(cols, b), drop(I, r)] for I, r, b in at], dtype=np.intp),
+        np.array([(-1.0) ** (r + b) for _, r, b in at]),
+    )
+
+
+def cofactor_jet(coeff_mat, idx0, frames, normals):
+    """first_jet's (values, first), with each replacement from the cofactors of its own minor.
+
+    The values take first_jet's path (the sub-minor table, the determinants
+    along column 0, the per-frame contraction), so they must agree bit for
+    bit.  Each minor frame[I] gets its cofactors gathered from the table,
+    times its rows of the normals, det(F_bs[I]) = sum_r cof_I[r, b]
+    normal[I_r, s], and the replacements are contracted group by group.
+    """
+    frames, normals = np.asarray(frames, dtype=float), np.asarray(normals, dtype=float)
+    idx0 = np.ascontiguousarray(idx0, dtype=np.intp)
+    (t, p), (m, n, _), k = idx0.shape, frames.shape, normals.shape[-1]
+    groups, lead = exterior._groups(coeff_mat, t)
+    size, levels, dets_at, _ = exterior._minor_plan(n, t, p, idx0.tobytes(), bool(p and k))
+    table = np.empty((size, m))
+    table[0] = 1.0
+    table[1 : 1 + n * p] = frames.reshape(m, n * p).T
+    table[1 + n * p : 1 + 2 * n * p] = -table[1 : 1 + n * p]
+    for off, f, g in levels:
+        exterior._expand(table, f, g, table[off : off + f.shape[1]])
+    dets = exterior._expand(table, *dets_at, np.empty((t, m)))
+    values = exterior._contract(groups, np.ascontiguousarray(dets.T).reshape(m, t, 1)).reshape((m,) + lead)
+    if not (p and k):
+        return values, np.zeros((m,) + lead + (p, k))
+    at, sign = cofactor_positions(n, idx0)
+    cof = (table.take(at, axis=0).T * sign).reshape(m, t, p, p)
+    repl = np.swapaxes(cof, -1, -2) @ normals.take(idx0, axis=1)  # (m, t, p, k)
+    first = exterior._contract(groups, repl.reshape(m, t, p * k))
+    return values, first.reshape((m,) + lead + (p, k))
 
 
 def dense_phi_module(phi):

@@ -176,6 +176,36 @@ def test_custom_forms_of_degree_five_and_six_on_r9(capsys, literal, runs):
         assert json.loads(out)
 
 
+def test_search_at_k_0_and_comass_over_a_module_of_rank_0(capsys):
+    """Gauss-Newton with no normals (a 4-form on R^4), and a form without terms, whose module has rank 0."""
+    code, out, err = run(capsys, "search", "--family", "custom", "--form", "e1234", "--n", "4", "--trials", "3", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["trials"] == 3 and np.shape(payload["planes"]) == (3, 4, 4)
+    assert payload["residuals"] == [0.0] * 3 and np.allclose(np.abs(payload["values"]), 1.0, rtol=0.0, atol=1e-12)
+    assert payload["clusters"] == [{"center": 1.0, "count": 3}]
+    code, out, err = run(capsys, "comass", "--family", "custom", "--form", "0*e12", "--n", "4", "--trials", "3", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["comass"] == 0.0 and np.shape(payload["maximizer"]) == (2, 4)
+
+
+def test_eds_of_a_one_form_and_a_search_over_several_lockstep_blocks(capsys):
+    """p = 1 in eds (every polar space is R^n), and 70 trials, which take three lockstep blocks."""
+    code, out, err = run(capsys, "eds", "--family", "custom", "--form", "e1", "--n", "3", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["actual_codim"], payload["cartan_bound"], payload["polar_codims"]) == (2, 2, [2])
+    assert payload["hodge_dual"] == {"codim_p": 2, "codim_dual": 2}
+    assert 70 > 2 * grassmann._TRIAL_BLOCK
+    code, out, err = run(capsys, "search", "--family", "associative", "--trials", "70", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["trials"] == 70 and np.shape(payload["planes"]) == (70, 3, 7)
+    assert len(payload["values"]) == len(payload["residuals"]) == 70
+    assert payload["clusters"] == [{"center": 1.0, "count": 70}]
+
+
 def eds_payload_both_cofactor_paths(capsys, monkeypatch, literal, n):
     """The eds payload of a custom form, checked equal with first_jet's replacements taken from SVD cofactors."""
     args = ("eds", "--family", "custom", "--form", literal, "--n", str(n), "--trials", "3", "--json")

@@ -47,12 +47,19 @@ from calibkit import (
     su_lie_algebra,
     subspace_distance,
 )
-from calibkit import critical
+from calibkit import critical, exterior
 from calibkit.critical import _adapted_values, _module_rows, completions, numerical_rank, tol_scale
 from calibkit.eds import KERNEL_CUTOFF
 from calibkit.exterior import _lex_rank, orthonormal_jet
 
-from conftest import brute_eval, dense_coefficients, dense_phi_module, dense_stabilizer_kernel, random_form
+from conftest import (
+    brute_eval,
+    cofactor_jet,
+    dense_coefficients,
+    dense_phi_module,
+    dense_stabilizer_kernel,
+    random_form,
+)
 
 
 def expm_skew(theta):
@@ -452,6 +459,37 @@ def test_grouped_contraction_matches_the_dense_one(name, rng):
     assert sorted(map(tuple, rows[1:])) == sorted(map(tuple, module.dense_matrix()))
 
 
+@pytest.mark.parametrize("name", BLOCK_FORMS + ["rank-0"])
+def test_gradient_jet_matches_the_cofactor_jet(name, rng):
+    """[phi; module]'s jet and the sff stack's against cofactor_jet: values bit for bit, replacements to 1e-13.
+
+    The row jets go through orthonormal_jet, whose star path takes the p = 12
+    dual of su4 to 3 x 3 minors; rank-0 is associative's phi over a module of
+    no rows.  The sff stack has 1 + p k frames with k normals each, k > p on
+    su4.
+    """
+    phi = block_form("associative" if name == "rank-0" else name)
+    n, p = phi.n, phi.p
+    module = FormModule(n, p, []) if name == "rank-0" else phi_module(phi)
+    idx0, groups = _module_rows(phi, module)
+    qs = completions(qr_fix(rng.standard_normal((5, n, p)))[0])
+    got = orthonormal_jet(groups, idx0, qs, p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exterior, "first_jet", cofactor_jet)
+        want = orthonormal_jet(groups, idx0, qs, p)
+    assert np.array_equal(got[0], want[0])
+    assert got[1].shape == want[1].shape and np.max(np.abs(got[1] - want[1]), initial=0.0) <= 1e-13
+    if 2 * p <= n:
+        xi = OrientedPlane(qs[0, :, :p])
+        got = _adapted_values(phi, xi)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(critical, "first_jet", cofactor_jet)
+            want = _adapted_values(phi, xi)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= 1e-13
+
+
 @pytest.mark.parametrize("name", ["associative", "su3", "su4", "one-block"])
 def test_criticality_reports_do_not_depend_on_the_module_basis(name, rng):
     """residual_module is |Phi(xi)|_2: every field stays put when the module's rows rotate."""
@@ -466,6 +504,21 @@ def test_criticality_reports_do_not_depend_on_the_module_basis(name, rng):
             assert abs(getattr(a, field) - getattr(b, field)) <= 1e-14
     norms = np.linalg.norm(module.values_on(frames), axis=0)
     assert np.max(np.abs([r.residual_module for r in criticality_reports(frames, phi)] - norms)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["associative", "su3", "su4", "one-block"])
+def test_annihilator_check_does_not_depend_on_the_module_basis(name, rng):
+    """annihilator_check is |Phi(xi)|_2: it stays put when the module's rows rotate, and reads residual_module."""
+    phi = block_form(name)
+    module = phi_module(phi)
+    q = qr_fix(rng.standard_normal((module.rank, module.rank)))[0]
+    rotated = FormModule(phi.n, phi.p, q @ module.dense_matrix())
+    frames = qr_fix(rng.standard_normal((6, phi.n, phi.p)))[0]
+    for frame, report in zip(frames, criticality_reports(frames, phi, module=module)):
+        xi = OrientedPlane(frame)
+        residual = annihilator_check(xi, module)
+        assert abs(residual - annihilator_check(xi, rotated)) <= 1e-14
+        assert abs(residual - report.residual_module) <= 1e-14
 
 
 # -- three-way equivalence ---------------------------------------------------

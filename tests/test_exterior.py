@@ -35,7 +35,7 @@ from calibkit import exterior
 from calibkit.exterior import sort_index
 from calibkit.critical import _module_rows
 
-from conftest import brute_eval, perm_sign, random_form, svd_cofactors, svd_jet
+from conftest import brute_eval, cofactor_jet, perm_sign, random_form, svd_cofactors, svd_jet
 
 
 # -- oracles ----------------------------------------------------------------
@@ -301,16 +301,22 @@ def test_stack_evaluation_is_independent_of_the_stack(rng, family):
         assert values[j] == stack_values(c, idx0, frame[None])[0] == phi.apply(frame)
 
 
-def frame_floats(idx0, n, k):
-    """Floats a frame takes in the largest of first_jet's sub-minor table, normals, cofactors and replacements."""
+def frame_floats(idx0, n, k, forms=1):
+    """Floats a frame takes in the largest of first_jet's block arrays, for R = forms.
+
+    The arrays are the sub-minor table, the determinant terms (p t) and, with
+    the jet, M (p S), V (p R n) and the replacements (R p k).
+    """
     t, p = idx0.shape
-    size = exterior._minor_plan(n, t, p, np.ascontiguousarray(idx0, dtype=np.intp).tobytes(), bool(p and k))[0]
-    return max(size, t * p * max(p, k))
+    size, _, _, grad = exterior._minor_plan(n, t, p, np.ascontiguousarray(idx0, dtype=np.intp).tobytes(), bool(p and k))
+    if grad is None:
+        return max(size, p * t)
+    return max(size, p * t, p * grad[3], p * forms * n, forms * p * k)
 
 
-def gather_step(idx0, n, k):
+def gather_step(idx0, n, k, forms=1):
     """Frames in one first_jet block: each of its arrays fits _MINOR_BLOCK."""
-    return exterior._MINOR_BLOCK // frame_floats(idx0, n, k)
+    return exterior._MINOR_BLOCK // frame_floats(idx0, n, k, forms)
 
 
 def test_first_jet_over_several_gather_blocks_matches_single_frames(rng):
@@ -322,11 +328,11 @@ def test_first_jet_over_several_gather_blocks_matches_single_frames(rng):
     assert len(stack) > gather_step(idx0, phi.n, 0)
     values = stack_values(c, idx0, stack)
     assert np.array_equal(values, [stack_values(c, idx0, f[None])[0] for f in stack])
-    # module rows: a block holds 2 frames, so 20 frames take ten blocks
+    # module rows: a block holds 8 frames, so 20 frames take three blocks
     module = phi_module(phi)
     frames = rng.standard_normal((20, phi.n, phi.p))
     normals = rng.standard_normal((20, phi.n, phi.n - phi.p))
-    assert len(frames) > gather_step(module._idx0, phi.n, phi.n - phi.p)
+    assert len(frames) > gather_step(module._idx0, phi.n, phi.n - phi.p, module.rank)
     values, first = first_jet(module.dense_matrix(), module._idx0, frames, normals)
     for i in range(len(frames)):
         alone = first_jet(module.dense_matrix(), module._idx0, frames[i : i + 1], normals[i : i + 1])
@@ -334,15 +340,15 @@ def test_first_jet_over_several_gather_blocks_matches_single_frames(rng):
 
 
 def test_first_jet_with_more_normals_than_columns_over_several_blocks(rng):
-    """k > p: the su4 p k replaced frames of an sff check, 12 normals each, take several gather blocks."""
+    """k > p: the su4 p k replaced frames of three sff checks, 12 normals each, take several gather blocks."""
     phi = cartan_three_form(su_lie_algebra(4))
     idx0, c = phi._compact()
     n, p = phi.n, phi.p
     k = n - p
-    comp = qr_fix(rng.standard_normal((1, n, n)))[0][0]
-    frame, normal = comp[:, :p], comp[:, p:]
-    frames = replaced_frames(frame, normal)  # as critical._adapted_values builds them
-    normals = np.broadcast_to(normal, (p * k, n, k))
+    comps = qr_fix(rng.standard_normal((3, n, n)))[0]
+    # as critical._adapted_values builds them, one plane after another
+    frames = np.concatenate([replaced_frames(comp[:, :p], comp[:, p:]) for comp in comps])
+    normals = np.repeat(comps[:, :, p:], p * k, axis=0)
     assert k > p and len(frames) > gather_step(idx0, n, k) > 0
     values, first = first_jet(c, idx0, frames, normals)
     for i in range(len(frames)):
@@ -471,6 +477,36 @@ def test_first_jet_svd_and_cofactor_paths_agree(n, p, k):
         assert np.max(np.abs(first[i].reshape(p * k) - oracle)) < 1e-12
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    p_raw=st.integers(0, 8),
+    k=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+    empty=st.booleans(),
+)
+@example(n=7, p_raw=0, k=6, seed=1, empty=False)  # p = 1: S = 1, the empty (p - 1)-minor
+@example(n=8, p_raw=2, k=11, seed=2, empty=False)  # k > p
+@example(n=5, p_raw=1, k=3, seed=3, empty=True)  # the zero form: t = 0, a rank-0 module
+def test_gradient_jet_matches_the_cofactor_jet(n, p_raw, k, seed, empty):
+    """first_jet against cofactor_jet: values bit for bit, replacements to 1e-13.
+
+    The coefficients are phi's terms, two random rows over them, and phi's
+    terms stacked on its module's groups; k normals need not complete the
+    frame, so p = n and k > n - p have replacements too.
+    """
+    rng = np.random.default_rng(seed)
+    p = 1 + p_raw % n
+    phi = AltForm.zero(n, p) if empty else random_form(rng, n, p, density=min(1.0, 6 / math.comb(n, p)))
+    idx0, c = phi._compact()
+    frames, normals = rng.uniform(-1.0, 1.0, (3, n, p)), rng.uniform(-1.0, 1.0, (3, n, k))
+    jets = [(c, idx0), (rng.uniform(-1.0, 1.0, (2, len(idx0))), idx0), _module_rows(phi, phi_module(phi))[::-1]]
+    for coeffs, idx in jets:
+        got, want = first_jet(coeffs, idx, frames, normals), cofactor_jet(coeffs, idx, frames, normals)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].shape == want[1].shape and np.max(np.abs(got[1] - want[1]), initial=0.0) <= 1e-13
+
+
 def lu_cofactors(minors):
     """Cofactors as signed LU determinants of the (p-1)-minors, singular minors included."""
     p = minors.shape[-1]
@@ -577,8 +613,8 @@ def test_minor_table_matches_lu_and_brute_force(n, p_raw, seed, kind):
     rows = rng.uniform(-1.0, 1.0, (2, t))
     frames, normals = kernel_frames(rng, kind, 5, n, p), kernel_frames(rng, kind, 5, n, k)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exterior, "_MINOR_BLOCK", 2 * frame_floats(idx0, n, k))
-        assert gather_step(idx0, n, k) == 2
+        patch.setattr(exterior, "_MINOR_BLOCK", 2 * frame_floats(idx0, n, k, len(rows)))
+        assert gather_step(idx0, n, k, len(rows)) == 2
         values, first = first_jet(rows, idx0, frames, normals)
         for i in range(len(frames)):
             alone = first_jet(rows, idx0, frames[i : i + 1], normals[i : i + 1])
