@@ -20,7 +20,6 @@ import numpy as np
 from .exterior import (
     AltForm,
     SkewMap,
-    _lex_rank,
     canonical_indices,
     evaluate,
     first_jet,
@@ -159,8 +158,8 @@ class FormModule:
 
     Row i holds the coefficients of the i-th basis form over
     canonical_indices(n, degree).  The basis as AltForms is built on first use.
-    The module also carries a block layout, which first_jet contracts group
-    by group: blocks is a list of groups (r, cols), where cols (G, c) holds
+    Every evaluation contracts the module's block layout group by group, in
+    first_jet: blocks is a list of groups (r, cols), where cols (G, c) holds
     the canonical positions of G blocks of c indices each, and each block
     has r rows, zero off its own indices.  The rows run through the groups,
     and through their blocks, in order.  The default, one group of one block
@@ -181,7 +180,6 @@ class FormModule:
         # a module of rank 0 is one group of no rows over no indices
         blocks = [(r, cols) for r, cols in blocks if r] or [(0, np.zeros((1, 0), dtype=np.intp))]
         # first_jet's groups (G, r, c) over the blocks' indices, in order
-        self._blocks = blocks
         self._groups, row = [], 0
         for r, cols in blocks:
             rows = self._coeff_mat[row : row + len(cols) * r].reshape(len(cols), r, len(self._idx0))
@@ -214,7 +212,7 @@ class FormModule:
         frames = np.asarray(frames, dtype=float)
         if frames.ndim == 2:
             frames = frames[None]
-        return stack_values(self._coeff_mat, self._idx0, frames).T
+        return stack_values(self._groups, self._block_idx0, frames).T
 
     def contains(self, form):
         """True when form lies in the module, up to RANK_TOL * max(1, |form|)."""
@@ -227,39 +225,14 @@ class FormModule:
 
 
 def _module_rows(phi, module):
-    """(idx0, groups) for first_jet of phi's terms and the module's groups: the rows [phi; module].
+    """(idx0, groups) of the rows [phi; module] for first_jet: phi's compact terms, then the module's groups.
 
-    The module's blocks that hold one of phi's indices join phi's block, so
-    no index repeats: a repeated index would take its share of every
-    per-frame array of the jet (su4's 12 would halve its frames per gather
-    block).  Their rows come first, so the module's rows may come permuted,
-    which no norm or Gauss-Newton step sees.  Without such blocks phi's block
-    is its compact terms, as AltForm.apply evaluates them.
+    Row 0 is phi as AltForm.apply evaluates it and rows 1: the module as
+    values_on does, so phi's indices may repeat in the module's blocks.
     """
     check_fits(phi.n, phi.p, module.n, module.degree)
     idx0, c = phi._compact()
-    is_term = np.zeros(len(module._idx0), dtype=bool)
-    is_term[_lex_rank(idx0, phi.n)] = True
-    dense = np.zeros(len(module._idx0))
-    dense[is_term] = c  # phi's terms run in canonical order
-    joined, groups, cols = [], [], []
-    for (_, at), g in zip(module._blocks, module._groups):
-        hit = is_term[at].any(axis=1)
-        joined += zip(at[hit], g[hit])
-        if not hit.all():
-            groups.append(g[~hit])
-            cols.append(at[~hit].ravel())
-    # phi's block: its other terms, then the joined blocks' indices and rows
-    for at, _ in joined:
-        is_term[at] = False
-    head_cols = np.concatenate([np.flatnonzero(is_term)] + [at for at, _ in joined])
-    head = np.zeros((1 + sum(len(b) for _, b in joined), len(head_cols)))
-    head[0] = dense[head_cols]
-    row, col = 1, np.count_nonzero(is_term)
-    for at, b in joined:
-        head[row : row + len(b), col : col + len(at)] = b
-        row, col = row + len(b), col + len(at)
-    return module._idx0[np.concatenate([head_cols] + cols)], [head[None]] + groups
+    return np.concatenate([idx0, module._block_idx0]), [c.reshape(1, 1, -1)] + module._groups
 
 
 def numerical_rank(s, cutoff):
@@ -419,9 +392,9 @@ def cousin_matrix(phi, xi):
 
 
 def annihilator_check(xi, module):
-    """|Phi(xi)|_2, which no orthonormal change of the module's basis moves (residual_module); ~0 iff critical."""
+    """|Phi(xi)|_2, residual_module's bits; no orthonormal change of the module's basis moves it; ~0 iff critical."""
     check_fits(xi.n, xi.p, module.n, module.degree)
-    return float(np.linalg.norm(module.values_on(xi.frame)))
+    return float(np.linalg.norm(module.values_on(xi.frame).T, axis=1)[0])
 
 
 def _rho_stack(phi, rest):

@@ -65,7 +65,7 @@ def polar_space(e, module):
         return np.eye(n)
     # slot k of the padded flag replaced by e_j gives the module values on e ^ e_j
     padded = np.concatenate([frame, np.zeros((n, 1))], axis=1)
-    _, first = first_jet(module.dense_matrix(), module._idx0, padded[None], np.eye(n)[None])
+    _, first = first_jet(module._groups, module._block_idx0, padded[None], np.eye(n)[None])
     _, s, vt = np.linalg.svd(first[0, :, k])
     return vt[numerical_rank(s, KERNEL_CUTOFF) :].T
 

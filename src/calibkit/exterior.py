@@ -467,7 +467,8 @@ def first_jet(coeff_mat, idx0, frames, normals):
     or a list of groups.  A group is a (G, r, c) stack of G blocks of r
     forms, each block's forms with their c coefficients over the next c rows
     of idx0, so the groups take consecutive runs of idx0, in order; an
-    (..., t) array is the one group (1, L, t).
+    (..., t) array is the one group (1, L, t).  Rows of idx0 may repeat, as
+    in critical._module_rows; a repeated row costs only its determinant terms.
     frames: (m, n, p) stack of frames; normals: (m, n, k).
     Returns (values, first) with values of shape (m, ...) and first of shape
     (m, ..., p, k), where ... is the array's lead shape, or (R,) for the R

@@ -10,8 +10,8 @@ one batched LU solve, which costs a fraction of an SVD, and the step is 0
 along the null directions of J, such as those tangent to a Morse-Bott
 critical set.  The step does not change when the module's orthonormal basis
 does (J -> QJ, r -> Qr), so its jet takes the module as critical.phi_module
-builds it: su4's values contract 2,511 coefficients, not 90 * 455, and J
-comes from one cached 105 x 1,365 gradient matrix (exterior._gradients).
+builds it, under phi's terms: su4's values contract 2,540 coefficients over
+464 indices, not 91 * 455, and J comes from one cached 105 x 1,365 matrix.
 Both phases are step rules for one backtracking line search
 (`_line_search`).  Each trial carries its completion Q = [F N], which the
 one QR of each retraction (`critical._retract`) renews, and each try takes

@@ -2,9 +2,10 @@
 
 perfbench/jobs.py builds every workload's CLI jobs from a seed and checks
 their payloads with dense tensors, independently of calibkit's kernels.
-Running each list once at seed 0 here makes a change that breaks a catalog
-(a lost cluster, a wrong codimension) fail the tests and not only the
-benchmark.  Nothing under perfbench/ is edited or written to.
+Running each list once here, at the development seed 0 and the held-out
+seed 7, makes a change that breaks a catalog (a lost cluster, a wrong
+codimension) fail the tests and not only the benchmark.  Nothing under
+perfbench/ is edited or written to.
 """
 
 import contextlib
@@ -25,10 +26,14 @@ import jobs  # noqa: E402
 sys.dont_write_bytecode = _write_bytecode
 
 
-@pytest.mark.parametrize("workload", sorted(jobs.WORKLOADS))
-def test_benchmark_jobs_pass_the_oracle(tmp_path, workload):
+# seed 0 keeps the bare workload as its id
+SEEDS = [pytest.param(w, s, id=w if s == 0 else f"{w}-seed{s}") for s in (0, 7) for w in sorted(jobs.WORKLOADS)]
+
+
+@pytest.mark.parametrize("workload,seed", SEEDS)
+def test_benchmark_jobs_pass_the_oracle(tmp_path, workload, seed):
     problems = []
-    for k, job in enumerate(jobs.build_jobs(calibkit, workload, 0, tmp_path)):
+    for k, job in enumerate(jobs.build_jobs(calibkit, workload, seed, tmp_path)):
         out = tmp_path / f"job{k}.json"
         with contextlib.redirect_stderr(io.StringIO()):
             code = calibkit.cli.main(job.argv + ["--json", "--out", str(out)])

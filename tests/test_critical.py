@@ -1,5 +1,6 @@
 """Criticality machinery: planes, the module Phi, the three tests, sff."""
 
+import functools
 import itertools
 import math
 import re
@@ -50,7 +51,7 @@ from calibkit import (
 from calibkit import critical, exterior
 from calibkit.critical import _adapted_values, _module_rows, completions, numerical_rank, tol_scale
 from calibkit.eds import KERNEL_CUTOFF
-from calibkit.exterior import _lex_rank, orthonormal_jet
+from calibkit.exterior import _lex_rank, first_jet, orthonormal_jet
 
 from conftest import (
     brute_eval,
@@ -432,7 +433,7 @@ def test_block_module_layout():
 
 @pytest.mark.parametrize("name", BLOCK_FORMS)
 def test_grouped_contraction_matches_the_dense_one(name, rng):
-    """The module's groups and [phi; module]'s give the dense rows' jet to 1e-14, over no repeated index.
+    """The module's groups give the dense rows' jet to 1e-14, and [phi; module]'s rows are phi's and the module's.
 
     The jets go through orthonormal_jet, whose star path (the p = 12 dual of
     su4) maps each group's columns.
@@ -445,18 +446,18 @@ def test_grouped_contraction_matches_the_dense_one(name, rng):
     grouped = orthonormal_jet(module._groups, module._block_idx0, qs, p)
     for a, b in zip(dense, grouped):
         assert a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= 1e-14
-    # the search's rows: phi, then the module's rows in some order, each index
-    # once; a frame gets the same bits alone as in the stack
+    # the search's rows: phi's terms, then the module's groups, where phi's
+    # indices may repeat; a frame gets the same bits alone as in the stack
     idx0, groups = _module_rows(phi, module)
-    assert len(np.unique(idx0, axis=0)) == len(idx0)
     values, first = orthonormal_jet(groups, idx0, qs, p)
     for i in range(len(qs)):
         alone = orthonormal_jet(groups, idx0, qs[i : i + 1], p)
         assert np.array_equal(values[i], alone[0][0]) and np.array_equal(first[i], alone[1][0])
+    # a repeated index sums its columns
     rows = np.zeros((1 + module.rank, len(module._idx0)))
-    rows[:, _lex_rank(idx0, n)] = dense_coefficients(groups, len(idx0))
+    np.add.at(rows, (slice(None), _lex_rank(idx0, n)), dense_coefficients(groups, len(idx0)))
     assert np.array_equal(rows[0], phi.dense())
-    assert sorted(map(tuple, rows[1:])) == sorted(map(tuple, module.dense_matrix()))
+    assert np.array_equal(rows[1:], module.dense_matrix())
 
 
 @pytest.mark.parametrize("name", BLOCK_FORMS + ["rank-0"])
@@ -519,6 +520,50 @@ def test_annihilator_check_does_not_depend_on_the_module_basis(name, rng):
         residual = annihilator_check(xi, module)
         assert abs(residual - annihilator_check(xi, rotated)) <= 1e-14
         assert abs(residual - report.residual_module) <= 1e-14
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_catalog(family):
+    """(phi, its 24-trial critical_spectrum at master seed 0) of a built-in family."""
+    phi = block_form(family)
+    return phi, critical_spectrum(phi, params=SearchParams(trials=24, master_seed=0))
+
+
+@pytest.mark.parametrize("family", sorted(BUILTIN_SPECS))
+def test_catalog_values_are_the_form_s_values_bit_for_bit(family):
+    """phi has one evaluation route: a catalog plane's value is AltForm.apply at its frame, bit for bit."""
+    phi, catalog = seeded_catalog(family)
+    assert catalog.planes
+    for xi, value in zip(catalog.planes, catalog.values):
+        assert phi.apply(xi.frame) == value
+
+
+@pytest.mark.parametrize("family", sorted(BUILTIN_SPECS))
+def test_module_values_take_one_route(family, rng):
+    """The module has one evaluation route: values_on, [phi; module]'s jet and orthonormal_jet agree bit for bit.
+
+    orthonormal_jet is first_jet only up to p = n/2; above it (coassociative)
+    it goes through the Hodge star.
+    """
+    phi = block_form(family)
+    module = phi_module(phi)
+    n, p = phi.n, phi.p
+    qs = completions(qr_fix(rng.standard_normal((6, n, p)))[0])
+    idx0, rows = _module_rows(phi, module)
+    values = first_jet(rows, idx0, qs[:, :, :p], qs[:, :, p:])[0][:, 1:]
+    assert np.array_equal(module.values_on(qs[:, :, :p]).T, values)
+    if 2 * p <= n:
+        assert np.array_equal(orthonormal_jet(module._groups, module._block_idx0, qs, p)[0], values)
+
+
+@pytest.mark.parametrize("family", sorted(BUILTIN_SPECS))
+def test_annihilator_check_is_residual_module_bit_for_bit(family, rng):
+    """annihilator_check and is_critical's residual_module are one norm of one route, on random and catalog planes."""
+    phi, catalog = seeded_catalog(family)
+    module = phi_module(phi)
+    frames = qr_fix(rng.standard_normal((20, phi.n, phi.p)))[0]
+    for xi in [OrientedPlane(f) for f in frames] + catalog.planes:
+        assert annihilator_check(xi, module) == is_critical(xi, phi, module=module).residual_module
 
 
 # -- three-way equivalence ---------------------------------------------------

@@ -295,7 +295,7 @@ def test_stack_evaluation_is_independent_of_the_stack(rng, family):
     stack, _ = np.linalg.qr(rng.standard_normal((8, phi.n, phi.p)))
     rows = module.values_on(stack)
     values = stack_values(c, idx0, stack)
-    assert np.array_equal(stack_values(module.dense_matrix(), module._idx0, stack), rows.T)
+    assert np.array_equal(stack_values(module._groups, module._block_idx0, stack), rows.T)
     for j, frame in enumerate(stack):
         assert np.array_equal(rows[:, j], module.values_on(frame)[:, 0])
         assert values[j] == stack_values(c, idx0, frame[None])[0] == phi.apply(frame)
