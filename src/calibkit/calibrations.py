@@ -7,19 +7,23 @@ conventions are fixed here once; correctness is enforced by the numerical
 post-conditions (comass, stabilizer dimension, module rank) rather than by
 any particular table.  One family table (_FAMILIES) names each family's
 builder and the spec options it reads; CalibrationSpec, build_calibration
-and the CLI's --family options all read it.
+and the CLI's --family options all read it.  A builder builds its form and
+no module.  Coefficients are gathered with array operations, not one term
+at a time: the Cartan form's from the structure tensor's increasing
+triples, a spinor square's from all C(8, k) gamma products at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .exterior import AltForm, form_from_json, hodge_star, parse_form, wedge
+from .exterior import AltForm, canonical_indices, form_from_json, hodge_star, parse_form, sort_index, wedge
 from .critical import FormModule, OrientedPlane, completions, qr_fix
 
 __all__ = [
@@ -78,19 +82,13 @@ def octonion_left_mult():
     The imaginary part multiplies by u_i u_j = -delta_ij + phi_ijk u_k with
     phi the associative form, so the table and the form share one convention.
     """
-    phi = associative_form()
+    idx, c = associative_form()._compact()
     L = np.zeros((8, 8, 8))
-    L[0] = np.eye(8)
-    for i in range(1, 8):
-        L[i][i, 0] = 1.0
-        L[i][0, i] = -1.0
-        for j in range(1, 8):
-            if j == i:
-                continue
-            for k in range(1, 8):
-                c = phi.coefficient((i, j, k))
-                if c != 0.0:
-                    L[i][k, j] = c
+    # L[i][k, j] = phi_ijk, phi spread over the permutations of its indices
+    for perm in itertools.permutations(range(3)):
+        L[tuple(idx[:, perm].T[[0, 2, 1]] + 1)] = sort_index(perm)[0] * c
+    i = np.arange(1, 8)
+    L[0], L[i, i, 0], L[i, 0, i] = np.eye(8), 1.0, -1.0
     return L
 
 
@@ -122,10 +120,23 @@ def _dz_product(n, js):
     return AltForm(n, len(js), parts[0]), AltForm(n, len(js), parts[1])
 
 
+def _upsilon(m, phase):
+    """(Re, Im) of e^{i phase} dz^1 ^ .. ^ dz^m on R^(2m): the family table's calibration and its companion."""
+    if not 2 <= m <= 4:
+        raise ValueError("m must be between 2 and 4")
+    if not np.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
+    re_u, im_u = _dz_product(2 * m, range(1, m + 1))
+    c, s = np.cos(phase), np.sin(phase)
+    return c * re_u - s * im_u, s * re_u + c * im_u
+
+
 def special_lagrangian(m, phase=0.0):
     """Build Re(e^{i phase} dz^1 ^ .. ^ dz^m) and its companions.
 
-    Real coordinates are interleaved: dz^j = e^{2j-1} + i e^{2j}.
+    Real coordinates are interleaved: dz^j = e^{2j-1} + i e^{2j}.  calib and
+    im_upsilon come from _upsilon, as build_calibration's form does; only
+    this builds phi_w, spanned by the (m - 2)-fold dz-products wedged with sigma.
 
     For m >= 3 the stabilizer of calib in o(2m) is su(m), of dimension
     m^2 - 1, and the module Phi has rank m^2 - m + 1.  For m = 2,
@@ -133,16 +144,9 @@ def special_lagrangian(m, phase=0.0):
     complex structure, so the stabilizer is u(2), of dimension 4, and Phi
     has rank 2.
     """
-    if not 2 <= m <= 4:
-        raise ValueError("m must be between 2 and 4")
-    if not np.isfinite(phase):
-        raise ValueError(f"phase must be finite, got {phase}")
+    calib, im_rot = _upsilon(m, phase)
     n = 2 * m
-    re_u, im_u = _dz_product(n, range(1, m + 1))
     sigma = AltForm(n, 2, {(2 * j - 1, 2 * j): 1.0 for j in range(1, m + 1)})
-    c, s = np.cos(phase), np.sin(phase)
-    calib = c * re_u - s * im_u
-    im_rot = s * re_u + c * im_u
     spanning = []
     for J in itertools.combinations(range(1, m + 1), m - 2):
         re_j, im_j = _dz_product(n, J)
@@ -208,7 +212,8 @@ def _su_matrix_basis(k):
 
 
 def _su_coords(x, basis):
-    return np.array([-np.trace(x @ b).real for b in basis])
+    """Coordinates -tr(X B_l) of a matrix, or of a stack, in the basis."""
+    return -np.einsum("...ab,lba->...l", x, np.asarray(basis)).real
 
 
 def su_lie_algebra(k):
@@ -231,10 +236,7 @@ def su_lie_algebra(k):
     x2[0, k - 1] = x2[k - 1, 0] = 1.0j
     x3 = np.zeros((k, k), dtype=complex)
     x3[0, 0], x3[k - 1, k - 1] = 1.0j, -1.0j
-    frame = np.column_stack(
-        [_su_coords(x / np.sqrt(2.0), basis) for x in (x1, x2, x3)]
-    )
-    frame, _ = qr_fix(frame)
+    frame, _ = qr_fix(_su_coords(np.array([x1, x2, x3]) / np.sqrt(2.0), basis).T)
     return LieAlgebraData(dim=n, structure=structure, highest_root_frame=frame, name=f"su{k}")
 
 
@@ -249,8 +251,7 @@ def su3_principal_plane():
     jp[0, 1] = jp[1, 2] = np.sqrt(2.0)
     jx = (jp + jp.T) / 2.0
     jy = (jp - jp.T) / 2.0j
-    frame = np.column_stack([_su_coords(1.0j * j, basis) for j in (jy, jx, jz)])
-    frame, _ = qr_fix(frame)
+    frame, _ = qr_fix(_su_coords(1.0j * np.array([jy, jx, jz]), basis).T)
     return OrientedPlane(frame)
 
 
@@ -259,18 +260,17 @@ def cartan_three_form(g):
 
     The constant c is fixed by requiring value 1 on the orthonormalized
     highest-root su(2); the comass estimator cross-checks the normalization.
+    The terms are the structure constants at increasing (i, j, k) above
+    1e-14 times the largest, and both cutoffs scale with the constants.
     """
-    n = g.dim
-    coeffs = {}
-    for i, j, k in itertools.combinations(range(n), 3):
-        v = g.structure[i, j, k]
-        if abs(v) > 1e-14:
-            coeffs[(i + 1, j + 1, k + 1)] = v
-    raw = AltForm(n, 3, coeffs)
     if g.highest_root_frame is None:
         raise ValueError("normalization requires a highest-root su(2) frame")
+    c, a = g.structure, np.arange(g.dim)
+    scale = np.max(np.abs(c), initial=0.0)
+    idx = np.argwhere((a[:, None, None] < a[:, None]) & (a[:, None] < a) & (np.abs(c) > 1e-14 * scale))
+    raw = AltForm(g.dim, 3, dict(zip(map(tuple, (idx + 1).tolist()), c[tuple(idx.T)].tolist())))
     value = raw.apply(np.asarray(g.highest_root_frame))
-    if abs(value) < 1e-12:
+    if abs(value) <= 1e-12 * scale:
         raise ValueError("degenerate highest-root frame")
     return (1.0 / abs(value)) * raw
 
@@ -293,25 +293,26 @@ class CliffordModel:
     s_minus: np.ndarray
     _gamma_products: dict = field(default_factory=dict, repr=False)
 
-    def gamma_product(self, idx):
-        """gamma_{i1} .. gamma_{ik} for an increasing 1-based tuple."""
-        idx = tuple(idx)
-        cached = self._gamma_products.get(idx)
+    def gamma_products(self, k):
+        """(C(8, k), 16, 16): gamma_{i1} .. gamma_{ik} for each I of canonical_indices(8, k), built once per model."""
+        cached = self._gamma_products.get(k)
         if cached is None:
-            g = np.eye(16)
-            for i in idx:
-                g = g @ self.gamma[i - 1]
-            cached = self._gamma_products[idx] = g
+            idx = np.array(canonical_indices(8, k), dtype=np.intp).reshape(math.comb(8, k), k) - 1
+            cached = np.broadcast_to(np.eye(16), (len(idx), 16, 16))
+            for i in idx.T:
+                cached = cached @ np.asarray(self.gamma)[i]
+            self._gamma_products[k] = cached
         return cached
 
     def _component(self, endo, k):
-        """Degree-k component of an endomorphism under Cl(V) ~ Lambda V*."""
-        coeffs = {}
-        for idx in itertools.combinations(range(1, 9), k):
-            c = float(np.trace(self.gamma_product(idx).T @ endo)) / 16.0
-            if abs(c) > 1e-14:
-                coeffs[idx] = c
-        return AltForm(8, k, coeffs)
+        """Degree-k component of an endomorphism under Cl(V) ~ Lambda V*: c_I = tr(gamma_I^T endo) / 16.
+
+        Each gamma_I is a signed permutation, so each diagonal entry of
+        gamma_I^T endo is one signed entry of endo, and the trace adds them.
+        """
+        c = np.einsum("iab,ab->ib", self.gamma_products(k), endo).sum(axis=1) / 16.0
+        idx = canonical_indices(8, k)
+        return AltForm(8, k, {idx[i]: c[i] for i in np.flatnonzero(np.abs(c) > 1e-14).tolist()})
 
     def spinor_square(self, x, k):
         """Degree-k component of 16 x o x for a unit positive spinor x."""
@@ -383,7 +384,7 @@ _FAMILIES = {
     "associative": (lambda spec: associative_form(), ()),
     "coassociative": (lambda spec: coassociative_form(), ()),
     "cayley": (lambda spec: cayley_form(), ()),
-    "special_lagrangian": (lambda spec: special_lagrangian(spec.m, spec.phase).calib, ("m", "phase")),
+    "special_lagrangian": (lambda spec: _upsilon(spec.m, spec.phase)[0], ("m", "phase")),
     "cartan": (lambda spec: _cartan(spec.algebra), ("algebra",)),
     "custom": (lambda spec: spec.form, ("form", "n")),
 }

@@ -20,11 +20,11 @@ import numpy as np
 from .exterior import (
     AltForm,
     SkewMap,
+    _action_entries,
     canonical_indices,
     evaluate,
     first_jet,
     so_action,
-    so_action_matrix,
     stack_values,
 )
 
@@ -293,38 +293,46 @@ def _action_blocks(phi):
     """SVDs of the blocks of so_action_matrix(phi): the connected components of its nonzero pattern.
 
     A generator and an index are joined by a nonzero entry.  The matrix is
-    zero off its blocks, so its SVD is the union of theirs.  The blocks of
-    each shape take one batched SVD.  Returns the generators whose row is
-    zero, and for each shape, in the order of its first block, the blocks'
-    (gens (G, r), cols (G, c), u (G, r, r), vt, ranks (G,)); a rank counts
-    the block's singular values above RANK_TOL times the largest of all.
+    zero off its blocks, so its SVD is the union of theirs.  The blocks are
+    labelled on the nonzero entries alone, exterior._action_entries'
+    triplets, and each block's matrix is filled from its own entries; the
+    blocks of each shape take one batched SVD.  Returns the generators whose
+    row is zero, and for each shape, in the order of its first block, the
+    blocks' (gens (G, r), cols (G, c), u (G, r, r), vt, ranks (G,)); a rank
+    counts the block's singular values above RANK_TOL times the largest of all.
     """
-    mat = so_action_matrix(phi)
-    nz = mat != 0
-    live = nz.any(axis=1)
-    gens, cols = np.flatnonzero(live), np.flatnonzero(nz.any(axis=0))
-    nz = nz[np.ix_(gens, cols)]
+    gen, col, val = _action_entries(phi)
+    size = math.comb(phi.n, phi.p)
     # each index takes the least label among the indices it shares a generator
-    # with, until every block is labelled by its first index
-    label = np.arange(len(cols))
+    # with, until every block is labelled by its first index; an index or a
+    # generator without entries is labelled size
+    label = np.where(np.bincount(col, minlength=size) > 0, np.arange(size), size)
     while True:
-        row = np.where(nz, label, len(cols)).min(axis=1, initial=len(cols))
-        new = np.where(nz, row[:, None], len(cols)).min(axis=0, initial=len(cols))
+        row, new = np.full(phi.n * (phi.n - 1) // 2, size), np.full(size, size)
+        np.minimum.at(row, gen, label[col])
+        np.minimum.at(new, col, row[gen])
         if np.array_equal(new, label):
             break
         label = new
     # generators and indices sorted by block, and each block's counts and first position
-    gens, cols = gens[np.argsort(row, kind="stable")], cols[np.argsort(label, kind="stable")]
-    ids = np.flatnonzero(np.bincount(label, minlength=len(cols)))
-    r, c = np.bincount(row, minlength=len(cols))[ids], np.bincount(label, minlength=len(cols))[ids]
+    gens, cols = np.argsort(row, kind="stable"), np.argsort(label, kind="stable")
+    counts = np.bincount(label, minlength=size + 1)[:size]
+    ids = np.flatnonzero(counts)
+    r, c = np.bincount(row, minlength=size + 1)[ids], counts[ids]
     r0, c0 = np.cumsum(r) - r, np.cumsum(c) - c
+    # the blocks' r x c matrices, one after another in one flat array, filled from their entries
+    at, block = np.cumsum(r * c) - r * c, (np.cumsum(counts > 0) - 1)[label[col]]
+    flat = np.zeros(r @ c)
+    flat[at[block] + (np.argsort(gens)[gen] - r0[block]) * c[block] + np.argsort(cols)[col] - c0[block]] = val
     shapes = []
     for rs, cs in dict.fromkeys(zip(r.tolist(), c.tolist())):
         j = np.flatnonzero((r == rs) & (c == cs))
         g, cc = gens[r0[j, None] + np.arange(rs)], cols[c0[j, None] + np.arange(cs)]
-        shapes.append((g, cc, *np.linalg.svd(mat[g[:, :, None], cc[:, None, :]], full_matrices=rs > cs)))
+        mats = flat[at[j, None] + np.arange(rs * cs)].reshape(len(j), rs, cs)
+        shapes.append((g, cc, *np.linalg.svd(mats, full_matrices=rs > cs)))
     top = max((s[:, 0].max() for *_, s, _ in shapes), default=0.0)
-    return np.flatnonzero(~live), [(g, cc, u, vt, np.sum(s > RANK_TOL * top, axis=1)) for g, cc, u, s, vt in shapes]
+    ranks = [np.sum(s > RANK_TOL * top, axis=1) for *_, s, _ in shapes]
+    return np.flatnonzero(row == size), [(g, cc, u, vt, k) for (g, cc, u, _, vt), k in zip(shapes, ranks)]
 
 
 def phi_module(phi):

@@ -292,13 +292,12 @@ def evaluate(a, xi):
     return a.apply(frame)
 
 
-def so_action_matrix(a):
-    """Matrix of o(n) -> degree-p forms, theta -> theta.a, over canonical_indices(n, p).
+def _action_entries(a):
+    """(generators, indices, values) of the nonzero entries of so_action_matrix(a), one per position.
 
-    Row r is E.a for the r-th pair (i, j) of itertools.combinations(range(n), 2),
-    where E maps e_j -> e_i and e_i -> -e_j.  A term c e^I feeds the index I with
-    one slot i replaced by some j not in I.  For a fixed E each index is fed by
-    at most one term, so every entry is exactly +-c.
+    A term c e^I feeds the index I with one slot i replaced by some j not in
+    I, in the row of the pair {i, j}.  For a fixed pair each index is fed by
+    at most one term, so no two entries share a position and each is exactly +-c.
     """
     n, p = a.n, a.p
     idx, c = a._compact()
@@ -313,17 +312,34 @@ def so_action_matrix(a):
     r = np.sum(new < j[:, None], axis=1) - (i < j)
     new[at, pos] = j
     new.sort(axis=1)
-    mat = np.zeros((n * (n - 1) // 2, math.comb(n, p)))
     pairs = np.column_stack([np.minimum(i, j), np.maximum(i, j)])
-    mat[_lex_rank(pairs, n), _lex_rank(new, n)] = (-1.0) ** (pos - r + (i > j)) * c[term]
+    return _lex_rank(pairs, n), _lex_rank(new, n), (-1.0) ** (pos - r + (i > j)) * c[term]
+
+
+def so_action_matrix(a):
+    """Matrix of o(n) -> degree-p forms, theta -> theta.a, over canonical_indices(n, p).
+
+    Row r is E.a for the r-th pair (i, j) of itertools.combinations(range(n), 2),
+    where E maps e_j -> e_i and e_i -> -e_j; its nonzero entries are _action_entries(a).
+    """
+    mat = np.zeros((a.n * (a.n - 1) // 2, math.comb(a.n, a.p)))
+    gens, cols, values = _action_entries(a)
+    mat[gens, cols] = values
     return mat
+
+
+@functools.lru_cache(maxsize=64)
+def _binomials(n, p):
+    """binom[x, y] = C(x, y) for x <= n, y <= p: _lex_rank's table, read-only as the cache shares it."""
+    binom = np.array([[math.comb(x, y) for y in range(p + 1)] for x in range(n + 1)], dtype=np.intp)
+    binom.flags.writeable = False
+    return binom
 
 
 def _lex_rank(idx, n):
     """Positions of increasing 0-based index rows in canonical_indices(n, p)."""
     p = idx.shape[1]
-    binom = np.array([[math.comb(x, y) for y in range(p + 1)] for x in range(n + 1)], dtype=np.intp)
-    return math.comb(n, p) - 1 - binom[n - 1 - idx, p - np.arange(p)].sum(axis=1)
+    return math.comb(n, p) - 1 - _binomials(n, p)[n - 1 - idx, p - np.arange(p)].sum(axis=1)
 
 
 def so_action(theta, a):

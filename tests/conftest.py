@@ -5,7 +5,7 @@ import pytest
 
 from calibkit import AltForm, FormModule, canonical_indices, exterior, so_action_matrix
 from calibkit.calibrations import _su_matrix_basis
-from calibkit.critical import RANK_TOL, numerical_rank
+from calibkit.critical import RANK_TOL, numerical_rank, qr_fix
 
 
 def random_form(rng, n, p, density=0.5):
@@ -178,3 +178,84 @@ def su_structure(k):
     structure[i, j] = coords
     structure[j, i] = -coords
     return structure
+
+
+def trace_coords(x, basis):
+    """Coordinates -tr(X B_l) of one matrix, one trace per basis element: the oracle for _su_coords."""
+    return np.array([-np.trace(x @ b).real for b in basis])
+
+
+def loop_highest_root_frame(k):
+    """su(k)'s orthonormalized highest-root su(2) frame, one trace per coordinate: the oracle for su_lie_algebra's."""
+    basis = _su_matrix_basis(k)
+    corner = np.zeros((3, k, k), dtype=complex)
+    corner[0, 0, k - 1], corner[0, k - 1, 0] = 1.0, -1.0
+    corner[1, 0, k - 1] = corner[1, k - 1, 0] = 1.0j
+    corner[2, 0, 0], corner[2, k - 1, k - 1] = 1.0j, -1.0j
+    return qr_fix(np.column_stack([trace_coords(x / np.sqrt(2.0), basis) for x in corner]))[0]
+
+
+def loop_cartan_coefficients(structure, frame):
+    """The normalized Cartan 3-form's coefficients, one triple at a time: the oracle for cartan_three_form.
+
+    Keeps the structure constants above 1e-14 at increasing (i, j, k), so it
+    holds for structure constants of unit size.
+    """
+    coeffs = {}
+    for i, j, k in itertools.combinations(range(len(structure)), 3):
+        if abs(structure[i, j, k]) > 1e-14:
+            coeffs[(i + 1, j + 1, k + 1)] = structure[i, j, k]
+    raw = AltForm(len(structure), 3, coeffs)
+    return (1.0 / abs(raw.apply(frame)) * raw).coeffs
+
+
+def loop_spinor_component(model, endo, k):
+    """Degree-k coefficients tr(gamma_I^T endo) / 16, one product and trace per index: the oracle for _component."""
+    coeffs = {}
+    for idx in itertools.combinations(range(1, 9), k):
+        g = np.eye(16)
+        for i in idx:
+            g = g @ model.gamma[i - 1]
+        c = float(np.trace(g.T @ endo)) / 16.0
+        if abs(c) > 1e-14:
+            coeffs[idx] = c
+    return coeffs
+
+
+def dense_action_blocks(phi):
+    """critical._action_blocks by label propagation over the whole dense pattern of so_action_matrix: its oracle."""
+    mat = so_action_matrix(phi)
+    nz = mat != 0
+    live = nz.any(axis=1)
+    gens, cols = np.flatnonzero(live), np.flatnonzero(nz.any(axis=0))
+    nz = nz[np.ix_(gens, cols)]
+    label = np.arange(len(cols))
+    while True:
+        row = np.where(nz, label, len(cols)).min(axis=1, initial=len(cols))
+        new = np.where(nz, row[:, None], len(cols)).min(axis=0, initial=len(cols))
+        if np.array_equal(new, label):
+            break
+        label = new
+    gens, cols = gens[np.argsort(row, kind="stable")], cols[np.argsort(label, kind="stable")]
+    ids = np.flatnonzero(np.bincount(label, minlength=len(cols)))
+    r, c = np.bincount(row, minlength=len(cols))[ids], np.bincount(label, minlength=len(cols))[ids]
+    r0, c0 = np.cumsum(r) - r, np.cumsum(c) - c
+    shapes = []
+    for rs, cs in dict.fromkeys(zip(r.tolist(), c.tolist())):
+        j = np.flatnonzero((r == rs) & (c == cs))
+        g, cc = gens[r0[j, None] + np.arange(rs)], cols[c0[j, None] + np.arange(cs)]
+        shapes.append((g, cc, *np.linalg.svd(mat[g[:, :, None], cc[:, None, :]], full_matrices=rs > cs)))
+    top = max((s[:, 0].max() for *_, s, _ in shapes), default=0.0)
+    return np.flatnonzero(~live), [(g, cc, u, vt, np.sum(s > RANK_TOL * top, axis=1)) for g, cc, u, s, vt in shapes]
+
+
+def loop_octonion_left_mult(phi):
+    """L[i][k, j] = phi_ijk and the unit rows, one coefficient at a time: the oracle for octonion_left_mult."""
+    L = np.zeros((8, 8, 8))
+    L[0] = np.eye(8)
+    for i in range(1, 8):
+        L[i][i, 0], L[i][0, i] = 1.0, -1.0
+        for j, k in itertools.product(range(1, 8), repeat=2):
+            if j != i and phi.coefficient((i, j, k)) != 0.0:
+                L[i][k, j] = phi.coefficient((i, j, k))
+    return L

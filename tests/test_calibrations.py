@@ -30,9 +30,17 @@ from calibkit import (
     subspace_distance,
     wedge,
 )
+from calibkit import calibrations, critical
 from calibkit.calibrations import _su_coords, _su_matrix_basis
 
-from conftest import su_structure
+from conftest import (
+    loop_cartan_coefficients,
+    loop_highest_root_frame,
+    loop_octonion_left_mult,
+    loop_spinor_component,
+    su_structure,
+    trace_coords,
+)
 
 
 def test_associative_frozen_values():
@@ -63,6 +71,10 @@ def test_cayley_frozen_values():
     assert hodge_star(phi).approx_eq(phi, tol=0.0)  # self-dual
     assert phi_module(phi).rank == 7
     assert stabilizer_dim(phi) == 21
+
+
+def test_octonion_table_matches_the_coefficient_loop():
+    assert np.array_equal(octonion_left_mult(), loop_octonion_left_mult(associative_form()))
 
 
 def test_octonion_left_multiplication():
@@ -196,12 +208,45 @@ def test_su_structure_constants_match_pairwise_loop(k):
     expected = np.zeros((n, n, n))
     for i, j in itertools.combinations(range(n), 2):
         br = basis[i] @ basis[j] - basis[j] @ basis[i]
-        coords = _su_coords(br, basis)
+        coords = trace_coords(br, basis)
         expected[i, j] = coords
         expected[j, i] = -coords
     structure = su_lie_algebra(k).structure
     assert np.array_equal(structure, expected)
     assert np.array_equal(structure, su_structure(k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_highest_root_frame_and_cartan_form_match_the_loops(k):
+    """The frame's coordinates from one einsum and the form's terms from one gather equal the per-trace and per-triple loops, bit for bit."""
+    basis = _su_matrix_basis(k)
+    stack = np.array(basis[:5]) @ np.array(basis[-5:])
+    assert np.array_equal(_su_coords(stack, basis), [trace_coords(x, basis) for x in stack])
+    g = su_lie_algebra(k)
+    assert np.array_equal(g.highest_root_frame, loop_highest_root_frame(k))
+    got = cartan_three_form(g).coeffs
+    assert list(got.items()) == list(loop_cartan_coefficients(g.structure, g.highest_root_frame).items())
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("scale", [1e-15, 1e-6, 1.0, 1e6])
+def test_cartan_form_does_not_depend_on_the_scale(k, scale):
+    """Both cutoffs scale with the structure constants: scaled su(k) gives the same terms, up to round-off.
+
+    The scaled constants are set after construction, since LieAlgebraData's
+    own checks are not what this tests.
+    """
+    ref = cartan_three_form(su_lie_algebra(k)).coeffs
+    g = su_lie_algebra(k)
+    g.structure = scale * g.structure
+    got = cartan_three_form(g).coeffs
+    assert list(got) == list(ref)
+    assert max(abs(got[idx] - c) for idx, c in ref.items()) <= 1e-15
+
+
+def test_cartan_form_of_an_abelian_algebra_is_degenerate():
+    with pytest.raises(ValueError, match="degenerate"):
+        cartan_three_form(LieAlgebraData(dim=3, structure=np.zeros((3, 3, 3)), highest_root_frame=np.eye(3)))
 
 
 def test_lie_algebra_data_validation():
@@ -277,6 +322,24 @@ def test_spinor_square_matches_cayley_invariants():
     assert stabilizer_dim(phi4) == 21
 
 
+def test_spinor_components_match_the_trace_loop():
+    """Each degree's coefficients from the stacked gamma products equal one product and trace per index, bit for bit."""
+    model = build_clifford()
+    rng = np.random.default_rng(3)
+    xs = [model.s_plus[:, 0], model.s_minus[:, 2]] + [v / np.linalg.norm(v) for v in rng.standard_normal((3, 16))]
+    for x in xs:
+        for k in range(9):
+            want = loop_spinor_component(model, 16.0 * np.outer(x, x), k)
+            assert list(model.spinor_square(x, k).coeffs.items()) == list(want.items())
+    x = model.s_plus @ (rng.standard_normal(8) @ np.linalg.qr(rng.standard_normal((8, 8)))[0])
+    x /= np.linalg.norm(x)
+    forms, _ = model.psi_forms(x)
+    basis = model.s_plus @ critical.completions((model.s_plus.T @ x)[None, :, None])[0]
+    for j, form in enumerate(forms, start=1):
+        want = loop_spinor_component(model, 16.0 * np.outer(basis[:, j], x), 4)
+        assert list(form.coeffs.items()) == list(want.items())
+
+
 def test_spinor_square_requires_unit_norm():
     model = build_clifford()
     with pytest.raises(ValueError):
@@ -294,6 +357,37 @@ def test_calibration_spec_dispatch():
     assert cf.approx_eq(cartan_three_form(su_lie_algebra(3)))
     custom = AltForm.basis(4, 1, 2)
     assert build_calibration(CalibrationSpec("custom", form=custom)) is custom
+
+
+FAMILY_SPECS = [
+    CalibrationSpec("associative"),
+    CalibrationSpec("coassociative"),
+    CalibrationSpec("cayley"),
+    CalibrationSpec("custom", form=AltForm(5, 2, {(1, 2): 1.0, (3, 4): -0.5})),
+] + [CalibrationSpec("special_lagrangian", m=m, phase=0.3) for m in (2, 3, 4)] + [
+    CalibrationSpec("cartan", algebra=f"su{k}") for k in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: f"{spec.family}-{spec.m or spec.algebra or ''}")
+def test_build_calibration_builds_only_the_form(monkeypatch, spec):
+    """No family builds a module on the way to its form."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("build_calibration built a module")
+
+    monkeypatch.setattr(FormModule, "from_spanning", fail)
+    monkeypatch.setattr(critical, "phi_module", fail)
+    monkeypatch.setattr(calibrations, "phi_module", fail, raising=False)
+    assert build_calibration(spec).coeffs
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("phase", [0.0, 0.3, np.pi / 2, -1.1])
+def test_special_lagrangian_calib_is_the_built_form(m, phase):
+    """special_lagrangian and the family table share one builder: the same terms, in order, bit for bit."""
+    built = build_calibration(CalibrationSpec("special_lagrangian", m=m, phase=phase))
+    assert list(special_lagrangian(m, phase).calib.coeffs.items()) == list(built.coeffs.items())
 
 
 def test_calibration_spec_validation():

@@ -56,6 +56,7 @@ from calibkit.exterior import _lex_rank, first_jet, orthonormal_jet
 from conftest import (
     brute_eval,
     cofactor_jet,
+    dense_action_blocks,
     dense_coefficients,
     dense_phi_module,
     dense_stabilizer_kernel,
@@ -419,6 +420,34 @@ def test_block_module_matches_the_dense_svd(name):
 )
 def test_block_module_of_random_sparse_forms_matches_the_dense_svd(n, p_raw, seed, density):
     assert_block_module_matches_the_dense_svd(random_form(np.random.default_rng(seed), n, 1 + p_raw % n, density))
+
+
+def assert_action_blocks_match_the_dense_labels(phi):
+    """_action_blocks, labelled on the entries, against label propagation over the whole dense pattern, bit for bit."""
+    zero, shapes = critical._action_blocks(phi)
+    want_zero, want = dense_action_blocks(phi)
+    assert np.array_equal(zero, want_zero) and len(shapes) == len(want)
+    for got, exp in zip(shapes, want):
+        for a, b in zip(got, exp):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
+@pytest.mark.parametrize("dual", [False, True])
+def test_action_blocks_match_the_dense_labels(name, dual):
+    phi = block_form(name)
+    assert_action_blocks_match_the_dense_labels(hodge_star(phi) if dual else phi)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    p_raw=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.02, 0.1, 0.3]),
+)
+def test_action_blocks_of_random_sparse_forms_match_the_dense_labels(n, p_raw, seed, density):
+    assert_action_blocks_match_the_dense_labels(random_form(np.random.default_rng(seed), n, 1 + p_raw % n, density))
 
 
 def test_block_module_layout():
