@@ -17,13 +17,21 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .exterior import AltForm, canonical_indices, form_from_json, hodge_star, parse_form, sort_index, wedge
+from .exterior import (
+    AltForm,
+    _index_table,
+    canonical_indices,
+    form_from_json,
+    hodge_star,
+    parse_form,
+    sort_index,
+    wedge,
+)
 from .critical import FormModule, OrientedPlane, completions, qr_fix
 
 __all__ = [
@@ -178,14 +186,16 @@ class LieAlgebraData:
         c = np.asarray(self.structure, dtype=float)
         if c.shape != (self.dim,) * 3:
             raise ValueError("structure constants have wrong shape")
-        if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > 1e-10:
+        # the residuals scale with the constants, and the Jacobi sum with their square
+        scale = np.max(np.abs(c), initial=0.0)
+        if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > 1e-10 * scale:
             raise ValueError("structure constants are not antisymmetric")
-        if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > 1e-10:
+        if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > 1e-10 * scale:
             raise ValueError("the metric is not invariant (c not totally antisymmetric)")
         # cc[i, j, k, l] = sum_m c[i, j, m] c[m, k, l]; the Jacobi sum is cyclic in (i, j, k)
         cc = np.tensordot(c, c, axes=(2, 0))
         jac = cc + cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3)
-        if np.max(np.abs(jac)) > 1e-10:
+        if np.max(np.abs(jac)) > 1e-10 * scale**2:
             raise ValueError("structure constants violate the Jacobi identity")
         self.structure = c
 
@@ -297,7 +307,7 @@ class CliffordModel:
         """(C(8, k), 16, 16): gamma_{i1} .. gamma_{ik} for each I of canonical_indices(8, k), built once per model."""
         cached = self._gamma_products.get(k)
         if cached is None:
-            idx = np.array(canonical_indices(8, k), dtype=np.intp).reshape(math.comb(8, k), k) - 1
+            idx = _index_table(8, k)
             cached = np.broadcast_to(np.eye(16), (len(idx), 16, 16))
             for i in idx.T:
                 cached = cached @ np.asarray(self.gamma)[i]

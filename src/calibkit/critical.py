@@ -21,7 +21,7 @@ from .exterior import (
     AltForm,
     SkewMap,
     _action_entries,
-    canonical_indices,
+    _index_table,
     evaluate,
     first_jet,
     so_action,
@@ -170,7 +170,7 @@ class FormModule:
     def __init__(self, n, degree, rows, blocks=None):
         self.n = n
         self.degree = degree
-        self._idx0 = np.array(canonical_indices(n, degree), dtype=np.intp) - 1
+        self._idx0 = _index_table(n, degree)
         # adding 0.0 turns -0.0 into 0.0, so each row equals its AltForm's dense()
         self._coeff_mat = np.asarray(rows, dtype=float).reshape(-1, len(self._idx0)) + 0.0
         self.rank = self._coeff_mat.shape[0]
@@ -215,10 +215,10 @@ class FormModule:
         return stack_values(self._groups, self._block_idx0, frames).T
 
     def contains(self, form):
-        """True when form lies in the module, up to RANK_TOL * max(1, |form|)."""
+        """True when form lies in the module, up to RANK_TOL * |form|: the zero form does, at any scale."""
         v = form.dense()
         resid = v - self._coeff_mat.T @ (self._coeff_mat @ v)
-        return float(np.linalg.norm(resid)) <= RANK_TOL * max(1.0, np.linalg.norm(v))
+        return float(np.linalg.norm(resid)) <= RANK_TOL * float(np.linalg.norm(v))
 
     def __repr__(self):
         return f"FormModule(n={self.n}, degree={self.degree}, rank={self.rank})"

@@ -59,6 +59,14 @@ def canonical_indices(n, p):
     return list(itertools.combinations(range(1, n + 1), p))
 
 
+@functools.lru_cache(maxsize=64)
+def _index_table(n, p):
+    """canonical_indices(n, p) as a (C(n, p), p) array of 0-based indices, read-only as the cache shares it."""
+    idx = np.array(canonical_indices(n, p), dtype=np.intp).reshape(math.comb(n, p), p) - 1
+    idx.flags.writeable = False
+    return idx
+
+
 class AltForm:
     """A degree-p alternating form on R^n, stored sparsely.
 
@@ -566,7 +574,7 @@ def _star_columns(n, p):
     canonical_indices(n, p), and *e^I = sign[r] e^J, so the rows run through
     canonical_indices(n, n - p) in reverse.
     """
-    idx = np.array(canonical_indices(n, p), dtype=np.intp).reshape(math.comb(n, p), p) - 1
+    idx = _index_table(n, p)
     mask = np.ones((len(idx), n), dtype=bool)
     mask[np.arange(len(idx))[:, None], idx] = False
     comp = np.nonzero(mask)[1].reshape(len(idx), n - p)

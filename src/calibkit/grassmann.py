@@ -1,9 +1,11 @@
 """Sampling and first-order search on the oriented Grassmannian.
 
 Maximization/minimization uses projected gradient steps with Armijo
-backtracking.  Every sense ends with damped Gauss-Newton on the module
-residual (the values of the induced form module on the plane), which also
-reaches saddle points that plain ascent misses.  Its step is a
+backtracking.  A trial's next first try is the vertex of the parabola fitted
+to its last accepted try of step s, clipped to [shrink s, 2 s], or 2 s where
+that parabola does not bend down.  Every sense ends with damped Gauss-Newton
+on the module residual (the values of the induced form module on the plane),
+which also reaches saddle points that plain ascent misses.  Its step is a
 Levenberg-Marquardt step at a fixed damping (`_damped_step`): the normal
 equations (J^T J + mu I) d = -J^T r of every unconverged trial are solved in
 one batched LU solve, which costs a fraction of an SVD, and the step is 0
@@ -169,9 +171,10 @@ def _line_search(qs, coeffs, idx0, step, params, tries, rule):
     Each iteration, rule(values, first, step) reads the live trials' jets of
     the forms coeffs and their steps, and returns their directions, first
     steps, which of them move, and accept(j, values, step), which tells which
-    candidates of the moving trials j pass.  Each try takes one first_jet at
-    the candidates; an accepted one's jet and step are kept.  A trial that
-    does not move stops.  values and first are the jets at the returned qs.
+    candidates of the moving trials j pass, and their next steps.  Each try
+    takes one first_jet at the candidates; an accepted one's jet and next
+    step are kept.  A trial that does not move stops.  values and first are
+    the jets at the returned qs.
     """
     m, p = len(qs), idx0.shape[1]
     qs = qs.copy()
@@ -191,32 +194,39 @@ def _line_search(qs, coeffs, idx0, step, params, tries, rule):
                 break
             cand = _retract(qs[live[j]], trial_step[j][:, None, None] * direction[j])
             cand_values, cand_first = first_jet(coeffs, idx0, cand[:, :, :p], cand[:, :, p:])
-            ok = accept(j, cand_values, trial_step[j])
+            ok, carried = accept(j, cand_values, trial_step[j])
             t = live[j[ok]]
-            qs[t], values[t], first[t] = cand[ok], cand_values[ok], cand_first[ok]
+            qs[t], values[t], first[t], step[t] = cand[ok], cand_values[ok], cand_first[ok], carried[ok]
             moved[j[ok]] = True
             trial_step[j[~ok]] *= params.shrink
         active[live] = moved
-        step[live[moved]] = trial_step[moved]
     return qs, iterations, values, first
 
 
 def _ascent(phi, frames, params, sign, scale):
-    """Armijo ascent of sign * phi from every frame; returns (completions, iterations)."""
+    """Armijo ascent of sign * phi from every frame; returns (completions, iterations).
+
+    An accepted try of step s carries the vertex of the parabola through it,
+    clipped to [shrink s, 2 s], or 2 s where that parabola does not bend down.
+    """
     phi_idx, phi_c = phi._compact()
 
     def rule(value, first, step):
         gnorm2 = np.sum(first * first, axis=(1, 2))
 
         def rises(j, new_value, s):
-            return sign * (new_value - value[j]) >= params.armijo_c * s * gnorm2[j]
+            # the parabola through (0, 0) with slope g2 and through (s, gain) peaks at 1 / curvature, where a
+            # gradient step shrinks |grad| most; doubling settled near 2 / curvature
+            g2, gain = gnorm2[j], sign * (new_value - value[j])
+            vertex = np.divide(g2 * s * s, 2.0 * (g2 * s - gain), out=2.0 * s, where=g2 * s > gain)
+            return gain >= params.armijo_c * s * g2, np.clip(vertex, params.shrink * s, 2.0 * s)
 
-        # the step doubles, up to a cap; polished trials stop
+        # the carried step, up to a cap; polished trials stop
         moving = ~(np.sqrt(gnorm2) < 1e-3 * scale)
-        return sign * first, np.minimum(step * 2.0, 10.0 / scale), moving, rises
+        return sign * first, np.minimum(step, 10.0 / scale), moving, rises
 
-    # the gradient scales with phi, so step lengths scale with 1 / scale
-    step = np.full(len(frames), params.step_init / scale)
+    # the gradient scales with phi, so step lengths scale with 1 / scale; the first try is twice step_init
+    step = np.full(len(frames), 2.0 * params.step_init / scale)
     qs, iterations, _, _ = _line_search(completions(frames), phi_c, phi_idx, step, params, 60, rule)
     return qs, iterations
 
@@ -261,7 +271,7 @@ def _gauss_newton(qs, params, idx0, rows, grad_tol):
         def descends(j, new_vals, s):
             r_new = new_vals[:, 1:]
             norm2 = (r_new[:, None, :] @ r_new[:, :, None])[:, 0, 0]
-            return norm2 < base[j] * (1.0 - params.armijo_c * s) + 1e-30
+            return norm2 < base[j] * (1.0 - params.armijo_c * s) + 1e-30, s
 
         # the full step first; converged trials stop
         return delta.reshape(len(vals), p, k), np.ones_like(step), ~ok, descends

@@ -249,6 +249,14 @@ def test_cartan_form_of_an_abelian_algebra_is_degenerate():
         cartan_three_form(LieAlgebraData(dim=3, structure=np.zeros((3, 3, 3)), highest_root_frame=np.eye(3)))
 
 
+def _totally_antisymmetric(dim, idx, value):
+    """The totally antisymmetric tensor that is value at idx."""
+    t = np.zeros((dim,) * 3)
+    for perm in itertools.permutations(range(3)):
+        t[tuple(idx[q] for q in perm)] = value * (-1.0) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+    return t
+
+
 def test_lie_algebra_data_validation():
     c = np.zeros((3, 3, 3))
     c[0, 1, 2] = 1.0  # not antisymmetric in the first pair
@@ -257,12 +265,31 @@ def test_lie_algebra_data_validation():
     with pytest.raises(ValueError):
         LieAlgebraData(dim=3, structure=np.zeros((2, 2, 2)))
     # e012 + e034 is totally antisymmetric, but on (e1, e2, e3) only [e3, [e1, e2]] = [e3, e0] = -e4 is nonzero
-    c = np.zeros((5, 5, 5))
-    for idx in [(0, 1, 2), (0, 3, 4)]:
-        for perm in itertools.permutations(range(3)):
-            c[tuple(idx[q] for q in perm)] = (-1.0) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+    c = _totally_antisymmetric(5, (0, 1, 2), 1.0) + _totally_antisymmetric(5, (0, 3, 4), 1.0)
     with pytest.raises(ValueError, match="Jacobi"):
         LieAlgebraData(dim=5, structure=c)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_lie_algebra_checks_scale_with_the_constants(k, scale):
+    """su(k)'s constants pass at any scale, and a perturbation of 1e-6 of their size fails each check at every scale."""
+    g = su_lie_algebra(k)
+    c = scale * g.structure
+    assert np.array_equal(LieAlgebraData(g.dim, c, g.highest_root_frame).structure, c)
+    delta = 1e-6 * np.max(np.abs(c))
+    bad = c.copy()
+    bad[0, 1, 2] += delta  # [e0, e1] and [e1, e0] disagree
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        LieAlgebraData(g.dim, bad)
+    bad = c.copy()
+    bad[0, 1, 2] += delta
+    bad[1, 0, 2] -= delta  # antisymmetric in the bracket, but the metric is not invariant
+    with pytest.raises(ValueError, match="not invariant"):
+        LieAlgebraData(g.dim, bad)
+    if k > 2:  # every totally antisymmetric tensor on R^3 is a multiple of su(2)'s, so a Lie bracket
+        with pytest.raises(ValueError, match="Jacobi"):
+            LieAlgebraData(g.dim, c + _totally_antisymmetric(g.dim, (0, 1, 3), delta))
 
 
 def test_cartan_form_su2_is_volume():

@@ -574,6 +574,16 @@ def test_search_determinism_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _run_twice(args):
+    """Run the CLI with args in two fresh processes; returns their stdout bytes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "calibkit.cli"] + args
+    runs = [subprocess.run(argv, env=env, capture_output=True, timeout=300) for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0]
+    return [r.stdout for r in runs]
+
+
 @pytest.mark.parametrize("algebra, trials", [("su3", "30"), ("su4", "24")], ids=["su3-two-blocks", "su4"])
 def test_seeded_searches_give_the_same_bytes_in_two_processes(algebra, trials):
     """Two fresh processes print the same catalog bytes: the module's per-block SVDs included.
@@ -581,11 +591,19 @@ def test_seeded_searches_give_the_same_bytes_in_two_processes(algebra, trials):
     30 su3 trials span two lockstep blocks; 24 su4 trials take its tall
     Gauss-Newton Jacobians in one stack.
     """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "calibkit.cli", "search", "--family", "cartan", "--algebra", algebra]
-    argv += ["--trials", trials, "--seed", "5", "--json"]
-    runs = [subprocess.run(argv, env=env, capture_output=True, timeout=300) for _ in range(2)]
-    assert [r.returncode for r in runs] == [0, 0]
-    assert json.loads(runs[0].stdout)["trials"] == int(trials)
-    assert runs[0].stdout == runs[1].stdout
+    a, b = _run_twice(["search", "--family", "cartan", "--algebra", algebra, "--trials", trials, "--seed", "5", "--json"])
+    assert json.loads(a)["trials"] == int(trials)
+    assert a == b
+
+
+@pytest.mark.parametrize(
+    "family, trials", [(["cayley"], "40"), (["cartan", "--algebra", "su4"], "24")], ids=["cayley-two-blocks", "su4"]
+)
+def test_seeded_comass_gives_the_same_bytes_in_two_processes(family, trials):
+    """Two fresh processes print the same comass and maximizer bytes, the ascent's carried steps included.
+
+    40 Cayley trials span two lockstep blocks; 24 su4 trials are one stack.
+    """
+    a, b = _run_twice(["comass", "--family", *family, "--trials", trials, "--seed", "1", "--json"])
+    assert json.loads(a)["comass"] == pytest.approx(1.0, abs=1e-12)
+    assert a == b

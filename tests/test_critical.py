@@ -182,6 +182,15 @@ def test_form_module_rank_and_contains(rng):
     assert not mod.contains(AltForm.basis(4, 1, 3))
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6])
+def test_form_module_contains_is_relative_to_the_form(c):
+    """Membership does not depend on the form's scale: c e124 is never in associative's module, c times its elements are."""
+    mod = phi_module(associative_form())
+    assert not mod.contains(c * parse_form("e124", n=7))
+    assert mod.contains(c * (mod.basis[0] - 2.0 * mod.basis[-1]))
+    assert mod.contains(AltForm.zero(7, 3))
+
+
 def test_form_module_values_match_apply(rng):
     phi = associative_form()
     mod = phi_module(phi)

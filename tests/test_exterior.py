@@ -448,6 +448,17 @@ def test_orthonormal_jet_complement_path_matches_explicit_replacements(n, p_raw,
     assert np.array_equal(starred, basis)
 
 
+@pytest.mark.parametrize("n, p", [(0, 0), (4, 0), (7, 3), (8, 4), (15, 12), (5, 5)])
+def test_index_table_is_canonical_indices_read_only(n, p):
+    """The cached table is canonical_indices(n, p) less 1, one shared array that cannot be written."""
+    table = exterior._index_table(n, p)
+    assert table.shape == (math.comb(n, p), p) and table.dtype == np.intp
+    assert table.tolist() == [[i - 1 for i in idx] for idx in canonical_indices(n, p)]
+    assert exterior._index_table(n, p) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0
+
+
 @pytest.mark.parametrize("n, p, k", [(7, 4, 3), (8, 5, 3), (8, 6, 2), (8, 7, 2), (6, 6, 2)])
 def test_first_jet_svd_and_cofactor_paths_agree(n, p, k):
     """The sub-minor table's cofactors against SVD cofactors (svd_jet) and brute_eval.

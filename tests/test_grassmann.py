@@ -445,6 +445,40 @@ def test_retraction_carries_the_completion_of_its_frame(n, p_raw, scale, seed):
     assert np.max(np.abs(np.swapaxes(moved, 1, 2) @ moved - np.eye(n))) <= 1e-14
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ascent_carries_the_vertex_of_the_fitted_parabola(monkeypatch, sign):
+    """An accepted try of step s carries the vertex of the parabola through (0, 0), slope g2, and (s, gain).
+
+    With g2 = 4 and s = 0.5 the vertex is 1 / (2 (2 - gain)), clipped to
+    [shrink s, 2 s] = [0.25, 1]; a parabola that does not bend down carries 2 s.
+    """
+    calls = []
+    monkeypatch.setattr(grassmann, "_line_search", lambda qs, *args: calls.append(args) or (qs, None, None, None))
+    params = SearchParams()
+    grassmann._ascent(associative_form(), _start_frames(7, 3, [0]), params, sign, 0.5)
+    (_, _, start, _, _, rule), = calls
+    assert np.array_equal(start, [4.0 * params.step_init])  # the first try is 2 step_init / scale
+    gain = np.array([1.0, 1.25, 1.75, -2.0, 2.0, 3.0])
+    first = np.zeros((len(gain), 3, 4))
+    first[:, 1, 2] = 2.0
+    value = np.linspace(-1.0, 1.0, len(gain))
+    direction, step, moving, accept = rule(value, first, np.array([0.5, 30.0, 0.5, 0.5, 0.5, 0.5]))
+    assert np.array_equal(direction, sign * first) and moving.all()
+    assert np.array_equal(step, [0.5, 20.0, 0.5, 0.5, 0.5, 0.5])  # the carried step, capped at 10 / scale
+    ok, carried = accept(np.arange(len(gain)), value + sign * gain, np.full(len(gain), 0.5))
+    assert np.array_equal(ok, [True, True, True, False, True, True])
+    assert carried == pytest.approx([0.5, 2.0 / 3.0, 1.0, 0.25, 1.0, 1.0], rel=1e-12)
+
+
+def test_ascent_stops_within_a_few_iterations():
+    """24-trial blocks over master seeds 0-4: the fitted step aims at 1 / curvature, where doubling took 17 and 18."""
+    for phi, most in [(cayley_form(), 8), (special_lagrangian(4).calib, 12)]:
+        for seed in range(5):
+            starts = _start_frames(phi.n, phi.p, [trial_seed(seed, t) for t in range(24)])
+            _, iterations = grassmann._ascent(phi, starts, SearchParams(master_seed=seed), 1.0, tol_scale(phi))
+            assert iterations.max() <= most
+
+
 def test_ascent_step_scales_with_form():
     """A tiny multiple of phi takes about as many ascent steps as phi itself."""
     params = SearchParams(max_iters=200, trials=5)
