@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +31,7 @@ from .exterior import (
     hodge_star,
     parse_form,
     sort_index,
+    stack_values,
     wedge,
 )
 from .critical import FormModule, OrientedPlane, completions, qr_fix
@@ -65,23 +67,18 @@ def coassociative_form():
     return hodge_star(associative_form())
 
 
-def _shift_indices(a, n_new, offset):
-    return AltForm(
-        n_new, a.p, {tuple(i + offset for i in I): c for I, c in a.coeffs.items()}
-    )
-
-
 def cayley_form():
     """The self-dual Cayley 4-form on R^8.
 
     Built from the single octonion table behind the associative form:
     e^1 ^ phi + *phi on the slots 2..8, which avoids sign drift between two
-    hand-entered coefficient lists.
+    hand-entered coefficient lists.  Each term of e^1 ^ phi is a term of phi
+    with 1 in front, so no sign changes, and no index of *phi holds 1.
     """
     phi = associative_form()
-    p3 = _shift_indices(phi, 8, 1)
-    p4 = _shift_indices(hodge_star(phi), 8, 1)
-    return wedge(AltForm.basis(8, 1), p3) + p4
+    terms = {(1, *(i + 1 for i in I)): c for I, c in phi.coeffs.items()}
+    terms.update({tuple(i + 1 for i in I): c for I, c in hodge_star(phi).coeffs.items()})
+    return AltForm(8, 4, terms)
 
 
 def octonion_left_mult():
@@ -115,8 +112,8 @@ class SpecialLagrangian:
     phi_w: FormModule
 
 
-def _dz_product(n, js):
-    """(Re, Im) of dz^j1 ^ .. ^ dz^jk for increasing js; the empty product is 1.
+def _dz_terms(js):
+    """(Re, Im) term dicts of dz^j1 ^ .. ^ dz^jk for increasing js; the empty product is 1.
 
     Factor j gives e^(2j-1), or i e^(2j) in its y-slot: the term with y-slots
     c has the increasing index (2j - 1 + c_j) and coefficient i^|c|.
@@ -125,18 +122,24 @@ def _dz_product(n, js):
     for c in itertools.product((0, 1), repeat=len(js)):
         w = sum(c)
         parts[w % 2][tuple(2 * j - 1 + y for j, y in zip(js, c))] = (-1.0) ** (w // 2)
-    return AltForm(n, len(js), parts[0]), AltForm(n, len(js), parts[1])
+    return parts
 
 
 def _upsilon(m, phase):
-    """(Re, Im) of e^{i phase} dz^1 ^ .. ^ dz^m on R^(2m): the family table's calibration and its companion."""
+    """(Re, Im) of e^{i phase} dz^1 ^ .. ^ dz^m on R^(2m): the family table's calibration and its companion.
+
+    With Upsilon = re + i im, e^{i phase} Upsilon = (c re - s im) + i (s re +
+    c im); re and im share no index, so each term is one product.
+    """
     if not 2 <= m <= 4:
         raise ValueError("m must be between 2 and 4")
     if not np.isfinite(phase):
         raise ValueError(f"phase must be finite, got {phase}")
-    re_u, im_u = _dz_product(2 * m, range(1, m + 1))
+    re, im = _dz_terms(range(1, m + 1))
     c, s = np.cos(phase), np.sin(phase)
-    return c * re_u - s * im_u, s * re_u + c * im_u
+    real = {**{I: c * v for I, v in re.items()}, **{I: -(s * v) for I, v in im.items()}}
+    imag = {**{I: s * v for I, v in re.items()}, **{I: c * v for I, v in im.items()}}
+    return AltForm(2 * m, m, real), AltForm(2 * m, m, imag)
 
 
 def special_lagrangian(m, phase=0.0):
@@ -157,9 +160,8 @@ def special_lagrangian(m, phase=0.0):
     sigma = AltForm(n, 2, {(2 * j - 1, 2 * j): 1.0 for j in range(1, m + 1)})
     spanning = []
     for J in itertools.combinations(range(1, m + 1), m - 2):
-        re_j, im_j = _dz_product(n, J)
-        spanning.append(wedge(re_j, sigma))
-        spanning.append(wedge(im_j, sigma))
+        for part in _dz_terms(J):
+            spanning.append(wedge(AltForm(n, m - 2, part), sigma))
     phi_w = FormModule.from_spanning(n, m, spanning)
     return SpecialLagrangian(
         m=m, phase=float(phase), calib=calib, sigma=sigma, im_upsilon=im_rot, phi_w=phi_w
@@ -192,10 +194,14 @@ class LieAlgebraData:
             raise ValueError("structure constants are not antisymmetric")
         if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > 1e-10 * scale:
             raise ValueError("the metric is not invariant (c not totally antisymmetric)")
-        # cc[i, j, k, l] = sum_m c[i, j, m] c[m, k, l]; the Jacobi sum is cyclic in (i, j, k)
-        cc = np.tensordot(c, c, axes=(2, 0))
-        jac = cc + cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3)
-        if np.max(np.abs(jac)) > 1e-10 * scale**2:
+        # cc[i, j, k, l] = sum_m a[i, j, m] a[m, k, l], one product, for a the part
+        # of c antisymmetric in (i, j); the cyclic Jacobi sum of a is then exactly
+        # alternating in (i, j, k), so the triples i < j < k decide it
+        a = (c - np.swapaxes(c, 0, 1)) / 2
+        cc = (a.reshape(-1, self.dim) @ a.reshape(self.dim, -1)).reshape((self.dim,) * 4)
+        i, j, k = _index_table(self.dim, 3).T
+        jac = cc[i, j, k] + cc[j, k, i] + cc[k, i, j]
+        if np.max(np.abs(jac), initial=0.0) > 1e-10 * scale**2:
             raise ValueError("structure constants violate the Jacobi identity")
         self.structure = c
 
@@ -233,7 +239,8 @@ def su_lie_algebra(k):
     basis = np.array(_su_matrix_basis(k))
     n = len(basis)
     # the brackets of all pairs i < j, in their coordinates -tr([X_i, X_j] X_l)
-    i, j = np.triu_indices(n, 1)
+    a = np.arange(n)
+    i, j = np.nonzero(a[:, None] < a)
     br = basis[i] @ basis[j] - basis[j] @ basis[i]
     coords = -np.einsum("pab,lba->pl", br, basis).real
     structure = np.zeros((n, n, n))
@@ -278,11 +285,13 @@ def cartan_three_form(g):
     c, a = g.structure, np.arange(g.dim)
     scale = np.max(np.abs(c), initial=0.0)
     idx = np.argwhere((a[:, None, None] < a[:, None]) & (a[:, None] < a) & (np.abs(c) > 1e-14 * scale))
-    raw = AltForm(g.dim, 3, dict(zip(map(tuple, (idx + 1).tolist()), c[tuple(idx.T)].tolist())))
-    value = raw.apply(np.asarray(g.highest_root_frame))
+    coeffs, frame = c[tuple(idx.T)], np.asarray(g.highest_root_frame, dtype=float)
+    if frame.shape != (g.dim, 3):
+        raise ValueError(f"expected a {g.dim} x 3 highest-root frame")
+    value = stack_values(coeffs, idx, frame[None])[0]
     if abs(value) <= 1e-12 * scale:
         raise ValueError("degenerate highest-root frame")
-    return (1.0 / abs(value)) * raw
+    return AltForm(g.dim, 3, dict(zip(map(tuple, (idx + 1).tolist()), ((1.0 / abs(value)) * coeffs).tolist())))
 
 
 # -- squared spinors ---------------------------------------------------------
@@ -419,18 +428,27 @@ class CalibrationSpec:
 
     @classmethod
     def from_json(cls, obj):
+        """A spec from its JSON object; raises ValueError naming the first malformed field.
+
+        m, algebra and form may be null or absent; phase may be absent.
+        """
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError("a spec must be a JSON object with a 'family'")
+        if not isinstance(obj.get("family"), str):
+            raise ValueError("spec field 'family' must be a string")
+        m, phase, algebra = obj.get("m"), obj.get("phase", 0.0), obj.get("algebra")
+        if m is not None and type(m) is not int:  # bool is an int subclass
+            raise ValueError("spec field 'm' must be an integer")
+        if isinstance(phase, bool) or not isinstance(phase, (int, float)) or not math.isfinite(phase):
+            raise ValueError("spec field 'phase' must be a finite number")
+        if algebra is not None and not isinstance(algebra, str):
+            raise ValueError("spec field 'algebra' must be a string")
         form = obj.get("form")
         if form is not None:
             form = form_from_json(form)
-        return cls(
-            family=obj["family"],
-            m=obj.get("m"),
-            phase=float(obj.get("phase", 0.0)),
-            algebra=obj.get("algebra"),
-            form=form,
-        )
+        return cls(family=obj["family"], m=m, phase=float(phase), algebra=algebra, form=form)
 
 
 def build_calibration(spec):

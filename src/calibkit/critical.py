@@ -3,7 +3,9 @@
 Three equivalent tests are implemented: the first-cousin coefficients
 (residual_cousin), vanishing of the induced module of forms
 (residual_module), and closure under the associated alternating vector
-product (residual_rho).  The module is the image of o(n) acting on the
+product (rho_closed).  Up to sign, rho's normal components on a plane are
+its cousin coefficients, so a report's residual_rho is read off them.  The
+module is the image of o(n) acting on the
 form; its annihilator on the Grassmannian is exactly the critical set.  The
 o(n) action splits into small blocks, generators against indices, so the
 module is built, stored and evaluated block by block.
@@ -154,38 +156,38 @@ class OrientedPlane:
 
 
 class FormModule:
-    """A subspace of degree-p forms, stored as a matrix of orthonormal rows.
+    """A subspace of degree-p forms, stored as orthonormal rows.
 
     Row i holds the coefficients of the i-th basis form over
-    canonical_indices(n, degree).  The basis as AltForms is built on first use.
-    Every evaluation contracts the module's block layout group by group, in
-    first_jet: blocks is a list of groups (r, cols), where cols (G, c) holds
-    the canonical positions of G blocks of c indices each, and each block
-    has r rows, zero off its own indices.  The rows run through the groups,
-    and through their blocks, in order.  The default, one group of one block
-    over every index, fits any rows; phi_module stores its rows in the block
-    order of the o(n) action.
+    canonical_indices(n, degree).  The module is given by its rows, or by
+    its blocks: a list of (cols (G, c), coefficients (G, r, c)), G blocks of
+    r rows each over the c canonical positions of their row of cols, zero
+    off them.  The rows run through the lists, and through their blocks, in
+    order.  Rows are one block over every index, so they fit any module;
+    phi_module gives its blocks, in the block order of the o(n) action.
+    Every evaluation contracts the blocks group by group, in first_jet (the
+    coefficients are its groups); the dense rows and the basis as AltForms
+    are built on first use.
     """
 
-    def __init__(self, n, degree, rows, blocks=None):
+    def __init__(self, n, degree, rows=(), blocks=None):
         self.n = n
         self.degree = degree
         self._idx0 = _index_table(n, degree)
-        # adding 0.0 turns -0.0 into 0.0, so each row equals its AltForm's dense()
-        self._coeff_mat = np.asarray(rows, dtype=float).reshape(-1, len(self._idx0)) + 0.0
-        self.rank = self._coeff_mat.shape[0]
-        self._basis = None
+        self._coeff_mat = self._basis = None
         if blocks is None:
-            blocks = [(self.rank, np.arange(len(self._idx0))[None])]
+            # adding 0.0 turns -0.0 into 0.0, so each row equals its AltForm's dense()
+            self._coeff_mat = np.asarray(rows, dtype=float).reshape(-1, len(self._idx0)) + 0.0
+            blocks = [(np.arange(len(self._idx0))[None], self._coeff_mat[None])]
+        else:
+            blocks = [(cols, coeffs + 0.0) for cols, coeffs in blocks]
         # a module of rank 0 is one group of no rows over no indices
-        blocks = [(r, cols) for r, cols in blocks if r] or [(0, np.zeros((1, 0), dtype=np.intp))]
-        # first_jet's groups (G, r, c) over the blocks' indices, in order
-        self._groups, row = [], 0
-        for r, cols in blocks:
-            rows = self._coeff_mat[row : row + len(cols) * r].reshape(len(cols), r, len(self._idx0))
-            self._groups.append(np.take_along_axis(rows, cols[:, None, :], axis=2))
-            row += len(cols) * r
-        self._block_idx0 = self._idx0[np.concatenate([cols.ravel() for _, cols in blocks])]
+        blocks = [(cols, g) for cols, g in blocks if g.shape[1]]
+        blocks = blocks or [(np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0, 0)))]
+        self._groups = [g for _, g in blocks]
+        self.rank = sum(len(g) * g.shape[1] for g in self._groups)
+        self._block_cols = np.concatenate([cols.ravel() for cols, _ in blocks])
+        self._block_idx0 = self._idx0[self._block_cols]
 
     @classmethod
     def from_spanning(cls, n, degree, forms):
@@ -200,11 +202,20 @@ class FormModule:
     def basis(self):
         """The orthonormal basis as a list of AltForms."""
         if self._basis is None:
-            self._basis = [AltForm.from_dense(self.n, self.degree, row) for row in self._coeff_mat]
+            self._basis = [AltForm.from_dense(self.n, self.degree, row) for row in self.dense_matrix()]
         return self._basis
 
     def dense_matrix(self):
         """Orthonormal basis as rows over the canonical index ordering."""
+        if self._coeff_mat is None:
+            rows = np.zeros((self.rank, len(self._idx0)))
+            row = col = 0
+            for g in self._groups:
+                blocks, r, c = g.shape
+                cols = self._block_cols[col : col + blocks * c].reshape(blocks, 1, c)
+                rows[np.arange(row, row + blocks * r).reshape(blocks, r, 1), cols] = g
+                row, col = row + blocks * r, col + blocks * c
+            self._coeff_mat = rows
         return self._coeff_mat
 
     def values_on(self, frames):
@@ -217,7 +228,8 @@ class FormModule:
     def contains(self, form):
         """True when form lies in the module, up to RANK_TOL * |form|: the zero form does, at any scale."""
         v = form.dense()
-        resid = v - self._coeff_mat.T @ (self._coeff_mat @ v)
+        rows = self.dense_matrix()
+        resid = v - rows.T @ (rows @ v)
         return float(np.linalg.norm(resid)) <= RANK_TOL * float(np.linalg.norm(v))
 
     def __repr__(self):
@@ -295,11 +307,13 @@ def _action_blocks(phi):
     A generator and an index are joined by a nonzero entry.  The matrix is
     zero off its blocks, so its SVD is the union of theirs.  The blocks are
     labelled on the nonzero entries alone, exterior._action_entries'
-    triplets, and each block's matrix is filled from its own entries; the
-    blocks of each shape take one batched SVD.  Returns the generators whose
-    row is zero, and for each shape, in the order of its first block, the
-    blocks' (gens (G, r), cols (G, c), u (G, r, r), vt, ranks (G,)); a rank
-    counts the block's singular values above RANK_TOL times the largest of all.
+    triplets.  The blocks of each shape take one batched SVD, so they are
+    laid out shape by shape, in the order of each shape's first block and
+    then of the blocks: each shape's generators, indices and matrices are
+    then runs of three flat arrays, filled once from the entries.  Returns
+    the generators whose row is zero, and for each shape the blocks' (gens
+    (G, r), cols (G, c), u (G, r, r), vt, ranks (G,)); a rank counts the
+    block's singular values above RANK_TOL times the largest of all.
     """
     gen, col, val = _action_entries(phi)
     size = math.comb(phi.n, phi.p)
@@ -314,25 +328,40 @@ def _action_blocks(phi):
         if np.array_equal(new, label):
             break
         label = new
-    # generators and indices sorted by block, and each block's counts and first position
-    gens, cols = np.argsort(row, kind="stable"), np.argsort(label, kind="stable")
+    # each block's counts of generators r and indices c, in the order of their labels
     counts = np.bincount(label, minlength=size + 1)[:size]
     ids = np.flatnonzero(counts)
     r, c = np.bincount(row, minlength=size + 1)[ids], counts[ids]
-    r0, c0 = np.cumsum(r) - r, np.cumsum(c) - c
-    # the blocks' r x c matrices, one after another in one flat array, filled from their entries
-    at, block = np.cumsum(r * c) - r * c, (np.cumsum(counts > 0) - 1)[label[col]]
+    # the shapes in the order of their first blocks, and the blocks shape by shape
+    shapes = {}
+    for block, shape in enumerate(zip(r.tolist(), c.tolist())):
+        shapes.setdefault(shape, []).append(block)
+    blocks = np.array([block for group in shapes.values() for block in group], dtype=np.intp)
+    r, c = r[blocks], c[blocks]
+    # place[l] is the place of the block labelled l; size, the unlabelled, go last
+    place = np.full(size + 1, len(ids))
+    place[ids[blocks]] = np.arange(len(ids))
+    gens, cols = np.argsort(place[row], kind="stable"), np.argsort(place[label], kind="stable")
+    # an entry's block b, generator at gens[g0] and index at cols[c0] goes to
+    # flat[at[b] + (g0 - r0[b]) c[b] + c0 - c0[b]]
+    where_gen, where_col = np.empty_like(gens), np.empty_like(cols)
+    where_gen[gens], where_col[cols] = np.arange(len(gens)), np.arange(len(cols))
+    sizes = np.stack([r, c, r * c])
+    r0, c0, at = np.cumsum(sizes, axis=1) - sizes
+    b = place[label[col]]
     flat = np.zeros(r @ c)
-    flat[at[block] + (np.argsort(gens)[gen] - r0[block]) * c[block] + np.argsort(cols)[col] - c0[block]] = val
-    shapes = []
-    for rs, cs in dict.fromkeys(zip(r.tolist(), c.tolist())):
-        j = np.flatnonzero((r == rs) & (c == cs))
-        g, cc = gens[r0[j, None] + np.arange(rs)], cols[c0[j, None] + np.arange(cs)]
-        mats = flat[at[j, None] + np.arange(rs * cs)].reshape(len(j), rs, cs)
-        shapes.append((g, cc, *np.linalg.svd(mats, full_matrices=rs > cs)))
-    top = max((s[:, 0].max() for *_, s, _ in shapes), default=0.0)
-    ranks = [np.sum(s > RANK_TOL * top, axis=1) for *_, s, _ in shapes]
-    return np.flatnonzero(row == size), [(g, cc, u, vt, k) for (g, cc, u, _, vt), k in zip(shapes, ranks)]
+    flat[(at - r0 * c - c0)[b] + where_gen[gen] * c[b] + where_col[col]] = val
+    svds, lo = [], 0
+    for (rs, cs), group in shapes.items():
+        count = len(group)
+        g = gens[r0[lo] : r0[lo] + count * rs].reshape(count, rs)
+        cc = cols[c0[lo] : c0[lo] + count * cs].reshape(count, cs)
+        mats = flat[at[lo] : at[lo] + count * rs * cs].reshape(count, rs, cs)
+        svds.append((g, cc, *np.linalg.svd(mats, full_matrices=rs > cs)))
+        lo += count
+    top = max((s[:, 0].max() for *_, s, _ in svds), default=0.0)
+    ranks = [np.sum(s > RANK_TOL * top, axis=1) for *_, s, _ in svds]
+    return np.flatnonzero(row == size), [(g, cc, u, vt, k) for (g, cc, u, _, vt), k in zip(svds, ranks)]
 
 
 def phi_module(phi):
@@ -342,18 +371,11 @@ def phi_module(phi):
     its own indices, so the basis forms are block-sparse.  The rows go in
     groups of blocks of one shape and rank, the module's block layout.
     """
-    n, p = phi.n, phi.p
-    layout, parts = [], []
+    blocks = []
     for _, cols, _, vt, ranks in _action_blocks(phi)[1]:
         for rank in dict.fromkeys(ranks[ranks > 0].tolist()):
-            layout.append((rank, cols[ranks == rank]))
-            parts.append(vt[ranks == rank, :rank])
-    rows = np.zeros((sum(v.shape[0] * v.shape[1] for v in parts), math.comb(n, p)))
-    at = 0
-    for (rank, cols), v in zip(layout, parts):
-        rows[np.arange(at, at + len(v) * rank).reshape(len(v), rank, 1), cols[:, None, :]] = v
-        at += len(v) * rank
-    return FormModule(n, p, rows, blocks=layout)
+            blocks.append((cols[ranks == rank], vt[ranks == rank, :rank]))
+    return FormModule(phi.n, phi.p, blocks=blocks)
 
 
 def stabilizer_dim(phi):
@@ -468,7 +490,11 @@ def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
     The value, cousin coefficients and module values come from one first jet
     of the search's rows [phi; module], so a searched plane reports its
     catalog value bit for bit.  residual_module is the Euclidean norm of the
-    module's values, which no orthonormal change of its basis moves.  A
+    module's values, which no orthonormal change of its basis moves.
+    residual_rho, the largest normal component of rho over the (p-1)-subsets
+    of the frame, comes from the same jet: rho(e_1 .. ^e_a .. e_p) . n_s =
+    phi(n_s, e_1 .. ^e_a .. e_p) = (-1)^a G[s, a], so it is the largest
+    |G[s, a]|, the cousin residual; rho_closed evaluates rho on its own.  A
     plane is critical when its cousin residual is below tol times the
     largest |coefficient| of phi (tol for the zero form).
     """
@@ -478,14 +504,14 @@ def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
     idx0, rows = _module_rows(phi, module)
     normals = completions(frames)[:, :, phi.p :]
     values, first = first_jet(rows, idx0, frames, normals)
+    # rho's normal components are the cousin coefficients up to sign
     cousin = np.max(np.abs(first[:, 0]), axis=(1, 2), initial=0.0)
     residual_module = np.linalg.norm(values[:, 1:], axis=1)
-    residual_rho = _rho_residuals(phi, frames, normals)
     # the cousin coefficients scale with phi; the zero form keeps the absolute tol
     atol = tol * tol_scale(phi)
     return [
-        CriticalityReport(float(g), float(mod), float(rho), float(v), bool(g < atol))
-        for g, mod, rho, v in zip(cousin, residual_module, residual_rho, values[:, 0])
+        CriticalityReport(float(g), float(mod), float(g), float(v), bool(g < atol))
+        for g, mod, v in zip(cousin, residual_module, values[:, 0])
     ]
 
 

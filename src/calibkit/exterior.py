@@ -305,23 +305,31 @@ def _action_entries(a):
 
     A term c e^I feeds the index I with one slot i replaced by some j not in
     I, in the row of the pair {i, j}.  For a fixed pair each index is fed by
-    at most one term, so no two entries share a position and each is exactly +-c.
+    at most one term, so no two entries share a position and each is exactly
+    +-c.  The entries run over (term, slot, j) in order, each a few array
+    operations over all of them.
     """
     n, p = a.n, a.p
     idx, c = a._compact()
-    term, pos, j = (x.ravel() for x in np.indices((len(c), p, n)))
-    keep = ~np.any(idx[term] == j[:, None], axis=1)
-    term, pos, j = term[keep], pos[keep], j[keep]
-    new = idx[term]
-    at = np.arange(len(j))
-    i = new[at, pos]
-    # j moves from slot pos to slot r of the sorted index; theta[i, j] is +1 in
-    # the row of the pair (i, j) and -1 in that of (j, i)
-    r = np.sum(new < j[:, None], axis=1) - (i < j)
-    new[at, pos] = j
-    new.sort(axis=1)
-    pairs = np.column_stack([np.minimum(i, j), np.maximum(i, j)])
-    return _lex_rank(pairs, n), _lex_rank(new, n), (-1.0) ** (pos - r + (i > j)) * c[term]
+    t, k, slots = len(c), n - p, np.arange(p)
+    free = np.ones((t, n), dtype=bool)
+    free[np.arange(t)[:, None], idx] = False
+    j = np.nonzero(free)[1].reshape(t, 1, k)  # the k indices not in I, increasing
+    i = idx[:, :, None]  # slot pos holds i
+    # j - (j's place among the free indices) terms of I lie below j, so j moves
+    # from slot pos to its sorted slot in pos - that + 1 transpositions, whether
+    # i < j or i > j; theta[i, j] is +1 in the row of the pair (i, j) and -1 in
+    # that of (j, i)
+    values = np.where((slots[:, None] + j - np.arange(k)) & 1, c[:, None, None], -c[:, None, None])
+    # the pair (lo, hi)'s position in itertools.combinations(range(n), 2)
+    lo = np.minimum(i, j)
+    gens = lo * (2 * n - 3 - lo) // 2 + np.maximum(i, j) - 1
+    # each new index is I with slot pos replaced by j, sorted
+    new = np.empty((t, p, k, p), dtype=np.intp)
+    new[...] = idx[:, None, None, :]
+    new[:, slots, :, slots] = j[None, :, 0]
+    new.sort(axis=3)
+    return gens.ravel(), _lex_rank(new.reshape(t * p * k, p), n), values.ravel()
 
 
 def so_action_matrix(a):
@@ -338,16 +346,20 @@ def so_action_matrix(a):
 
 @functools.lru_cache(maxsize=64)
 def _binomials(n, p):
-    """binom[x, y] = C(x, y) for x <= n, y <= p: _lex_rank's table, read-only as the cache shares it."""
-    binom = np.array([[math.comb(x, y) for y in range(p + 1)] for x in range(n + 1)], dtype=np.intp)
-    binom.flags.writeable = False
-    return binom
+    """weight[x p + q] = C(n - 1 - x, p - q) for x < n, q < p: _lex_rank's table, read-only as the cache shares it."""
+    weight = np.array([math.comb(n - 1 - x, p - q) for x in range(n) for q in range(p)], dtype=np.intp)
+    weight.flags.writeable = False
+    return weight
 
 
 def _lex_rank(idx, n):
-    """Positions of increasing 0-based index rows in canonical_indices(n, p)."""
+    """Positions of increasing 0-based index rows in canonical_indices(n, p).
+
+    The position is C(n, p) - 1 - sum_q C(n - 1 - idx_q, p - q).
+    """
     p = idx.shape[1]
-    return math.comb(n, p) - 1 - _binomials(n, p)[n - 1 - idx, p - np.arange(p)].sum(axis=1)
+    # a product with ones sums the short rows faster than sum(axis=1)
+    return math.comb(n, p) - 1 - _binomials(n, p).take(idx * p + np.arange(p)) @ np.ones(p, dtype=np.intp)
 
 
 def so_action(theta, a):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -259,3 +260,112 @@ def loop_octonion_left_mult(phi):
             if j != i and phi.coefficient((i, j, k)) != 0.0:
                 L[i][k, j] = phi.coefficient((i, j, k))
     return L
+
+
+def loop_action_entries(a):
+    """exterior._action_entries over every (term, slot, j) with j filtered against the term, each new index sorted: its oracle."""
+    n, p = a.n, a.p
+    idx, c = a._compact()
+    term, pos, j = (x.ravel() for x in np.indices((len(c), p, n)))
+    keep = ~np.any(idx[term] == j[:, None], axis=1)
+    term, pos, j = term[keep], pos[keep], j[keep]
+    new = idx[term]
+    at = np.arange(len(j))
+    i = new[at, pos]
+    # j moves from slot pos to slot r of the sorted index
+    r = np.sum(new < j[:, None], axis=1) - (i < j)
+    new[at, pos] = j
+    new.sort(axis=1)
+    pairs = np.column_stack([np.minimum(i, j), np.maximum(i, j)])
+    return exterior._lex_rank(pairs, n), exterior._lex_rank(new, n), (-1.0) ** (pos - r + (i > j)) * c[term]
+
+
+def scatter_action_blocks(phi):
+    """critical._action_blocks with each shape's blocks gathered from the block-ordered flat array: its oracle."""
+    gen, col, val = loop_action_entries(phi)
+    size = math.comb(phi.n, phi.p)
+    label = np.where(np.bincount(col, minlength=size) > 0, np.arange(size), size)
+    while True:
+        row, new = np.full(phi.n * (phi.n - 1) // 2, size), np.full(size, size)
+        np.minimum.at(row, gen, label[col])
+        np.minimum.at(new, col, row[gen])
+        if np.array_equal(new, label):
+            break
+        label = new
+    gens, cols = np.argsort(row, kind="stable"), np.argsort(label, kind="stable")
+    counts = np.bincount(label, minlength=size + 1)[:size]
+    ids = np.flatnonzero(counts)
+    r, c = np.bincount(row, minlength=size + 1)[ids], counts[ids]
+    r0, c0 = np.cumsum(r) - r, np.cumsum(c) - c
+    at, block = np.cumsum(r * c) - r * c, (np.cumsum(counts > 0) - 1)[label[col]]
+    flat = np.zeros(r @ c)
+    flat[at[block] + (np.argsort(gens)[gen] - r0[block]) * c[block] + np.argsort(cols)[col] - c0[block]] = val
+    shapes = []
+    for rs, cs in dict.fromkeys(zip(r.tolist(), c.tolist())):
+        j = np.flatnonzero((r == rs) & (c == cs))
+        g, cc = gens[r0[j, None] + np.arange(rs)], cols[c0[j, None] + np.arange(cs)]
+        mats = flat[at[j, None] + np.arange(rs * cs)].reshape(len(j), rs, cs)
+        shapes.append((g, cc, *np.linalg.svd(mats, full_matrices=rs > cs)))
+    top = max((s[:, 0].max() for *_, s, _ in shapes), default=0.0)
+    ranks = [np.sum(s > RANK_TOL * top, axis=1) for *_, s, _ in shapes]
+    return np.flatnonzero(row == size), [(g, cc, u, vt, k) for (g, cc, u, _, vt), k in zip(shapes, ranks)]
+
+
+def scatter_phi_module(phi):
+    """(rows, groups, block_idx0) of phi_module through dense rows: the blocks scattered into them, then gathered back.
+
+    The oracle for phi_module, which hands FormModule its blocks directly.
+    """
+    n, p = phi.n, phi.p
+    layout, parts = [], []
+    for _, cols, _, vt, ranks in scatter_action_blocks(phi)[1]:
+        for rank in dict.fromkeys(ranks[ranks > 0].tolist()):
+            layout.append((rank, cols[ranks == rank]))
+            parts.append(vt[ranks == rank, :rank])
+    size = math.comb(n, p)
+    rows = np.zeros((sum(v.shape[0] * v.shape[1] for v in parts), size))
+    at = 0
+    for (rank, cols), v in zip(layout, parts):
+        rows[np.arange(at, at + len(v) * rank).reshape(len(v), rank, 1), cols[:, None, :]] = v
+        at += len(v) * rank
+    rows = rows + 0.0
+    layout = layout or [(0, np.zeros((1, 0), dtype=np.intp))]
+    groups, at = [], 0
+    for rank, cols in layout:
+        block_rows = rows[at : at + len(cols) * rank].reshape(len(cols), rank, size)
+        groups.append(np.take_along_axis(block_rows, cols[:, None, :], axis=2))
+        at += len(cols) * rank
+    idx0 = np.array(canonical_indices(n, p), dtype=np.intp).reshape(size, p) - 1
+    return rows, groups, idx0[np.concatenate([cols.ravel() for _, cols in layout])]
+
+
+def scatter_stabilizer_kernel(phi):
+    """Rows (dim, n(n-1)/2) of stabilizer_kernel from scatter_action_blocks: the oracle for its basis."""
+    pairs = phi.n * (phi.n - 1) // 2
+    zero, shapes = scatter_action_blocks(phi)
+    null = [np.eye(pairs)[zero]]
+    for gens, _, u, _, ranks in shapes:
+        for g, v, rank in zip(gens, u, ranks):
+            null.append(np.zeros((len(g) - rank, pairs)))
+            null[-1][:, g] = v[:, rank:].T
+    return np.concatenate(null)
+
+
+def tensor_lie_verdict(dim, structure):
+    """The message LieAlgebraData's checks raise, or None, from the full Jacobi tensor: the oracle for its triple check.
+
+    The Jacobi sum is that of c's part antisymmetric in its first two slots,
+    which the antisymmetry check keeps within 1e-10 of max |c| of c.
+    """
+    c = np.asarray(structure, dtype=float)
+    scale = np.max(np.abs(c), initial=0.0)
+    if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > 1e-10 * scale:
+        return "structure constants are not antisymmetric"
+    if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > 1e-10 * scale:
+        return "the metric is not invariant (c not totally antisymmetric)"
+    a = (c - np.swapaxes(c, 0, 1)) / 2  # the bracket's antisymmetric part, within the tolerance of c
+    cc = np.tensordot(a, a, axes=(2, 0))
+    jac = cc + cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3)
+    if np.max(np.abs(jac)) > 1e-10 * scale**2:
+        return "structure constants violate the Jacobi identity"
+    return None

@@ -1,6 +1,7 @@
 """Calibration family constructors: frozen values and structural checks."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from conftest import (
     loop_octonion_left_mult,
     loop_spinor_component,
     su_structure,
+    tensor_lie_verdict,
     trace_coords,
 )
 
@@ -292,6 +294,66 @@ def test_lie_algebra_checks_scale_with_the_constants(k, scale):
             LieAlgebraData(g.dim, c + _totally_antisymmetric(g.dim, (0, 1, 3), delta))
 
 
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e5])
+def test_lie_algebra_triple_check_keeps_the_tensor_verdicts(k, scale):
+    """The Jacobi sum on the triples i < j < k gives the full tensor's verdict, at four scales, on good and bad constants."""
+    g = su_lie_algebra(k)
+    c = scale * g.structure
+    rng = np.random.default_rng(k)
+    delta = 1e-6 * np.max(np.abs(c))
+    candidates = [c]
+    for idx in rng.choice(g.dim, size=(6, 3), replace=True):
+        if len(set(idx.tolist())) == 3:  # a Jacobi defect: c plus a small totally antisymmetric tensor
+            candidates.append(c + _totally_antisymmetric(g.dim, tuple(idx.tolist()), delta))
+        bad = c.copy()
+        bad[tuple(idx)] += delta  # not antisymmetric, or at a repeated index not invariant
+        candidates.append(bad)
+    verdicts = set()
+    for cand in candidates:
+        want = tensor_lie_verdict(g.dim, cand)
+        verdicts.add(want)
+        if want is None:
+            assert np.array_equal(LieAlgebraData(g.dim, cand).structure, cand)
+        else:
+            with pytest.raises(ValueError, match=re.escape(want)):
+                LieAlgebraData(g.dim, cand)
+    assert None in verdicts and "structure constants violate the Jacobi identity" in verdicts
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e5])
+def test_lie_algebra_triple_check_keeps_the_tensor_verdict_at_the_threshold(scale):
+    """A Jacobi defect 5% either side of the threshold, on constants antisymmetric only to just within their tolerance.
+
+    The check takes the Jacobi sum of the constants' antisymmetric part, so
+    the triples decide it exactly; on the constants themselves they would not.
+    """
+    g = su_lie_algebra(3)
+    c = scale * g.structure
+    size = np.max(np.abs(c))
+    defect = _totally_antisymmetric(g.dim, (0, 1, 3), size)
+    # the Jacobi sum of c + eps defect is eps times a fixed tensor, whose largest entry sets the threshold's eps
+    slope = np.max(np.abs(_jacobi_sum(c + 1e-6 * defect))) / 1e-6
+    # [e0, e1] and [e1, e0] disagree just within the tolerance, in the signs of c[:, 2, 3], which alone puts the
+    # Jacobi sum of c itself at 1.23 times the threshold and that of its antisymmetric part at 0.61 times
+    skew = np.zeros_like(c)
+    skew[0, 1, 2:] = 0.9e-10 * size * np.sign(c[2:, 2, 3])
+    for factor, want in [(0.95, None), (1.05, "structure constants violate the Jacobi identity")]:
+        cand = c + factor * 1e-10 * size**2 / slope * defect + skew
+        assert tensor_lie_verdict(g.dim, cand) == want
+        if want is None:
+            assert np.array_equal(LieAlgebraData(g.dim, cand).structure, cand)
+        else:
+            with pytest.raises(ValueError, match=re.escape(want)):
+                LieAlgebraData(g.dim, cand)
+
+
+def _jacobi_sum(c):
+    """The cyclic sum over (i, j, k) of sum_m c[i, j, m] c[m, k, l]."""
+    cc = np.tensordot(c, c, axes=(2, 0))
+    return cc + cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3)
+
+
 def test_cartan_form_su2_is_volume():
     phi = cartan_three_form(su_lie_algebra(2))
     assert phi.approx_eq(AltForm.volume(3), tol=1e-12)
@@ -435,3 +497,31 @@ def test_calibration_spec_from_json():
         {"family": "custom", "form": {"n": 4, "p": 2, "terms": [{"idx": [1, 2], "c": 1.0}]}}
     )
     assert spec.form.coeffs == {(1, 2): 1.0}
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({"family": "special_lagrangian", "m": 3, "phase": None}, "phase"),
+        ({"family": "special_lagrangian", "m": 3, "phase": "0.1"}, "phase"),
+        ({"family": "special_lagrangian", "m": 3, "phase": True}, "phase"),
+        ({"family": "special_lagrangian", "m": "3"}, "m"),
+        ({"family": "special_lagrangian", "m": 3.5}, "m"),
+        ({"family": "special_lagrangian", "m": 3.0}, "m"),
+        ({"family": "special_lagrangian", "m": True}, "m"),
+        ({"family": "cartan", "algebra": 4}, "algebra"),
+        ({"family": 4}, "family"),
+        ({"m": 3}, "family"),
+    ],
+)
+def test_calibration_spec_from_json_names_the_malformed_field(obj, field):
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        CalibrationSpec.from_json(obj)
+
+
+def test_calibration_spec_from_json_takes_null_optional_fields():
+    spec = CalibrationSpec.from_json({"family": "cartan", "algebra": "su3", "m": None, "form": None})
+    assert (spec.algebra, spec.m, spec.phase, spec.form) == ("su3", None, 0.0, None)
+    assert CalibrationSpec.from_json({"family": "special_lagrangian", "m": 3, "phase": 1}).phase == 1.0
+    with pytest.raises(ValueError, match="JSON object"):
+        CalibrationSpec.from_json("[1]")

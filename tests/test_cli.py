@@ -607,3 +607,18 @@ def test_seeded_comass_gives_the_same_bytes_in_two_processes(family, trials):
     a, b = _run_twice(["comass", "--family", *family, "--trials", trials, "--seed", "1", "--json"])
     assert json.loads(a)["comass"] == pytest.approx(1.0, abs=1e-12)
     assert a == b
+
+
+def test_importing_the_cli_fills_no_table():
+    """A fresh `import calibkit.cli` builds none of the (n, p)-keyed tables: each is built on first use, so setup stays light."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import calibkit.cli\n"
+        "from calibkit import exterior as e\n"
+        "tables = (e._index_table, e._binomials, e._star_columns, e._minor_plan, e._gradients)\n"
+        "print([f.cache_info().currsize for f in tables])\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[0, 0, 0, 0, 0]"

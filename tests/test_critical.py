@@ -49,6 +49,7 @@ from calibkit import (
     subspace_distance,
 )
 from calibkit import critical, exterior
+from calibkit.calibrations import build_clifford
 from calibkit.critical import _adapted_values, _module_rows, completions, numerical_rank, tol_scale
 from calibkit.eds import KERNEL_CUTOFF
 from calibkit.exterior import _lex_rank, first_jet, orthonormal_jet
@@ -60,7 +61,10 @@ from conftest import (
     dense_coefficients,
     dense_phi_module,
     dense_stabilizer_kernel,
+    loop_action_entries,
     random_form,
+    scatter_phi_module,
+    scatter_stabilizer_kernel,
 )
 
 
@@ -459,6 +463,48 @@ def test_action_blocks_of_random_sparse_forms_match_the_dense_labels(n, p_raw, s
     assert_action_blocks_match_the_dense_labels(random_form(np.random.default_rng(seed), n, 1 + p_raw % n, density))
 
 
+def same_bits(a, b):
+    """Equal shapes, values and signs of zero."""
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def assert_module_matches_the_scatter_oracle(phi):
+    """phi_module, its entries and stabilizer_kernel against the dense-scatter construction they replace, bit for bit."""
+    want = loop_action_entries(phi)
+    assert all(same_bits(a, b) for a, b in zip(exterior._action_entries(phi), want))
+    module = phi_module(phi)
+    rows, groups, block_idx0 = scatter_phi_module(phi)
+    assert module.rank == len(rows) and same_bits(module.dense_matrix(), rows)
+    assert len(module._groups) == len(groups) and all(map(same_bits, module._groups, groups))
+    assert same_bits(module._block_idx0, block_idx0)
+    pairs = phi.n * (phi.n - 1) // 2
+    thetas = stabilizer_kernel(phi)
+    kernel = np.reshape([theta.entries[np.triu_indices(phi.n, 1)] for theta in thetas], (len(thetas), pairs))
+    assert same_bits(kernel, scatter_stabilizer_kernel(phi))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SPECS) + ["spinor"])
+@pytest.mark.parametrize("dual", [False, True])
+def test_module_matches_the_scatter_oracle(name, dual):
+    if name == "spinor":
+        model = build_clifford()
+        phi = model.spinor_square(model.s_plus[:, 0], 4)
+    else:
+        phi = block_form(name)
+    assert_module_matches_the_scatter_oracle(hodge_star(phi) if dual else phi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    p_raw=st.integers(0, 9),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.02, 0.1, 0.3, 1.0]),
+)
+def test_module_of_random_custom_forms_matches_the_scatter_oracle(n, p_raw, seed, density):
+    assert_module_matches_the_scatter_oracle(random_form(np.random.default_rng(seed), n, p_raw % (n + 1), density))
+
+
 def test_block_module_layout():
     """Block-sparse basis forms: associative has the seven 4-term forms of Lambda^3_7, su4 none over 34 terms."""
     module = phi_module(associative_form())
@@ -527,6 +573,16 @@ def test_gradient_jet_matches_the_cofactor_jet(name, rng):
         assert got[0] == want[0]
         for a, b in zip(got[1:], want[1:]):
             assert a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("name", [name for name in BLOCK_FORMS if name != "su4-dual"])  # p = 12 minors are slow
+def test_report_rho_residual_is_rho_evaluated_on_its_own(name):
+    """residual_rho, read off the jet's cousin coefficients, agrees with rho over every (p-1)-subset to round-off."""
+    phi = block_form(name)
+    frames = qr_fix(np.random.default_rng(3).standard_normal((20, phi.n, phi.p)))[0]
+    got = np.array([r.residual_rho for r in criticality_reports(frames, phi)])
+    want = critical._rho_residuals(phi, frames, completions(frames)[:, :, phi.p :])
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * max(1.0, np.max(want, initial=0.0))
 
 
 @pytest.mark.parametrize("name", ["associative", "su3", "su4", "one-block"])

@@ -270,6 +270,33 @@ def test_constructor_validates_indices():
         AltForm(3, 4)
 
 
+@pytest.mark.parametrize(
+    "n, p, coeffs, error, message",
+    [
+        (7, 3, {(1, 2): 1.0}, ValueError, "index (1, 2) has length != 3"),
+        (7, 3, {(1, 2, 3): 1.0, (1, 2, 3, 4): 2.0}, ValueError, "index (1, 2, 3, 4) has length != 3"),
+        (7, 3, {(0, 1, 2): 1.0}, ValueError, "index (0, 1, 2) out of range 1..7"),
+        (7, 3, {(1, 2, 8): 1.0}, ValueError, "index (1, 2, 8) out of range 1..7"),
+        (7, 3, {(1, 2, -3): 1.0}, ValueError, "index (1, 2, -3) out of range 1..7"),
+        (7, 3, {(2, 1, 3): 1.0}, ValueError, "index (2, 1, 3) is not strictly increasing"),
+        (7, 3, {(1, 1, 3): 1.0}, ValueError, "index (1, 1, 3) is not strictly increasing"),
+        (7, 3, {(1, 2, 3): 1.0, (3, 2, 4): 0.0, (0, 1, 2): 1.0}, ValueError, "index (3, 2, 4) is not strictly increasing"),
+        (7, 3, {("a", 2, 3): 1.0}, ValueError, "invalid literal for int() with base 10: 'a'"),
+        (7, 3, {(1, 2, 3): None}, TypeError, "float() argument must be a string or a real number, not 'NoneType'"),
+        (7, 3, {(1, 2, 3): 1j}, TypeError, "float() argument must be a string or a real number, not 'complex'"),
+        (7, 3, {12: 1.0}, TypeError, "'int' object is not iterable"),
+        (7, 3, [((1, 2, 3), 1.0)], AttributeError, "'list' object has no attribute 'items'"),
+        (3, 1, {2: 1.0}, TypeError, "'int' object is not iterable"),
+        (4, 2, {((1, 2),): 1.0}, TypeError, "int() argument must be a string, a bytes-like object or a real number, not 'tuple'"),
+    ],
+)
+def test_constructor_errors_name_the_first_malformed_term(n, p, coeffs, error, message):
+    """The first malformed term, in the dict's order, gives the error."""
+    with pytest.raises(error) as info:
+        AltForm(n, p, coeffs)
+    assert str(info.value) == message
+
+
 def test_stack_values_matches_apply(rng):
     n, p = 6, 3
     forms = [random_form(rng, n, p) for _ in range(4)]
