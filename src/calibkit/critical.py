@@ -26,7 +26,6 @@ from .exterior import (
     _index_table,
     evaluate,
     first_jet,
-    so_action,
     stack_values,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "FormModule",
     "CriticalityReport",
     "SffElement",
-    "p_map",
     "cousin_matrix",
     "phi_module",
     "stabilizer_dim",
@@ -52,6 +50,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 RANK_TOL = 1e-9
+# largest max |F^T F - I| of a frame that OrientedPlane keeps as given
+FRAME_TOL = 1e-10
 
 
 class NotCriticalError(ValueError):
@@ -94,7 +94,7 @@ class OrientedPlane:
 
     __slots__ = ("n", "p", "frame", "_completion")
 
-    def __init__(self, frame, tol=1e-10, orthonormalize=False):
+    def __init__(self, frame, orthonormalize=False):
         f = np.array(frame, dtype=float)
         if f.ndim != 2:
             raise ValueError("frame must be a 2-d array of columns")
@@ -104,8 +104,8 @@ class OrientedPlane:
         if not np.isfinite(f).all():
             raise ValueError("frame columns must be finite")
         gram = f.T @ f
-        # a frame is kept as given only within tol of orthonormal, entrywise
-        if not np.max(np.abs(gram - np.eye(p)), initial=0.0) <= tol:
+        # a frame is kept as given only within FRAME_TOL of orthonormal, entrywise
+        if not np.max(np.abs(gram - np.eye(p)), initial=0.0) <= FRAME_TOL:
             if not orthonormalize:
                 raise ValueError("frame columns are not orthonormal")
             f, r = qr_fix(f)
@@ -293,12 +293,7 @@ class SffElement:
         return float(np.max(np.abs(np.trace(self.h, axis1=1, axis2=2))))
 
 
-# -- the map P and the module Phi ------------------------------------------
-
-
-def p_map(theta, phi):
-    """The map o(n) -> degree-p forms, theta -> theta.phi."""
-    return so_action(theta, phi)
+# -- the map P (exterior.so_action) and the module Phi ---------------------
 
 
 def _action_blocks(phi):

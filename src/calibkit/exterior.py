@@ -363,7 +363,7 @@ def _lex_rank(idx, n):
 
 
 def so_action(theta, a):
-    """Action of theta in o(n) on a form: (theta.a)(v1..vp) = sum_i a(.., theta v_i, ..)."""
+    """Action of theta in o(n) on a form, the paper's map P: (theta.a)(v1..vp) = sum_i a(.., theta v_i, ..)."""
     m = _as_skew_matrix(theta)
     if m.shape[0] != a.n:
         raise ValueError(f"dimension mismatch: {m.shape[0]} != {a.n}")
@@ -662,7 +662,8 @@ def parse_form(text, n=None):
         tokens = ["+"] + tokens
     if len(tokens) % 2 != 0:
         raise ValueError(f"malformed form literal: {text!r}")
-    terms = []
+    # the indices are checked increasing, so the terms need no sort_index: a repeat adds, in term order
+    coeffs = {}
     for sgn, body in zip(tokens[::2], tokens[1::2]):
         m = _TERM_RE.match(body.strip())
         if not m:
@@ -675,17 +676,17 @@ def parse_form(text, n=None):
             raise ValueError(f"index tuple in {body!r} is not strictly increasing")
         if idx[0] == 0:
             raise ValueError(f"index 0 in {body!r}: indices run from 1")
-        terms.append((idx, coeff if sgn == "+" else -coeff))
-    degrees = {len(i) for i, _ in terms}
+        coeffs[idx] = coeffs.get(idx, 0.0) + (coeff if sgn == "+" else -coeff)
+    degrees = {len(i) for i in coeffs}
     if len(degrees) != 1:
         raise ValueError("mixed degrees in form literal")
     p = degrees.pop()
-    max_idx = max(max(i) for i, _ in terms)
+    max_idx = max(max(i) for i in coeffs)
     if n is None:
         n = max_idx
     elif max_idx > n:
         raise ValueError(f"index {max_idx} exceeds n={n}")
-    return AltForm.from_terms(n, p, terms)
+    return AltForm(n, p, coeffs)
 
 
 def format_form(a):

@@ -2,7 +2,7 @@
 
 Maximization/minimization uses projected gradient steps with Armijo
 backtracking.  A trial's next first try is the vertex of the parabola fitted
-to its last accepted try of step s, clipped to [shrink s, 2 s], or 2 s where
+to its last accepted try of step s, clipped to [_SHRINK s, 2 s], or 2 s where
 that parabola does not bend down.  Every sense ends with damped Gauss-Newton
 on the module residual (the values of the induced form module on the plane),
 which also reaches saddle points that plain ascent misses.  Its step is a
@@ -31,7 +31,7 @@ same bits alone (`ascend`) as in any block.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .critical import (
     _module_rows,
     _retract,
     completions,
-    cousin_matrix,
     is_critical,
     phi_module,
     qr_fix,
@@ -55,10 +54,8 @@ __all__ = [
     "CriticalCatalog",
     "trial_seed",
     "random_plane",
-    "riemann_gradient",
     "ascend",
     "comass_search",
-    "comass_estimate",
     "critical_spectrum",
 ]
 
@@ -74,16 +71,18 @@ __all__ = [
 # 105 * 1,365 floats (1.1 MB); a 24-trial su4 job is one stack, and its
 # search peaks at 3.8 MB (tracemalloc), 5.8 MB when it builds the caches
 _TRIAL_BLOCK = 24
-# largest gap between sorted |values| within one catalog cluster
+# largest gap between sorted |values| within one catalog cluster, relative to max|coefficient|
 CLUSTER_TOL = 1e-4
+# the step rule's constants: the ascent's first try is twice _STEP_INIT / max|coefficient|, a
+# try passes when it gains _ARMIJO_C times its first-order gain, and a failed try shrinks by _SHRINK
+_STEP_INIT = 0.1
+_ARMIJO_C = 1e-4
+_SHRINK = 0.5
 
 
 @dataclass
 class SearchParams:
     max_iters: int = 5000
-    step_init: float = 0.1
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
     grad_tol: float = 1e-10
     trials: int = 200
     master_seed: int = 0
@@ -92,10 +91,8 @@ class SearchParams:
         counts = (self.max_iters, self.trials, self.master_seed)
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in counts):
             raise ValueError("max_iters, trials and master_seed must be integers")
-        if not all(v > 0 for v in (self.max_iters, self.step_init, self.grad_tol)):  # NaN included
+        if not all(v > 0 for v in (self.max_iters, self.grad_tol)):  # NaN included
             raise ValueError("search parameters must be positive")
-        if not (0 < self.armijo_c < 1 and 0 < self.shrink < 1):
-            raise ValueError("armijo_c and shrink must lie in (0, 1)")
         if self.grad_tol >= 1e-6:
             raise ValueError("grad_tol must be below 1e-6")
         if min(self.trials, self.master_seed) < 0:
@@ -124,7 +121,10 @@ class CriticalCatalog:
     residuals: list
     clusters: list  # (center of |value|, count)
     params: SearchParams
-    trials: int
+
+    @property
+    def trials(self):
+        return self.params.trials
 
     def to_json(self):
         return {
@@ -133,7 +133,7 @@ class CriticalCatalog:
             "residuals": self.residuals,
             "clusters": [{"center": c, "count": k} for c, k in self.clusters],
             "params": self.params.to_json(),
-            "trials": self.trials,
+            "trials": self.params.trials,
         }
 
 
@@ -153,16 +153,6 @@ def _start_frames(n, p, seeds):
 def random_plane(n, p, seed):
     """Haar-uniform oriented p-plane; identical seeds give identical planes."""
     return OrientedPlane(_start_frames(n, p, [seed])[0])
-
-
-def riemann_gradient(phi, xi):
-    """Gradient of phi on the Grassmannian at xi, shape (n-p, p).
-
-    Entry [s, a] is the first-cousin coefficient obtained by replacing frame
-    vector a with normal vector s; it is the rate of change of phi(xi) along
-    the corresponding tangent rotation.
-    """
-    return cousin_matrix(phi, xi)
 
 
 def _line_search(qs, coeffs, idx0, step, params, tries, rule):
@@ -198,7 +188,7 @@ def _line_search(qs, coeffs, idx0, step, params, tries, rule):
             t = live[j[ok]]
             qs[t], values[t], first[t], step[t] = cand[ok], cand_values[ok], cand_first[ok], carried[ok]
             moved[j[ok]] = True
-            trial_step[j[~ok]] *= params.shrink
+            trial_step[j[~ok]] *= _SHRINK
         active[live] = moved
     return qs, iterations, values, first
 
@@ -207,7 +197,7 @@ def _ascent(phi, frames, params, sign, scale):
     """Armijo ascent of sign * phi from every frame; returns (completions, iterations).
 
     An accepted try of step s carries the vertex of the parabola through it,
-    clipped to [shrink s, 2 s], or 2 s where that parabola does not bend down.
+    clipped to [_SHRINK s, 2 s], or 2 s where that parabola does not bend down.
     """
     phi_idx, phi_c = phi._compact()
 
@@ -219,14 +209,14 @@ def _ascent(phi, frames, params, sign, scale):
             # gradient step shrinks |grad| most; doubling settled near 2 / curvature
             g2, gain = gnorm2[j], sign * (new_value - value[j])
             vertex = np.divide(g2 * s * s, 2.0 * (g2 * s - gain), out=2.0 * s, where=g2 * s > gain)
-            return gain >= params.armijo_c * s * g2, np.clip(vertex, params.shrink * s, 2.0 * s)
+            return gain >= _ARMIJO_C * s * g2, np.clip(vertex, _SHRINK * s, 2.0 * s)
 
         # the carried step, up to a cap; polished trials stop
         moving = ~(np.sqrt(gnorm2) < 1e-3 * scale)
         return sign * first, np.minimum(step, 10.0 / scale), moving, rises
 
-    # the gradient scales with phi, so step lengths scale with 1 / scale; the first try is twice step_init
-    step = np.full(len(frames), 2.0 * params.step_init / scale)
+    # the gradient scales with phi, so step lengths scale with 1 / scale; the first try is twice _STEP_INIT
+    step = np.full(len(frames), 2.0 * _STEP_INIT / scale)
     qs, iterations, _, _ = _line_search(completions(frames), phi_c, phi_idx, step, params, 60, rule)
     return qs, iterations
 
@@ -271,7 +261,7 @@ def _gauss_newton(qs, params, idx0, rows, grad_tol):
         def descends(j, new_vals, s):
             r_new = new_vals[:, 1:]
             norm2 = (r_new[:, None, :] @ r_new[:, :, None])[:, 0, 0]
-            return norm2 < base[j] * (1.0 - params.armijo_c * s) + 1e-30, s
+            return norm2 < base[j] * (1.0 - _ARMIJO_C * s) + 1e-30, s
 
         # the full step first; converged trials stop
         return delta.reshape(len(vals), p, k), np.ones_like(step), ~ok, descends
@@ -296,11 +286,17 @@ def _lockstep(phi, starts, params, sense, module):
     return qs[:, :, : phi.p], values, residuals, converged, iterations + extra
 
 
-def _trials(phi, trials, params, sense, module):
+def _trials(phi, params, sense, module):
     """(frame, value, residual, converged, iterations) of trials 0, 1, .. in order, run in lockstep blocks."""
-    for lo in range(0, trials, _TRIAL_BLOCK):
-        seeds = [trial_seed(params.master_seed, t) for t in range(lo, min(trials, lo + _TRIAL_BLOCK))]
+    for lo in range(0, params.trials, _TRIAL_BLOCK):
+        seeds = [trial_seed(params.master_seed, t) for t in range(lo, min(params.trials, lo + _TRIAL_BLOCK))]
         yield from zip(*_lockstep(phi, _start_frames(phi.n, phi.p, seeds), params, sense, module))
+
+
+def _with_trials(params, trials):
+    """params (SearchParams() when None) with trials, when given, as its trial count."""
+    params = SearchParams() if params is None else params
+    return params if trials is None else replace(params, trials=trials)
 
 
 def ascend(phi, start, params=None, sense="maximize", module=None):
@@ -321,24 +317,15 @@ def comass_search(phi, trials=None, params=None, module=None):
     Maximizers tie up to round-off, so the first converged trial within
     grad_tol * 10 * max|coefficient| of the best value is taken.
     """
-    if params is None:
-        params = SearchParams()
-    if trials is None:
-        trials = params.trials
+    params = _with_trials(params, trials)
     if module is None:
         module = phi_module(phi)
-    found = [(float(v), f) for f, v, _, ok, _ in _trials(phi, trials, params, "maximize", module) if ok]
+    found = [(float(v), f) for f, v, _, ok, _ in _trials(phi, params, "maximize", module) if ok]
     if not found:
         raise RuntimeError("no trial converged; increase trials or max_iters")
     best = max(v for v, _ in found) - params.grad_tol * 10 * tol_scale(phi)
     value, frame = next((v, f) for v, f in found if v >= best)
     return value, OrientedPlane(frame)
-
-
-def comass_estimate(phi, trials=None, params=None):
-    """Estimated comass: the maximum of phi over the oriented Grassmannian."""
-    value, _ = comass_search(phi, trials=trials, params=params)
-    return value
 
 
 def _cluster_1d(values, tol):
@@ -357,24 +344,18 @@ def _cluster_1d(values, tol):
 
 
 def critical_spectrum(phi, trials=None, params=None, cluster_tol=CLUSTER_TOL):
-    """Multistart saddle search; catalogs converged planes and |value| clusters."""
-    if params is None:
-        params = SearchParams()
-    if trials is None:
-        trials = params.trials
+    """Multistart saddle search; catalogs converged planes and |value| clusters.
+
+    Sorted |values| join one cluster across gaps up to cluster_tol times the
+    largest |coefficient| of phi (cluster_tol for the zero form).
+    """
+    params = _with_trials(params, trials)
     module = phi_module(phi)
     planes, values, residuals = [], [], []
-    for frame, value, residual, converged, _ in _trials(phi, trials, params, "critical", module):
+    for frame, value, residual, converged, _ in _trials(phi, params, "critical", module):
         if converged:
             planes.append(OrientedPlane(frame))
             values.append(float(value))
             residuals.append(float(residual))
-    clusters = _cluster_1d([abs(v) for v in values], cluster_tol)
-    return CriticalCatalog(
-        planes=planes,
-        values=values,
-        residuals=residuals,
-        clusters=clusters,
-        params=params,
-        trials=trials,
-    )
+    clusters = _cluster_1d([abs(v) for v in values], cluster_tol * tol_scale(phi))
+    return CriticalCatalog(planes=planes, values=values, residuals=residuals, clusters=clusters, params=params)

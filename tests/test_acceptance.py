@@ -20,6 +20,7 @@ from calibkit import (
     cartan_three_form,
     cayley_form,
     coassociative_form,
+    cousin_matrix,
     evaluate,
     hodge_star,
     integral_element_codim,
@@ -31,7 +32,6 @@ from calibkit import (
     random_plane,
     rho_closed,
     rho_product,
-    riemann_gradient,
     sff_space,
     special_lagrangian,
     stabilizer_dim,
@@ -294,7 +294,7 @@ def test_criterion_09_gradient_and_orthogonality():
         p = int(rng.integers(1, n))
         phi = random_form(rng, n, p)
         xi = random_plane(n, p, rng)
-        g = riemann_gradient(phi, xi)
+        g = cousin_matrix(phi, xi)
         nn = xi.normal_frame()
         for a in range(p):
             for s in range(n - p):

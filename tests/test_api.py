@@ -11,7 +11,7 @@ PUBLIC_NAMES = {
     "so_action", "so_action_matrix", "sort_index", "stack_values", "wedge",
     # critical
     "CriticalityReport", "FormModule", "OrientedPlane", "SffElement", "annihilator_check",
-    "cousin_matrix", "criticality_reports", "is_critical", "p_map", "phi_module", "qr_fix",
+    "cousin_matrix", "criticality_reports", "is_critical", "phi_module", "qr_fix",
     "rho_closed", "rho_product", "sff_space", "stabilizer_dim", "stabilizer_kernel",
     "subspace_distance",
     # calibrations
@@ -20,8 +20,8 @@ PUBLIC_NAMES = {
     "cayley_form", "coassociative_form", "octonion_left_mult", "special_lagrangian",
     "su3_principal_plane", "su_lie_algebra",
     # grassmann
-    "AscendResult", "CriticalCatalog", "SearchParams", "ascend", "comass_estimate",
-    "comass_search", "critical_spectrum", "random_plane", "riemann_gradient", "trial_seed",
+    "AscendResult", "CriticalCatalog", "SearchParams", "ascend", "comass_search",
+    "critical_spectrum", "random_plane", "trial_seed",
     # eds
     "FlagReport", "cartan_test", "hodge_dual_ideal_check", "integral_element_codim", "polar_space",
 }
@@ -32,6 +32,6 @@ def test_package_exports_the_module_lists():
     assert len(calibkit.__all__) == len(set(calibkit.__all__))
     assert set(calibkit.__all__) == set().union(*(m.__all__ for m in modules)) | {"__version__"}
     assert set(calibkit.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 64
+    assert len(PUBLIC_NAMES) == 61
     for name in calibkit.__all__:
         assert hasattr(calibkit, name)

@@ -273,6 +273,15 @@ def test_config_file_overrides_defaults(capsys, tmp_path):
     assert json.loads(out)["trials"] == 5
 
 
+def test_search_payload_params_are_the_settings_a_caller_sets(capsys):
+    """The step rule's constants are not search settings, so the payload's params hold only the four that are."""
+    code, out, err = run(capsys, "search", "--family", "associative", "--trials", "2", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert set(payload["params"]) == {"max_iters", "grad_tol", "trials", "master_seed"}
+    assert payload["params"]["trials"] == payload["trials"] == 2
+
+
 @pytest.mark.parametrize("content", ['{"trials": "a"}', "[1, 2]", '{"tol": "x"}'])
 def test_config_file_of_wrong_type_is_a_usage_error(capsys, tmp_path, content):
     cfg = tmp_path / "cfg.json"

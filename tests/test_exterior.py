@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from calibkit import (
     su_lie_algebra,
     wedge,
 )
-from calibkit import exterior
+from calibkit import calibrations, exterior
 from calibkit.exterior import sort_index
 from calibkit.critical import _module_rows
 
@@ -738,6 +739,25 @@ def test_parse_form_examples():
     assert a.coeffs == {(1, 2, 3): 1.0, (1, 4, 5): 1.0, (1, 6, 7): -2.0}
     b = parse_form("-e12", n=4)
     assert b.coeffs == {(1, 2): -1.0}
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [(calibrations._ASSOCIATIVE, 7), ("e12 - 2*e34 + 0.5*e12 + e13", 4), ("e12 + e34 - e12", 5)],
+    ids=["associative", "repeated", "cancelling"],
+)
+def test_parse_form_equals_from_terms_without_sorting(monkeypatch, text, n):
+    """parse_form's indices are checked increasing, so it sorts none; a repeated term adds in term order."""
+    terms = [
+        (tuple(map(int, digits)), -float(c or 1.0) if sign == "-" else float(c or 1.0))
+        for sign, c, digits in re.findall(r"([+-]?)\s*(?:([0-9.]+)\*)?e(\d+)", text)
+    ]
+    want = AltForm.from_terms(n, len(terms[0][0]), terms)
+    calls = []
+    monkeypatch.setattr(exterior, "sort_index", lambda idx: calls.append(idx) or sort_index(idx))
+    got = parse_form(text, n=n)
+    assert calls == []
+    assert (got.n, got.p, list(got.coeffs.items()), repr(got)) == (want.n, want.p, list(want.coeffs.items()), repr(want))
 
 
 def test_parse_form_rejects_bad_input():

@@ -14,8 +14,8 @@ from calibkit import (
     cartan_three_form,
     cayley_form,
     coassociative_form,
-    comass_estimate,
     comass_search,
+    cousin_matrix,
     critical_spectrum,
     evaluate,
     is_critical,
@@ -23,7 +23,6 @@ from calibkit import (
     phi_module,
     qr_fix,
     random_plane,
-    riemann_gradient,
     su_lie_algebra,
     trial_seed,
 )
@@ -77,7 +76,7 @@ def test_riemann_gradient_matches_finite_differences(rng):
         p = int(rng.integers(1, n))
         phi = random_form(rng, n, p)
         xi = random_plane(n, p, rng)
-        g = riemann_gradient(phi, xi)
+        g = cousin_matrix(phi, xi)
         nn = xi.normal_frame()
         for a in range(p):
             for s in range(n - p):
@@ -126,7 +125,7 @@ def test_ascend_rejects_unknown_sense():
 
 
 def test_comass_estimate_associative():
-    value = comass_estimate(associative_form(), trials=20, params=FAST)
+    value, _ = comass_search(associative_form(), trials=20, params=FAST)
     assert value == pytest.approx(1.0, abs=1e-8)
 
 
@@ -146,18 +145,10 @@ def test_comass_search_scales_with_form():
 def test_search_params_validation():
     with pytest.raises(ValueError):
         SearchParams(grad_tol=1e-3)
-    with pytest.raises(ValueError):
-        SearchParams(step_init=-1.0)
     for bad in (
-        {"armijo_c": 5.0},
-        {"armijo_c": 1.0},
-        {"shrink": 1.0},
-        {"shrink": 0.0},
         {"trials": -5},
         {"master_seed": -1},
-        {"step_init": float("nan")},
         {"grad_tol": float("nan")},
-        {"armijo_c": float("nan")},
         {"max_iters": 2.5},
         {"max_iters": 100.0},
         {"trials": 2.5},
@@ -173,6 +164,9 @@ def test_search_params_validation():
     assert SearchParams(trials=0).trials == 0
     params = SearchParams(max_iters=np.int64(7), trials=np.int32(3), master_seed=np.uint8(2))
     assert (params.max_iters, params.trials, params.master_seed) == (7, 3, 2)
+    # the step rule's constants are not settings
+    with pytest.raises(TypeError):
+        SearchParams(step_init=0.2)
 
 
 def test_cluster_1d():
@@ -193,6 +187,14 @@ def test_critical_spectrum_associative_is_unimodular():
         assert center == pytest.approx(1.0, abs=1e-6)
 
 
+def test_trials_argument_is_the_catalog_s_trial_count():
+    """trials= overrides params.trials, and the catalog and its payload report the count that ran."""
+    catalog = critical_spectrum(associative_form(), trials=3, params=SearchParams(trials=200))
+    assert catalog.trials == catalog.params.trials == 3
+    payload = catalog.to_json()
+    assert payload["trials"] == payload["params"]["trials"] == 3
+
+
 def test_critical_spectrum_deterministic():
     phi = associative_form()
     a = critical_spectrum(phi, trials=15, params=FAST)
@@ -202,6 +204,26 @@ def test_critical_spectrum_deterministic():
     for pa, pb in zip(a.planes, b.planes):
         assert np.array_equal(pa.frame, pb.frame)
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("family, counts", [("su4", [4, 14, 5, 1]), ("slag4", [8, 16])])
+def test_catalog_clusters_scale_with_the_form(family, counts):
+    """Cluster gaps are relative to max|coefficient|, so c * phi keeps phi's clusters at every scale.
+
+    With the absolute gap both catalogs fall into one cluster of 24 at c <= 1e-6.
+    A power of two scales every step exactly, so values/c keep their bits;
+    1e-6 and 1e6 moved them by at most 1.33e-15 (6 ulps of 1) on the SkylakeX,
+    Haswell, Zen, SandyBridge and Nehalem kernels of OpenBLAS.
+    """
+    phi = cartan_three_form(su_lie_algebra(4)) if family == "su4" else special_lagrangian(4).calib
+    params = SearchParams(trials=24, master_seed=0)
+    base = critical_spectrum(phi, params=params)
+    assert [k for _, k in base.clusters] == counts
+    for c in (2.0**-40, 2.0**-20, 1e-6, 1.0, 1e6, 2.0**20):
+        catalog = critical_spectrum(c * phi, params=params)
+        assert [k for _, k in catalog.clusters] == counts
+        error = np.max(np.abs(np.array(catalog.values) / c - base.values))
+        assert error <= (8 * np.finfo(float).eps if c in (1e-6, 1e6) else 0.0)
 
 
 LOCKSTEP_FORMS = {
@@ -276,7 +298,7 @@ def test_comass_search_takes_the_first_trial_within_tolerance():
     phi = cayley_form()
     params = SearchParams(max_iters=2000, trials=12, master_seed=5)
     found = [
-        (v, f) for f, v, _, ok, _ in grassmann._trials(phi, 12, params, "maximize", phi_module(phi)) if ok
+        (v, f) for f, v, _, ok, _ in grassmann._trials(phi, params, "maximize", phi_module(phi)) if ok
     ]
     values = [v for v, _ in found]
     assert max(values) - min(values) < 1e-12  # every converged trial ties at the comass
@@ -450,14 +472,14 @@ def test_ascent_carries_the_vertex_of_the_fitted_parabola(monkeypatch, sign):
     """An accepted try of step s carries the vertex of the parabola through (0, 0), slope g2, and (s, gain).
 
     With g2 = 4 and s = 0.5 the vertex is 1 / (2 (2 - gain)), clipped to
-    [shrink s, 2 s] = [0.25, 1]; a parabola that does not bend down carries 2 s.
+    [_SHRINK s, 2 s] = [0.25, 1]; a parabola that does not bend down carries 2 s.
     """
     calls = []
     monkeypatch.setattr(grassmann, "_line_search", lambda qs, *args: calls.append(args) or (qs, None, None, None))
     params = SearchParams()
     grassmann._ascent(associative_form(), _start_frames(7, 3, [0]), params, sign, 0.5)
     (_, _, start, _, _, rule), = calls
-    assert np.array_equal(start, [4.0 * params.step_init])  # the first try is 2 step_init / scale
+    assert np.array_equal(start, [4.0 * grassmann._STEP_INIT])  # the first try is 2 _STEP_INIT / scale
     gain = np.array([1.0, 1.25, 1.75, -2.0, 2.0, 3.0])
     first = np.zeros((len(gain), 3, 4))
     first[:, 1, 2] = 2.0
@@ -488,4 +510,4 @@ def test_ascent_step_scales_with_form():
     assert np.all(np.abs(tiny - unit) <= 0.1 * unit)
     assert np.all(unit < 200)
     value, _ = comass_search(1e-10 * associative_form(), params=params)
-    assert value == pytest.approx(1e-10 * comass_estimate(associative_form(), params=params), rel=1e-6)
+    assert value == pytest.approx(1e-10 * comass_search(associative_form(), params=params)[0], rel=1e-6)
