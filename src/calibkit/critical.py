@@ -4,11 +4,12 @@ Three equivalent tests are implemented: the first-cousin coefficients
 (residual_cousin), vanishing of the induced module of forms
 (residual_module), and closure under the associated alternating vector
 product (rho_closed).  Up to sign, rho's normal components on a plane are
-its cousin coefficients, so a report's residual_rho is read off them.  The
-module is the image of o(n) acting on the
-form; its annihilator on the Grassmannian is exactly the critical set.  The
-o(n) action splits into small blocks, generators against indices, so the
-module is built, stored and evaluated block by block.
+its cousin coefficients, so a report's residual_rho is read off them, and
+rho_closed evaluates rho itself (exterior._slot_values).  The module is the
+image of o(n) acting on the form; its annihilator on the Grassmannian is
+exactly the critical set.  The o(n) action splits into small blocks,
+generators against indices, so the module is built, stored and evaluated
+block by block.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .exterior import (
     SkewMap,
     _action_entries,
     _index_table,
-    evaluate,
+    _slot_values,
     first_jet,
     stack_values,
 )
@@ -257,6 +258,13 @@ def tol_scale(phi):
     return max((abs(c) for c in phi.coeffs.values()), default=1.0)
 
 
+def _atol(phi, tol):
+    """tol * tol_scale(phi), the absolute tolerance of every test of phi; ValueError unless 0 < tol < inf."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    return tol * tol_scale(phi)
+
+
 def subspace_distance(m1, m2):
     """Spectral-norm distance between the orthogonal projectors of two modules."""
     if m1.n != m2.n or m1.degree != m2.degree:
@@ -422,61 +430,44 @@ def annihilator_check(xi, module):
     return float(np.linalg.norm(module.values_on(xi.frame).T, axis=1)[0])
 
 
-def _rho_stack(phi, rest):
-    """rho of each (p-1)-frame of an (m, n, p-1) stack, shape (m, n)."""
-    m, n = rest.shape[:2]
-    idx0, c = phi._compact()
-    # frames[i, j] is rest[i] with the basis vector eps_j in front
-    frames = np.zeros((m, n, n, phi.p))
-    frames[:, :, :, 1:] = rest[:, None]
-    frames[:, np.arange(n), np.arange(n), 0] = 1.0
-    return stack_values(c, idx0, frames.reshape(m * n, n, phi.p)).reshape(m, n)
-
-
 def rho_product(phi, vectors):
     """The alternating (p-1)-fold vector product dual to phi.
 
     Component k is phi(eps_k, v_2, .., v_p) for the standard basis eps_k.
     """
+    if phi.p == 0:
+        raise ValueError("rho needs a form of degree >= 1")
     vs = [np.asarray(v, dtype=float) for v in vectors]
     if len(vs) != phi.p - 1:
         raise ValueError(f"expected {phi.p - 1} vectors, got {len(vs)}")
     rest = np.column_stack(vs) if vs else np.zeros((phi.n, 0))
     if rest.shape[0] != phi.n:
         raise ValueError(f"form on R^{phi.n} against vectors in R^{rest.shape[0]}")
-    return _rho_stack(phi, rest[None])[0]
-
-
-def _rho_residuals(phi, frames, normals):
-    """Max normal component of rho over all (p-1)-subsets of each frame."""
-    worst = np.zeros(len(frames))
-    if normals.shape[2] == 0:
-        return worst
-    for drop in range(frames.shape[2]):
-        r = _rho_stack(phi, np.delete(frames, drop, axis=2))
-        worst = np.maximum(worst, np.max(np.abs(np.swapaxes(normals, 1, 2) @ r[..., None]), axis=(1, 2)))
-    return worst
+    idx0, c = phi._compact()
+    return _slot_values(c, idx0, rest[None])[0]
 
 
 def rho_closed(xi, phi, tol=DEFAULT_TOL):
     """True iff the plane is closed under rho (equivalently, critical).
 
-    Both tests compare with tol times the largest |coefficient| of phi (tol
-    itself for the zero form), since rho scales with phi.
+    One slot jet gives rho on the p frames F without column a.  Their
+    normal components must vanish, and rho(f_2 .. f_p) must be value * f_1,
+    value = rho(f_2 .. f_p) . f_1.  Both tests compare with tol times the
+    largest |coefficient| of phi (tol for the zero form), since rho scales
+    with phi.  A 0-plane has no (p-1)-subsets, so it is closed.
     """
     check_fits(xi.n, xi.p, phi.n, phi.p)
-    atol = tol * tol_scale(phi)
-    resid = _rho_residuals(phi, xi.frame[None], xi.normal_frame()[None])[0]
-    if resid >= atol:
+    atol = _atol(phi, tol)
+    if xi.p == 0:
+        return True
+    idx0, c = phi._compact()
+    rho = _slot_values(c, idx0, np.stack([np.delete(xi.frame, a, axis=1) for a in range(xi.p)]))
+    # N^T rho_a as one matrix-vector product per frame; rho @ N rounds differently
+    if np.max(np.abs(xi.normal_frame().T @ rho[..., None]), initial=0.0) >= atol:
         return False
-    value = evaluate(phi, xi)
-    if abs(value) > atol:
-        # on a critical plane, rho of the trailing frame vectors recovers
-        # value * e_1
-        r = rho_product(phi, [xi.frame[:, a] for a in range(1, xi.p)])
-        if np.max(np.abs(r - value * xi.frame[:, 0])) >= max(atol, 10 * tol * abs(value)):
-            return False
-    return True
+    value = rho[0] @ xi.frame[:, 0]
+    trailing = np.max(np.abs(rho[0] - value * xi.frame[:, 0]))
+    return bool(abs(value) <= atol or trailing < max(atol, 10 * tol * abs(value)))
 
 
 def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
@@ -491,9 +482,11 @@ def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
     phi(n_s, e_1 .. ^e_a .. e_p) = (-1)^a G[s, a], so it is the largest
     |G[s, a]|, the cousin residual; rho_closed evaluates rho on its own.  A
     plane is critical when its cousin residual is below tol times the
-    largest |coefficient| of phi (tol for the zero form).
+    largest |coefficient| of phi (tol for the zero form); every test of phi
+    raises ValueError unless 0 < tol < inf.
     """
     check_fits(frames.shape[1], frames.shape[2], phi.n, phi.p)
+    atol = _atol(phi, tol)
     if module is None:
         module = phi_module(phi)
     idx0, rows = _module_rows(phi, module)
@@ -502,8 +495,6 @@ def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
     # rho's normal components are the cousin coefficients up to sign
     cousin = np.max(np.abs(first[:, 0]), axis=(1, 2), initial=0.0)
     residual_module = np.linalg.norm(values[:, 1:], axis=1)
-    # the cousin coefficients scale with phi; the zero form keeps the absolute tol
-    atol = tol * tol_scale(phi)
     return [
         CriticalityReport(float(g), float(mod), float(g), float(v), bool(g < atol))
         for g, mod, v in zip(cousin, residual_module, values[:, 0])
@@ -551,10 +542,11 @@ def sff_space(xi, phi, tol=DEFAULT_TOL):
     Raises NotCriticalError, a ValueError, when xi is not critical.
     """
     check_fits(xi.n, xi.p, phi.n, phi.p)
+    atol = _atol(phi, tol)
     phi_o, G, T = _adapted_values(phi, xi)
     # the cousin residual alone decides criticality (see criticality_reports)
     residual = float(np.max(np.abs(G), initial=0.0))
-    if not residual < tol * tol_scale(phi):
+    if not residual < atol:
         raise NotCriticalError(f"plane is not critical (residual {residual:.3e})")
     p, k = G.shape
     if k == 0:

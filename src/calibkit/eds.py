@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .critical import OrientedPlane, _retract, check_fits, numerical_rank, phi_module
-from .exterior import first_jet, hodge_star, orthonormal_jet
+from .exterior import _slot_values, hodge_star, orthonormal_jet
 
 __all__ = [
     "FlagReport",
@@ -53,8 +53,7 @@ def polar_space(e, module):
     Returns an orthonormal basis (columns).  Below degree p-1 the relevant
     graded piece of the ideal vanishes, so the polar space is everything.
     """
-    frame = getattr(e, "frame", e)
-    frame = np.asarray(frame, dtype=float)
+    frame = np.asarray(getattr(e, "frame", e), dtype=float)
     n, k = frame.shape
     p = module.degree
     if n != module.n:
@@ -63,10 +62,8 @@ def polar_space(e, module):
         raise ValueError(f"flag dimension {k} is not below the generator degree {p}")
     if k < p - 1 or module.rank == 0:
         return np.eye(n)
-    # slot k of the padded flag replaced by e_j gives the module values on e ^ e_j
-    padded = np.concatenate([frame, np.zeros((n, 1))], axis=1)
-    _, first = first_jet(module._groups, module._block_idx0, padded[None], np.eye(n)[None])
-    _, s, vt = np.linalg.svd(first[0, :, k])
+    # the module's values on e_j ^ e, one slot jet; their kernel in e_j is the polar space
+    _, s, vt = np.linalg.svd(_slot_values(module._groups, module._block_idx0, frame[None])[0])
     return vt[numerical_rank(s, KERNEL_CUTOFF) :].T
 
 

@@ -578,6 +578,13 @@ def stack_values(coeff_mat, idx0, frames):
     return first_jet(coeff_mat, idx0, frames, frames[:, :, :0])[0]
 
 
+def _slot_values(coeff_mat, idx0, rest):
+    """Values (m, ..., n) of forms on (e_j, rest[i]), rest (m, n, p - 1): first_jet of [0 | rest], normals I."""
+    m, n = rest.shape[:2]
+    frames = np.concatenate([np.zeros((m, n, 1)), rest], axis=2)
+    return first_jet(coeff_mat, idx0, frames, np.broadcast_to(np.eye(n), (m, n, n)))[1][..., 0, :]
+
+
 @functools.lru_cache(maxsize=None)
 def _star_columns(n, p):
     """Hodge star of the basis p-forms: (complements (C, n - p), signs (C,)).

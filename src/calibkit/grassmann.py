@@ -38,6 +38,7 @@ import numpy as np
 from .critical import (
     CriticalityReport,
     OrientedPlane,
+    _atol,
     _module_rows,
     _retract,
     completions,
@@ -347,9 +348,11 @@ def critical_spectrum(phi, trials=None, params=None, cluster_tol=CLUSTER_TOL):
     """Multistart saddle search; catalogs converged planes and |value| clusters.
 
     Sorted |values| join one cluster across gaps up to cluster_tol times the
-    largest |coefficient| of phi (cluster_tol for the zero form).
+    largest |coefficient| of phi (cluster_tol for the zero form), which must
+    be positive and finite.
     """
     params = _with_trials(params, trials)
+    gap = _atol(phi, cluster_tol)
     module = phi_module(phi)
     planes, values, residuals = [], [], []
     for frame, value, residual, converged, _ in _trials(phi, params, "critical", module):
@@ -357,5 +360,5 @@ def critical_spectrum(phi, trials=None, params=None, cluster_tol=CLUSTER_TOL):
             planes.append(OrientedPlane(frame))
             values.append(float(value))
             residuals.append(float(residual))
-    clusters = _cluster_1d([abs(v) for v in values], cluster_tol * tol_scale(phi))
+    clusters = _cluster_1d([abs(v) for v in values], gap)
     return CriticalCatalog(planes=planes, values=values, residuals=residuals, clusters=clusters, params=params)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calibkit import CalibrationSpec, OrientedPlane, build_calibration, cli, critical, eds, exterior, grassmann
+from calibkit import CalibrationSpec, OrientedPlane, build_calibration, cli, critical, exterior, grassmann
 from calibkit.cli import main
 
 from conftest import svd_jet
@@ -219,7 +219,7 @@ def eds_payload_both_cofactor_paths(capsys, monkeypatch, literal, n):
             degrees.add(np.shape(idx0)[1])
         return values, first
 
-    for module in (exterior, critical, eds, grassmann):
+    for module in (exterior, critical, grassmann):
         monkeypatch.setattr(module, "first_jet", svd_first_jet)
     assert run(capsys, *args) == (code, table_out, "")
     assert degrees  # the run took replacements from SVD cofactors

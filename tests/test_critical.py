@@ -46,7 +46,7 @@ from calibkit import (
     su_lie_algebra,
     subspace_distance,
 )
-from calibkit import critical, exterior
+from calibkit import critical, exterior, grassmann
 from calibkit.calibrations import build_clifford
 from calibkit.critical import _adapted_values, _module_rows, completions, numerical_rank, tol_scale
 from calibkit.eds import KERNEL_CUTOFF
@@ -579,7 +579,11 @@ def test_report_rho_residual_is_rho_evaluated_on_its_own(name):
     phi = block_form(name)
     frames = qr_fix(np.random.default_rng(3).standard_normal((20, phi.n, phi.p)))[0]
     got = np.array([r.residual_rho for r in criticality_reports(frames, phi)])
-    want = critical._rho_residuals(phi, frames, completions(frames)[:, :, phi.p :])
+    want = np.zeros(len(frames))
+    for i, (f, q) in enumerate(zip(frames, completions(frames))):
+        for a in range(phi.p):  # rho of the frame without column a, against every normal
+            rho = rho_product(phi, np.delete(f, a, axis=1).T)
+            want[i] = max(want[i], np.max(np.abs(rho @ q[:, phi.p :]), initial=0.0))
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * max(1.0, np.max(want, initial=0.0))
 
 
@@ -718,6 +722,92 @@ def test_rho_closed_tolerance_scales_with_form():
     assert rho_closed(OrientedPlane(np.eye(7)[:, :3]), phi)
     # the zero form keeps the absolute tolerance: every plane is closed
     assert rho_closed(random_plane(7, 3, 0), AltForm.zero(7, 3))
+
+
+BAD_TOLS = [math.nan, math.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_criticality_reports_reject_bad_tolerances(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        is_critical(OrientedPlane(np.eye(7)[:, :3]), associative_form(), tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_rho_closed_rejects_bad_tolerances(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        rho_closed(OrientedPlane(np.eye(7)[:, :3]), associative_form(), tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_sff_space_rejects_bad_tolerances(tol):
+    """A bad tolerance is a ValueError of its own, not a not-critical verdict on a calibrated plane."""
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        sff_space(OrientedPlane(np.eye(7)[:, :3]), associative_form(), tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_critical_spectrum_rejects_bad_cluster_tolerances_before_any_trial(tol, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(grassmann, "_trials", no_trials)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        critical_spectrum(associative_form(), trials=6, cluster_tol=tol)
+
+
+# c = 2^-40 and 2^20 scale phi exactly, 1e-6 and 1e6 round every coefficient
+SCALES = (2.0**-40, 1e-6, 1.0, 1e6, 2.0**20)
+
+
+def assert_criterion_3_at_every_scale(phi, planes, rng):
+    """At every scale c of phi the three verdicts agree, with each other and with c = 1, and rho scales by c."""
+    vectors = [list(rng.standard_normal((phi.p - 1, phi.n))) for _ in range(3)] if phi.p else []
+    verdicts = {}
+    for c in SCALES:
+        scaled = c * phi
+        module = phi_module(scaled)
+        verdicts[c] = []
+        for xi in planes:
+            report = is_critical(xi, scaled, module=module)
+            verdict = {report.is_critical, bool(report.residual_module < critical.DEFAULT_TOL), rho_closed(xi, scaled)}
+            assert len(verdict) == 1, (c, report)
+            verdicts[c].append(verdict.pop())
+        for vs in vectors:
+            rho = rho_product(phi, vs)
+            assert np.max(np.abs(rho_product(scaled, vs) - c * rho)) <= 1e-14 * c * np.max(np.abs(rho))
+    assert all(v == verdicts[1.0] for v in verdicts.values())
+
+
+@pytest.mark.parametrize("family", sorted(BUILTIN_SPECS))
+def test_criterion_3_at_every_scale_of_the_families(family, rng):
+    """Criterion 3 on the catalog planes and on random planes of each family, phi scaled by c in SCALES."""
+    phi, catalog = seeded_catalog(family)
+    planes = catalog.planes + [random_plane(phi.n, phi.p, seed) for seed in range(5)]
+    assert_criterion_3_at_every_scale(phi, planes, rng)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), p_raw=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+@example(n=4, p_raw=0, seed=0)  # p = 0: a 0-plane is critical and closed under rho
+def test_criterion_3_at_every_scale_of_custom_forms(n, p_raw, seed):
+    """Criterion 3 on the catalog and random planes of a random custom form, p = 0 included."""
+    rng = np.random.default_rng(seed)
+    p = p_raw % (n + 1)
+    phi = random_form(rng, n, p)
+    catalog = critical_spectrum(phi, params=SearchParams(trials=4, master_seed=seed))
+    planes = catalog.planes + [random_plane(n, p, seed + t) for t in range(3)]
+    assert_criterion_3_at_every_scale(phi, planes, rng)
+
+
+def test_zero_forms_are_critical_and_closed_under_rho_on_zero_planes():
+    """A nonzero 0-form: is_critical, the module residual and rho_closed all call the 0-plane critical."""
+    phi, xi = AltForm.constant(4, 2.0), OrientedPlane(np.zeros((4, 0)))
+    report = is_critical(xi, phi)
+    assert report.is_critical and report.residual_module == 0.0 and report.value == 2.0
+    assert rho_closed(xi, phi) is True
+    with pytest.raises(ValueError, match="degree >= 1"):
+        rho_product(phi, [])
 
 
 # -- rho product -------------------------------------------------------------
@@ -861,7 +951,7 @@ def test_is_critical_is_one_row_of_the_stacked_report(rng):
 @example(n=4, p_raw=2, seed=2)  # k = 1
 @example(n=6, p_raw=2, seed=3)
 def test_double_replacements_and_polar_spaces_against_brute_force(n, p_raw, seed):
-    """G and T of _adapted_values and polar_space against permutation expansions of explicit frames."""
+    """G and T of _adapted_values, rho and polar_space against permutation expansions of explicit frames."""
     rng = np.random.default_rng(seed)
     p = 1 + p_raw % n
     k = n - p
@@ -884,6 +974,10 @@ def test_double_replacements_and_polar_spaces_against_brute_force(n, p_raw, seed
     # polar space of a random (p-1)-flag: the kernel of gamma(flag, e_j) over the module
     module = phi_module(phi)
     flag = qr_fix(rng.standard_normal((n, p - 1)))[0]
+    # rho of the flag: component j is phi(e_j, flag)
+    rho = rho_product(phi, flag.T)
+    for j, e in enumerate(np.eye(n)):
+        assert abs(rho[j] - brute_eval(phi, np.column_stack([e, flag]))) < 1e-12
     polar = polar_space(flag, module)
     brute = np.array([[brute_eval(g, np.column_stack([flag, e])) for e in np.eye(n)] for g in module.basis])
     ref_rank = numerical_rank(np.linalg.svd(brute, compute_uv=False), KERNEL_CUTOFF) if module.rank else 0
