@@ -234,8 +234,8 @@ def _su_coords(x, basis):
 
 def su_lie_algebra(k):
     """su(k) with the -tr(XY) metric, realified to an orthonormal basis."""
-    if not 2 <= k <= 4:
-        raise ValueError("k must be between 2 and 4")
+    if not 2 <= k <= 5:
+        raise ValueError("k must be between 2 and 5")
     basis = np.array(_su_matrix_basis(k))
     n = len(basis)
     # the brackets of all pairs i < j, in their coordinates -tr([X_i, X_j] X_l)

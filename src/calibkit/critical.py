@@ -24,6 +24,7 @@ from .exterior import (
     AltForm,
     SkewMap,
     _action_entries,
+    _bipartite_labels,
     _index_table,
     _slot_values,
     first_jet,
@@ -320,17 +321,9 @@ def _action_blocks(phi):
     """
     gen, col, val = _action_entries(phi)
     size = math.comb(phi.n, phi.p)
-    # each index takes the least label among the indices it shares a generator
-    # with, until every block is labelled by its first index; an index or a
-    # generator without entries is labelled size
-    label = np.where(np.bincount(col, minlength=size) > 0, np.arange(size), size)
-    while True:
-        row, new = np.full(phi.n * (phi.n - 1) // 2, size), np.full(size, size)
-        np.minimum.at(row, gen, label[col])
-        np.minimum.at(new, col, row[gen])
-        if np.array_equal(new, label):
-            break
-        label = new
+    # every block is labelled by its first index; an index or a generator
+    # without entries is labelled size
+    row, label = _bipartite_labels(gen, col, phi.n * (phi.n - 1) // 2, size)
     # each block's counts of generators r and indices c, in the order of their labels
     counts = np.bincount(label, minlength=size + 1)[:size]
     ids = np.flatnonzero(counts)
@@ -454,7 +447,10 @@ def rho_closed(xi, phi, tol=DEFAULT_TOL):
     normal components must vanish, and rho(f_2 .. f_p) must be value * f_1,
     value = rho(f_2 .. f_p) . f_1.  Both tests compare with tol times the
     largest |coefficient| of phi (tol for the zero form), since rho scales
-    with phi.  A 0-plane has no (p-1)-subsets, so it is closed.
+    with phi.  A 0-plane has no (p-1)-subsets, so it is closed.  A tol
+    within a few ulps of the residuals' round-off, around 1e-13, has no
+    defined verdict: rho's normal components are is_critical's cousin
+    residual summed in another order, so the two may split there.
     """
     check_fits(xi.n, xi.p, phi.n, phi.p)
     atol = _atol(phi, tol)
@@ -502,7 +498,13 @@ def criticality_reports(frames, phi, tol=DEFAULT_TOL, module=None):
 
 
 def is_critical(xi, phi, tol=DEFAULT_TOL, module=None):
-    """Full three-residual criticality report for one plane (see criticality_reports)."""
+    """Full three-residual criticality report for one plane (see criticality_reports).
+
+    A tol within a few ulps of the residuals' round-off, around 1e-13 (times
+    the largest |coefficient| of phi, as every tol), has no defined verdict:
+    on a plane whose cousin residual is that small, is_critical and
+    rho_closed sum the same numbers in other orders and may split.
+    """
     return criticality_reports(xi.frame[None], phi, tol=tol, module=module)[0]
 
 

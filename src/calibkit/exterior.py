@@ -392,9 +392,9 @@ def _minor_plan(n, t, p, key, jet):
     (size, levels, dets, grad): each level is (offset, f, g), whose E
     entries are the sums over the rows of the products of table[f] and
     table[g] (both (j, E)); dets is the (f, g) pair of the t determinants;
-    grad (jet only) is (at, sign, jinv, S): the table positions and signs of
-    the p x S matrix (-1)^b M[cols - b, J] over the S tuples J as np.unique
-    sorts them, and jinv (t, p), the J of each (I, r).
+    grad (jet only) is (at, jinv): at (p, S), the table positions of the
+    p x S matrix M[cols - b, J] over the S tuples J as np.unique sorts them,
+    and jinv (t, p), the J of each (I, r).
     """
     idx = np.frombuffer(key, dtype=np.intp).reshape(t, p)
     if idx.size and not 0 <= idx.min() <= idx.max() < n:
@@ -433,21 +433,62 @@ def _minor_plan(n, t, p, key, jet):
             at = 1 + tuples.T * p + 1 - b
         elif p > 2:  # the last level holds every (cols - b, J), sorted: b = p - 1 .. 0, then J
             at = size - (b + 1) * s + np.arange(s)
-        grad = (at.ravel(), np.repeat((-1.0) ** np.arange(p), s), jinv.reshape(t, p), s)
-    for arr in [a for level in levels for a in level[1:]] + list(dets) + list(grad[:3] if grad else ()):
+        grad = (at, jinv.reshape(t, p))
+    for arr in [a for level in levels for a in level[1:]] + list(dets) + list(grad or ()):
         arr.flags.writeable = False  # shared by every caller through the cache
     return size, levels, dets, grad
 
 
+def _bipartite_labels(left, right, n_left, n_right):
+    """Connected components of the bipartite graph with the edges (left[e], right[e]).
+
+    Returns the labels (n_left,) and (n_right,) of the two sides' nodes: a
+    node's label is the least right node of its component, n_right for a node
+    without edges.  Each right node takes the least label among the right
+    nodes it shares a left node with, until the labels settle.
+    """
+    label = np.where(np.bincount(right, minlength=n_right) > 0, np.arange(n_right), n_right)
+    while True:
+        row, new = np.full(n_left, n_right), np.full(n_right, n_right)
+        np.minimum.at(row, left, label[right])
+        np.minimum.at(new, right, row[left])
+        if np.array_equal(new, label):
+            return row, label
+        label = new
+
+
+def _places(label, ids):
+    """(block, place, counts): each node's block, the rank of its label in ids; its rank among that block's nodes; each block's count."""
+    block = np.searchsorted(ids, label)
+    order = np.argsort(block, kind="stable")
+    counts = np.bincount(block, minlength=len(ids))
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return block, place, counts
+
+
 @functools.lru_cache(maxsize=32)
 def _gradients(n, t, p, key, shapes, coeffs):
-    """Gamma (S, R n) of first_jet's groups (shapes, coefficient bytes) over the t p-indices idx0 (key).
+    """Gamma (S, R n) of first_jet's groups (shapes, coefficient bytes) over the t p-indices idx0 (key), by blocks.
 
     Gamma[J, (l, i)] sums (-1)^r c_{l, I} over the (I, r) with I - I_r = J
-    and I_r = i; on increasing rows that is one term.  The cache holds a
-    search's two (phi and [phi; module]) for seven families.
+    and I_r = i; on increasing rows that is one term.  Its nonzero pattern
+    falls apart into connected blocks, the (p - 1)-tuples J against the
+    (form, direction) columns (l, i) they reach: su(4)'s [phi; module] into
+    16 of at most 7 x 88, 8,804 entries against the dense 105 x 1,365, and
+    su(5)'s into 32 of at most 10 x 203 against 276 x 6,072.  The blocks
+    are labelled on the (J, l, i) triplets alone, so no dense Gamma is
+    built.  Returns (gamma, at, sign, back):
+    gamma (K, rows, cols), the blocks padded with zeros, each with at least
+    one zero column; at and sign (K p rows,), the sub-minor table positions
+    and signs of each block's p x rows signed minors (-1)^b M[cols - b, J]
+    (a padded row gathers 0); back (R p n,), the place in the (K, p, cols)
+    products of each V[l, b, i], block 0's last zero entry where (l, i) is
+    in no block.  The cache holds a search's two (phi and [phi; module])
+    for seven families.
     """
-    jinv, s = _minor_plan(n, t, p, key, True)[3][2:]
+    at, jinv = _minor_plan(n, t, p, key, True)[3]
+    s = at.shape[1]
     idx = np.frombuffer(key, dtype=np.intp).reshape(t, p)
     # the form l and index row q of each coefficient, group by group
     ell, q, row, col = [], [], 0, 0
@@ -459,11 +500,34 @@ def _gradients(n, t, p, key, shapes, coeffs):
     coeffs = np.frombuffer(coeffs)
     live = coeffs != 0.0
     ell, q = np.concatenate(ell)[live], np.concatenate(q)[live]
-    at = (jinv[q] * row + ell[:, None]) * n + idx[q]  # (terms, p): the (J, l, i) of each (I, r)
-    signed = coeffs[live, None] * (-1.0) ** np.arange(p)
-    gamma = np.bincount(at.ravel(), signed.ravel(), minlength=s * row * n).reshape(s, row * n)
-    gamma.flags.writeable = False  # shared by every caller through the cache
-    return gamma
+    # the (J, l n + i) of each (I, r); a repeated one sums in the order of the terms
+    pairs, inv = np.unique(((jinv[q] * row + ell[:, None]) * n + idx[q]).ravel(), return_inverse=True)
+    entries = np.bincount(inv, (coeffs[live, None] * (-1.0) ** np.arange(p)).ravel(), len(pairs))
+    js, cs = np.divmod(pairs, row * n)
+    jlab, clab = _bipartite_labels(js, cs, s, row * n)
+    ids = np.flatnonzero(clab == np.arange(row * n))  # a block's label is its least column
+    used_j, used_c = np.flatnonzero(jlab < row * n), np.flatnonzero(clab < row * n)
+    jblock, jplace, rcount = _places(jlab[used_j], ids)
+    cblock, cplace, ccount = _places(clab[used_c], ids)
+    # a Gamma without entries still has one block, for the zero column back reads
+    blocks, rmax, cmax = max(len(ids), 1), rcount.max(initial=0), ccount.max(initial=0) + 1
+    tuples = np.full((blocks, rmax), -1)  # each block's J, in order, padded with -1
+    tuples[jblock, jplace] = used_j
+    # each J's row of the stacked blocks and each (l, i)'s column of its block
+    jat, cat = np.zeros(s, dtype=np.intp), np.zeros(row * n, dtype=np.intp)
+    jat[used_j], cat[used_c] = jblock * rmax + jplace, cplace
+    gamma = np.zeros((blocks, rmax, cmax))
+    gamma.reshape(blocks * rmax, cmax)[jat[js], cat[cs]] = entries
+    pad = tuples[:, None] < 0
+    gather = np.where(pad, 0, at.T[tuples].transpose(0, 2, 1))  # (K, p, rows)
+    sign = np.where(pad, 0.0, (-1.0) ** np.arange(p)[:, None])
+    # V[l, b, i] is (block, b, place) of the products, or block 0's last zero entry
+    back = np.full((row, p, n), p * cmax - 1)
+    l, i = np.divmod(used_c, n)
+    back[l, :, i] = (cblock * p * cmax + cplace)[:, None] + np.arange(p) * cmax
+    for arr in (gamma, gather, sign, back):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return gamma, gather.ravel(), sign.ravel(), back.ravel()
 
 
 def _expand(table, f, g, out):
@@ -518,14 +582,19 @@ def first_jet(coeff_mat, idx0, frames, normals):
     (critical.phi_module) takes only its blocks' coefficients.  The
     replacements come from gradients (Jacobi's formula: det is linear in
     column b): first = V N with V = M Gamma, where M (p x S) holds the
-    frame's signed (p - 1)-minors (-1)^b M[cols - b, J] and Gamma
-    (_gradients, cached) the coefficients.  Every product is one matmul per
-    frame, broadcast over the stack, so a frame gets the same bits alone as
-    in any stack, and a value the same bits with or without normals.  The
-    table is planar (entries, frames).  Frames go in blocks whose table,
-    determinant terms (p t), M (p S), V (p R n) and replacements (R p k)
-    each take at most _MINOR_BLOCK floats.  p = 0 (a 0 x 0 minor has det 1)
-    and forms without terms need no special case.
+    frame's signed (p - 1)-minors (-1)^b M[cols - b, J] and Gamma (S x R n)
+    the coefficients.  Gamma is mostly zeros, so it is cached by its
+    connected blocks (_gradients): each block's minors are gathered straight
+    from the table, multiplied by the block, and V, laid out (R, p, n) from
+    the blocks' products by one gather, gives first in its final layout.
+    Every product is one matmul per frame (per frame and block for M Gamma),
+    broadcast over the stack, so a frame gets the same bits alone as in any
+    stack, and a value the same bits with or without normals.  The table is
+    planar (entries, frames).  Frames go in blocks whose table, determinant
+    terms (p t), the K blocks' minors (K p rows) and products (K p cols), V
+    (R p n) and replacements (R p k) each take at most _MINOR_BLOCK floats.
+    p = 0 (a 0 x 0 minor has det 1) and forms without terms need no special
+    case.
     """
     frames = np.asarray(frames, dtype=float)
     normals = np.asarray(normals, dtype=float)
@@ -537,10 +606,10 @@ def first_jet(coeff_mat, idx0, frames, normals):
     size, levels, dets_at, grad = _minor_plan(n, t, p, key, bool(p and k))
     floats = max(size, p * t)
     if grad is not None:
-        at, sign, _, s = grad
         coeffs = np.concatenate([np.ravel(g) for g in groups], dtype=float).tobytes()
-        gamma = _gradients(n, t, p, key, tuple(g.shape for g in groups), coeffs)
-        floats = max(floats, p * s, p * forms * n, forms * p * k)
+        gamma, at, sign, back = _gradients(n, t, p, key, tuple(g.shape for g in groups), coeffs)
+        blocks, rows, cols = gamma.shape
+        floats = max(floats, len(at), blocks * p * cols, p * forms * n, forms * p * k)
     # the outputs are concatenated from the blocks, so they are allocated after
     # the block temporaries; preallocating them let malloc hand the freed
     # temporaries back to the OS after every call (2.6x the page faults in a
@@ -562,12 +631,12 @@ def first_jet(coeff_mat, idx0, frames, normals):
         # whatever the size of the stack
         values.append(_contract(groups, np.ascontiguousarray(dets.T).reshape(b, t, 1)))
         if grad is not None:
-            minors = np.empty((b, p * s))
+            minors = np.empty((b, len(at)))
             np.multiply(table.take(at, axis=0).T, sign, out=minors)
             del table  # so the block holds only M, V and the replacements
-            v = minors.reshape(b, p, s) @ gamma  # (b, p, R n)
-            repl = (v.reshape(b, p * forms, n) @ normals[lo : lo + step]).reshape(b, p, forms, k)
-            first.append(np.swapaxes(repl, 1, 2).copy())  # (b, R, p, k), C-contiguous
+            v = (minors.reshape(b, blocks, p, rows) @ gamma).reshape(b, blocks * p * cols)
+            v = v.take(back, axis=1).reshape(b, forms * p, n)  # V (b, R, p, n)
+            first.append(v @ normals[lo : lo + step])  # (b, R p, k)
     values = np.concatenate(values).reshape((m,) + lead)
     first = np.concatenate(first) if first else np.zeros((m, forms, p, k))
     return values, first.reshape((m,) + lead + (p, k))

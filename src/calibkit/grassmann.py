@@ -13,7 +13,8 @@ along the null directions of J, such as those tangent to a Morse-Bott
 critical set.  The step does not change when the module's orthonormal basis
 does (J -> QJ, r -> Qr), so its jet takes the module as critical.phi_module
 builds it, under phi's terms: su4's values contract 2,540 coefficients over
-464 indices, not 91 * 455, and J comes from one cached 105 x 1,365 matrix.
+464 indices, not 91 * 455, and J comes from the 16 cached blocks, of at most
+7 x 88, of its 105 x 1,365 gradient matrix (exterior._gradients).
 Both phases are step rules for one backtracking line search
 (`_line_search`).  Each trial carries its completion Q = [F N], which the
 one QR of each retraction (`critical._retract`) renews, and each try takes
@@ -68,9 +69,10 @@ __all__ = [
 # Raise the block once perfbench stops keeping payloads.  The bound also keeps a search's memory
 # flat in its trial count: the largest lockstep arrays are the su4
 # Gauss-Newton jet, 24 * 91 * 3 * 12 floats (0.63 MB) per block, and its
-# 24 * 90 * 36 Jacobian, while [phi; module]'s cached gradient matrix takes
-# 105 * 1,365 floats (1.1 MB); a 24-trial su4 job is one stack, and its
-# search peaks at 3.8 MB (tracemalloc), 5.8 MB when it builds the caches
+# 24 * 90 * 36 Jacobian, while [phi; module]'s cached gradient blocks take
+# 16 * 7 * 89 floats and their indices (0.12 MB); a 24-trial su4 job is one
+# stack, and its search peaks at 3.1 MB (tracemalloc), 5.0 MB when it builds
+# the caches
 _TRIAL_BLOCK = 24
 # largest gap between sorted |values| within one catalog cluster, relative to max|coefficient|
 CLUSTER_TOL = 1e-4

@@ -9,6 +9,19 @@ from calibkit.calibrations import _su_matrix_basis
 from calibkit.critical import RANK_TOL, numerical_rank, qr_fix
 
 
+# the built-in families' specs, su(5) apart, as tests build them
+BUILTIN_SPECS = {
+    "associative": {"family": "associative"},
+    "coassociative": {"family": "coassociative"},
+    "cayley": {"family": "cayley"},
+    "slag2": {"family": "special_lagrangian", "m": 2},
+    "slag3": {"family": "special_lagrangian", "m": 3},
+    "slag4": {"family": "special_lagrangian", "m": 4},
+    "su3": {"family": "cartan", "algebra": "su3"},
+    "su4": {"family": "cartan", "algebra": "su4"},
+}
+
+
 def random_form(rng, n, p, density=0.5):
     """Random sparse p-form on R^n with coefficients in [-1, 1]."""
     coeffs = {}
@@ -124,6 +137,90 @@ def cofactor_positions(n, idx0):
     )
 
 
+def minor_table(idx0, frames, jet):
+    """(table (size, m), dets (t, m)): the sub-minor tables of an (m, n, p) stack, filled as first_jet fills them."""
+    idx0 = np.ascontiguousarray(idx0, dtype=np.intp)
+    (t, p), (m, n, _) = idx0.shape, frames.shape
+    size, levels, dets_at, _ = exterior._minor_plan(n, t, p, idx0.tobytes(), jet)
+    table = np.empty((size, m))
+    table[0] = 1.0
+    table[1 : 1 + n * p] = frames.reshape(m, n * p).T
+    table[1 + n * p : 1 + 2 * n * p] = -table[1 : 1 + n * p]
+    for off, f, g in levels:
+        exterior._expand(table, f, g, table[off : off + f.shape[1]])
+    return table, exterior._expand(table, *dets_at, np.empty((t, m)))
+
+
+def dense_gradients(n, idx0, groups):
+    """Gamma (S, R n) of first_jet's groups as one bincount over its dense positions: the oracle for _gradients' blocks.
+
+    Gamma[J, (l, i)] sums (-1)^r c_{l, I} over the (I, r) with I - I_r = J and I_r = i.
+    """
+    idx0 = np.ascontiguousarray(idx0, dtype=np.intp)
+    t, p = idx0.shape
+    at, jinv = exterior._minor_plan(n, t, p, idx0.tobytes(), True)[3]
+    s = at.shape[1]
+    ell, q, row, col = [], [], 0, 0
+    for g in groups:
+        blocks, r, c = g.shape
+        block, form, term = np.indices((blocks, r, c)).reshape(3, -1)
+        ell.append(row + block * r + form)
+        q.append(col + block * c + term)
+        row, col = row + blocks * r, col + blocks * c
+    coeffs = np.concatenate([np.ravel(g) for g in groups])
+    live = coeffs != 0.0
+    ell, q = np.concatenate(ell)[live], np.concatenate(q)[live]
+    at = (jinv[q] * row + ell[:, None]) * n + idx0[q]
+    signed = coeffs[live, None] * (-1.0) ** np.arange(p)
+    return np.bincount(at.ravel(), signed.ravel(), minlength=s * row * n).reshape(s, row * n)
+
+
+def gradient_blocks(n, idx0, groups):
+    """exterior._gradients of first_jet's groups: (gamma, at, sign, back)."""
+    idx0 = np.ascontiguousarray(idx0, dtype=np.intp)
+    t, p = idx0.shape
+    coeffs = np.concatenate([np.ravel(g) for g in groups], dtype=float).tobytes()
+    return exterior._gradients(n, t, p, idx0.tobytes(), tuple(g.shape for g in groups), coeffs)
+
+
+def scatter_gradients(n, idx0, groups):
+    """Gamma (S, R n) scattered back from _gradients' padded blocks, through their gather positions and back-index.
+
+    Block row j of block K is the J whose minor it gathers (its sign is 0 on
+    a padded row), and column c the (l, i) whose V[l, 0, i] back reads there.
+    """
+    idx0 = np.ascontiguousarray(idx0, dtype=np.intp)
+    t, p = idx0.shape
+    at = exterior._minor_plan(n, t, p, idx0.tobytes(), True)[3][0]
+    s = at.shape[1]
+    gamma, gather, sign, back = gradient_blocks(n, idx0, groups)
+    blocks, rows, cols = gamma.shape
+    tuples = np.zeros(at.max(initial=0) + 1, dtype=np.intp)
+    tuples[at[0]] = np.arange(s)
+    live = sign.reshape(blocks, p, rows)[:, 0] != 0.0
+    J = np.where(live, tuples[gather.reshape(blocks, p, rows)[:, 0]], s)  # padded rows go to a spare row s
+    block, c = np.divmod(back.reshape(-1, p, n)[:, 0].ravel(), p * cols)
+    c %= cols  # a column outside the blocks reads block 0's last zero entry, at b = p - 1
+    out = np.zeros((s + 1, len(block)))
+    out[J[block], np.arange(len(block))[:, None]] = gamma[block, :, c]
+    return out[:s]
+
+
+def dense_gradient_jet(coeff_mat, idx0, frames, normals):
+    """first_jet's replacements through the dense Gamma: V = M Gamma over all S tuples J, then V N, frame by frame."""
+    idx0 = np.ascontiguousarray(idx0, dtype=np.intp)
+    (t, p), (m, n, _), k = idx0.shape, frames.shape, normals.shape[-1]
+    groups, lead = exterior._groups(coeff_mat, t)
+    gamma = dense_gradients(n, idx0, groups)
+    at = exterior._minor_plan(n, t, p, idx0.tobytes(), True)[3][0]
+    table, _ = minor_table(idx0, frames, True)
+    minors = table[at].transpose(2, 0, 1) * ((-1.0) ** np.arange(p))[:, None]  # (m, p, S)
+    forms = gamma.shape[1] // n
+    v = (minors @ gamma).reshape(m, p * forms, n)
+    first = np.swapaxes((v @ normals).reshape(m, p, forms, k), 1, 2)
+    return first.reshape((m,) + lead + (p, k))
+
+
 def cofactor_jet(coeff_mat, idx0, frames, normals):
     """first_jet's (values, first), with each replacement from the cofactors of its own minor.
 
@@ -137,14 +234,7 @@ def cofactor_jet(coeff_mat, idx0, frames, normals):
     idx0 = np.ascontiguousarray(idx0, dtype=np.intp)
     (t, p), (m, n, _), k = idx0.shape, frames.shape, normals.shape[-1]
     groups, lead = exterior._groups(coeff_mat, t)
-    size, levels, dets_at, _ = exterior._minor_plan(n, t, p, idx0.tobytes(), bool(p and k))
-    table = np.empty((size, m))
-    table[0] = 1.0
-    table[1 : 1 + n * p] = frames.reshape(m, n * p).T
-    table[1 + n * p : 1 + 2 * n * p] = -table[1 : 1 + n * p]
-    for off, f, g in levels:
-        exterior._expand(table, f, g, table[off : off + f.shape[1]])
-    dets = exterior._expand(table, *dets_at, np.empty((t, m)))
+    table, dets = minor_table(idx0, frames, bool(p and k))
     values = exterior._contract(groups, np.ascontiguousarray(dets.T).reshape(m, t, 1)).reshape((m,) + lead)
     if not (p and k):
         return values, np.zeros((m,) + lead + (p, k))

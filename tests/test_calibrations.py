@@ -189,7 +189,7 @@ def test_special_lagrangian_rejects_bad_m():
         special_lagrangian(5)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_su_lie_algebra_valid(k):
     g = su_lie_algebra(k)
     assert g.dim == k * k - 1
@@ -202,7 +202,7 @@ def test_su_lie_algebra_valid(k):
         assert np.max(np.abs(resid)) < 1e-12
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_su_structure_constants_match_pairwise_loop(k):
     """The brackets' coordinates from one einsum equal, bit for bit, one bracket and trace per pair and the stacked traces."""
     basis = _su_matrix_basis(k)
@@ -218,7 +218,7 @@ def test_su_structure_constants_match_pairwise_loop(k):
     assert np.array_equal(structure, su_structure(k))
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_highest_root_frame_and_cartan_form_match_the_loops(k):
     """The frame's coordinates from one einsum and the form's terms from one gather equal the per-trace and per-triple loops, bit for bit."""
     basis = _su_matrix_basis(k)
@@ -352,6 +352,20 @@ def _jacobi_sum(c):
     """The cyclic sum over (i, j, k) of sum_m c[i, j, m] c[m, k, l]."""
     cc = np.tensordot(c, c, axes=(2, 0))
     return cc + cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3)
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_su_lie_algebra_rejects_k_outside_2_to_5(k):
+    with pytest.raises(ValueError, match="between 2 and 5"):
+        su_lie_algebra(k)
+
+
+def test_cartan_form_su5_module_and_stabilizer():
+    """su(5), the scale target: n = 24, and the module has rank 252 = 276 - 24, as the stabilizer is su(5) itself."""
+    phi = cartan_three_form(su_lie_algebra(5))
+    assert (phi.n, phi.p) == (24, 3)
+    assert phi_module(phi).rank == 252 == 24 * 23 // 2 - 24
+    assert stabilizer_dim(phi) == 24
 
 
 def test_cartan_form_su2_is_volume():

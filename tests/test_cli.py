@@ -345,6 +345,7 @@ def test_option_the_subcommand_does_not_read_is_a_usage_error(capsys, argv, opti
         (["module", "--family", "cartan", "--algebra", "su3x"], "--algebra"),
         (["module", "--family", "cartan", "--algebra", "su9"], "--algebra"),
         (["module", "--family", "special_lagrangian", "--m", "9"], "--m"),
+        (["module", "--family", "cartan", "--algebra", "su6"], "--algebra"),
     ],
 )
 def test_spec_option_its_family_does_not_read_or_malformed_is_named(capsys, argv, option):
@@ -593,12 +594,15 @@ def _run_twice(args):
     return [r.stdout for r in runs]
 
 
-@pytest.mark.parametrize("algebra, trials", [("su3", "30"), ("su4", "24")], ids=["su3-two-blocks", "su4"])
+@pytest.mark.parametrize(
+    "algebra, trials", [("su3", "30"), ("su4", "24"), ("su5", "8")], ids=["su3-two-blocks", "su4", "su5"]
+)
 def test_seeded_searches_give_the_same_bytes_in_two_processes(algebra, trials):
     """Two fresh processes print the same catalog bytes: the module's per-block SVDs included.
 
     30 su3 trials span two lockstep blocks; 24 su4 trials take its tall
-    Gauss-Newton Jacobians in one stack.
+    Gauss-Newton Jacobians in one stack; su5, the largest built-in algebra,
+    runs as `calibkit search --family cartan --algebra su5`.
     """
     a, b = _run_twice(["search", "--family", "cartan", "--algebra", algebra, "--trials", trials, "--seed", "5", "--json"])
     assert json.loads(a)["trials"] == int(trials)

@@ -53,6 +53,7 @@ from calibkit.eds import KERNEL_CUTOFF
 from calibkit.exterior import _lex_rank, first_jet, orthonormal_jet
 
 from conftest import (
+    BUILTIN_SPECS,
     brute_eval,
     cofactor_jet,
     dense_action_blocks,
@@ -336,18 +337,6 @@ def test_stabilizer_rotations_preserve_value_verdict_and_cousins(family, seed):
         assert after.is_critical == before.is_critical == (xi is critical_xi)
         norms = [np.linalg.norm(cousin_matrix(phi, plane)) for plane in (xi, moved)]
         assert abs(norms[1] - norms[0]) < 1e-12
-
-
-BUILTIN_SPECS = {
-    "associative": {"family": "associative"},
-    "coassociative": {"family": "coassociative"},
-    "cayley": {"family": "cayley"},
-    "slag2": {"family": "special_lagrangian", "m": 2},
-    "slag3": {"family": "special_lagrangian", "m": 3},
-    "slag4": {"family": "special_lagrangian", "m": 4},
-    "su3": {"family": "cartan", "algebra": "su3"},
-    "su4": {"family": "cartan", "algebra": "su4"},
-}
 
 
 @pytest.mark.parametrize("family", sorted(BUILTIN_SPECS))

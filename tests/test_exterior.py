@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,19 @@ from calibkit import calibrations, exterior
 from calibkit.exterior import sort_index
 from calibkit.critical import _module_rows
 
-from conftest import brute_eval, cofactor_jet, perm_sign, random_form, svd_cofactors, svd_jet
+from conftest import (
+    BUILTIN_SPECS,
+    brute_eval,
+    cofactor_jet,
+    dense_gradient_jet,
+    dense_gradients,
+    gradient_blocks,
+    perm_sign,
+    random_form,
+    scatter_gradients,
+    svd_cofactors,
+    svd_jet,
+)
 
 
 # -- oracles ----------------------------------------------------------------
@@ -310,41 +323,53 @@ def test_stack_values_matches_apply(rng):
             assert vals[j, i] == pytest.approx(f.apply(frames[j]), abs=1e-10)
 
 
-@pytest.mark.parametrize("family", ["associative", "cayley", "su4"])
+@pytest.mark.parametrize("family", ["associative", "cayley", "su4", "su5"])
 def test_stack_evaluation_is_independent_of_the_stack(rng, family):
-    """A frame gets the same bits alone and inside a stack of 8, through every entry point."""
+    """A frame gets the same bits alone and inside a stack of 8, through every entry point and the [phi; module] jet."""
     phi = {
         "associative": associative_form,
         "cayley": cayley_form,
         "su4": lambda: cartan_three_form(su_lie_algebra(4)),
+        "su5": lambda: cartan_three_form(su_lie_algebra(5)),
     }[family]()
     module = phi_module(phi)
     idx0, c = phi._compact()
-    stack, _ = np.linalg.qr(rng.standard_normal((8, phi.n, phi.p)))
+    completions = qr_fix(rng.standard_normal((8, phi.n, phi.n)))[0]
+    stack, normals = completions[:, :, : phi.p], completions[:, :, phi.p :]
     rows = module.values_on(stack)
     values = stack_values(c, idx0, stack)
     assert np.array_equal(stack_values(module._groups, module._block_idx0, stack), rows.T)
+    jet_idx0, jet_rows = _module_rows(phi, module)
+    jet = first_jet(jet_rows, jet_idx0, stack, normals)
     for j, frame in enumerate(stack):
         assert np.array_equal(rows[:, j], module.values_on(frame)[:, 0])
         assert values[j] == stack_values(c, idx0, frame[None])[0] == phi.apply(frame)
+        alone = first_jet(jet_rows, jet_idx0, stack[j : j + 1], normals[j : j + 1])
+        assert np.array_equal(jet[0][j], alone[0][0]) and np.array_equal(jet[1][j], alone[1][0])
 
 
-def frame_floats(idx0, n, k, forms=1):
-    """Floats a frame takes in the largest of first_jet's block arrays, for R = forms.
+def frame_floats(coeff_mat, idx0, n, k):
+    """Floats a frame takes in the largest of first_jet's block arrays.
 
     The arrays are the sub-minor table, the determinant terms (p t) and, with
-    the jet, M (p S), V (p R n) and the replacements (R p k).
+    the jet, the blocks' signed minors (K p rows), their products by Gamma's
+    blocks (K p cols), V (R p n) and the replacements (R p k).
     """
+    idx0 = np.ascontiguousarray(idx0, dtype=np.intp)
     t, p = idx0.shape
-    size, _, _, grad = exterior._minor_plan(n, t, p, np.ascontiguousarray(idx0, dtype=np.intp).tobytes(), bool(p and k))
+    size, _, _, grad = exterior._minor_plan(n, t, p, idx0.tobytes(), bool(p and k))
     if grad is None:
         return max(size, p * t)
-    return max(size, p * t, p * grad[3], p * forms * n, forms * p * k)
+    groups, lead = exterior._groups(coeff_mat, t)
+    coeffs = np.concatenate([np.ravel(g) for g in groups], dtype=float).tobytes()
+    gamma, at, _, _ = exterior._gradients(n, t, p, idx0.tobytes(), tuple(g.shape for g in groups), coeffs)
+    forms = math.prod(lead)
+    return max(size, p * t, len(at), gamma.shape[0] * p * gamma.shape[2], p * forms * n, forms * p * k)
 
 
-def gather_step(idx0, n, k, forms=1):
+def gather_step(coeff_mat, idx0, n, k):
     """Frames in one first_jet block: each of its arrays fits _MINOR_BLOCK."""
-    return exterior._MINOR_BLOCK // frame_floats(idx0, n, k, forms)
+    return exterior._MINOR_BLOCK // frame_floats(coeff_mat, idx0, n, k)
 
 
 def test_first_jet_over_several_gather_blocks_matches_single_frames(rng):
@@ -353,14 +378,14 @@ def test_first_jet_over_several_gather_blocks_matches_single_frames(rng):
     idx0, c = phi._compact()
     # as many frames as the double replacements of an su4 sff check: p^2 k^2
     stack = rng.standard_normal((1296, phi.n, phi.p))
-    assert len(stack) > gather_step(idx0, phi.n, 0)
+    assert len(stack) > gather_step(c, idx0, phi.n, 0)
     values = stack_values(c, idx0, stack)
     assert np.array_equal(values, [stack_values(c, idx0, f[None])[0] for f in stack])
-    # module rows: a block holds 8 frames, so 20 frames take three blocks
+    # module rows: a block holds 7 frames, so 20 frames take three blocks
     module = phi_module(phi)
     frames = rng.standard_normal((20, phi.n, phi.p))
     normals = rng.standard_normal((20, phi.n, phi.n - phi.p))
-    assert len(frames) > gather_step(module._idx0, phi.n, phi.n - phi.p, module.rank)
+    assert len(frames) > gather_step(module.dense_matrix(), module._idx0, phi.n, phi.n - phi.p)
     values, first = first_jet(module.dense_matrix(), module._idx0, frames, normals)
     for i in range(len(frames)):
         alone = first_jet(module.dense_matrix(), module._idx0, frames[i : i + 1], normals[i : i + 1])
@@ -377,7 +402,7 @@ def test_first_jet_with_more_normals_than_columns_over_several_blocks(rng):
     # as critical._adapted_values builds them, one plane after another
     frames = np.concatenate([replaced_frames(comp[:, :p], comp[:, p:]) for comp in comps])
     normals = np.repeat(comps[:, :, p:], p * k, axis=0)
-    assert k > p and len(frames) > gather_step(idx0, n, k) > 0
+    assert k > p and len(frames) > gather_step(c, idx0, n, k) > 0
     values, first = first_jet(c, idx0, frames, normals)
     for i in range(len(frames)):
         alone = first_jet(c, idx0, frames[i : i + 1], normals[i : i + 1])
@@ -546,6 +571,95 @@ def test_gradient_jet_matches_the_cofactor_jet(n, p_raw, k, seed, empty):
         assert got[1].shape == want[1].shape and np.max(np.abs(got[1] - want[1]), initial=0.0) <= 1e-13
 
 
+def assert_gradient_blocks_match_the_dense_gamma(coeff_mat, idx0, frames, normals):
+    """_gradients' blocks scatter back to the dense Gamma entry for entry, and the jet's replacements match its product.
+
+    Every nonzero of the padded stack lands in the dense matrix once, so
+    none hides in a padded row or column; the column every (l, i) outside
+    the blocks reads is zero.  The replacements agree to 1e-14 relative with
+    V = M Gamma over the dense Gamma: a kernel may sum the zeros of the dense
+    product in other groupings, so they are not pinned bit for bit.
+    """
+    n = frames.shape[1]
+    groups, _ = exterior._groups(coeff_mat, len(idx0))
+    want, got = dense_gradients(n, idx0, groups), scatter_gradients(n, idx0, groups)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    gamma = gradient_blocks(n, idx0, groups)[0]
+    assert np.count_nonzero(gamma) == np.count_nonzero(want) and not gamma[:, :, -1].any()
+    first, dense = first_jet(coeff_mat, idx0, frames, normals)[1], dense_gradient_jet(coeff_mat, idx0, frames, normals)
+    assert first.shape == dense.shape
+    assert np.max(np.abs(first - dense), initial=0.0) <= 1e-14 * np.max(np.abs(dense), initial=0.0)
+
+
+@pytest.mark.parametrize("family", sorted(BUILTIN_SPECS) + ["su5"])
+def test_gradient_blocks_of_the_built_in_forms_match_the_dense_gamma(rng, family):
+    """phi's terms and the rows [phi; module] of every built-in family, su(5) included."""
+    spec = BUILTIN_SPECS.get(family, {"family": "cartan", "algebra": family})
+    phi = calibrations.build_calibration(calibrations.CalibrationSpec.from_json(spec))
+    frames = qr_fix(rng.standard_normal((4, phi.n, phi.n)))[0]
+    idx0, c = phi._compact()
+    for coeffs, idx in [(c, idx0), _module_rows(phi, phi_module(phi))[::-1]]:
+        assert_gradient_blocks_match_the_dense_gamma(coeffs, idx, frames[:, :, : phi.p], frames[:, :, phi.p :])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    p_raw=st.integers(0, 8),
+    k=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.05, 0.2, 0.6]),
+)
+@example(n=7, p_raw=0, k=6, seed=1, density=0.2)  # p = 1: S = 1, the empty (p - 1)-minor
+@example(n=5, p_raw=1, k=3, seed=3, density=0.0)  # the zero form: t = 0, no block
+def test_gradient_blocks_of_random_sparse_forms_match_the_dense_gamma(n, p_raw, k, seed, density):
+    """phi's terms, random rows with zeros, phi on those rows over its indices twice, a form whose terms repeat, [phi; module].
+
+    A repeated term's Gamma entries sum, in the order of the terms.
+    """
+    rng = np.random.default_rng(seed)
+    p = 1 + p_raw % n
+    phi = random_form(rng, n, p, density) if density else AltForm.zero(n, p)
+    idx0, c = phi._compact()
+    frames, normals = rng.uniform(-1.0, 1.0, (3, n, p)), rng.uniform(-1.0, 1.0, (3, n, k))
+    rows = rng.uniform(-1.0, 1.0, (3, len(idx0))) * (rng.random((3, len(idx0))) < 0.5)
+    twice = np.concatenate([idx0, idx0])
+    jets = [
+        (c, idx0),
+        (rows, idx0),
+        ([c.reshape(1, 1, -1), rows.reshape(1, 3, -1)], twice),
+        (np.concatenate([c, rows[0]]), twice),
+        _module_rows(phi, phi_module(phi))[::-1],
+    ]
+    for coeffs, idx in jets:
+        assert_gradient_blocks_match_the_dense_gamma(coeffs, idx, frames, normals)
+
+
+def test_su4_gradient_blocks_fit_a_fifth_of_a_megabyte():
+    """su(4)'s [phi; module] Gamma is 16 blocks of at most 7 x 88, not 105 x 1,365 (1.1 MB) dense."""
+    phi = cartan_three_form(su_lie_algebra(4))
+    idx0, groups = _module_rows(phi, phi_module(phi))
+    entry = gradient_blocks(phi.n, idx0, groups)
+    assert entry[0].shape == (16, 7, 89)
+    assert sum(a.nbytes for a in entry) <= 0.2e6
+
+
+def test_gradient_blocks_build_no_dense_gamma():
+    """su(5)'s [phi; module] Gamma is 276 x 6,072 (13.4 MB) dense; its cold build peaks below half of that."""
+    phi = cartan_three_form(su_lie_algebra(5))
+    idx0, groups = _module_rows(phi, phi_module(phi))
+    exterior._minor_plan(phi.n, len(idx0), phi.p, idx0.tobytes(), True)
+    exterior._gradients.cache_clear()
+    tracemalloc.start()
+    try:
+        entry = gradient_blocks(phi.n, idx0, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entry[0].shape[0] == 32 and sum(a.nbytes for a in entry) < 1e6
+    assert peak < 6.7e6
+
+
 def lu_cofactors(minors):
     """Cofactors as signed LU determinants of the (p-1)-minors, singular minors included."""
     p = minors.shape[-1]
@@ -652,8 +766,8 @@ def test_minor_table_matches_lu_and_brute_force(n, p_raw, seed, kind):
     rows = rng.uniform(-1.0, 1.0, (2, t))
     frames, normals = kernel_frames(rng, kind, 5, n, p), kernel_frames(rng, kind, 5, n, k)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exterior, "_MINOR_BLOCK", 2 * frame_floats(idx0, n, k, len(rows)))
-        assert gather_step(idx0, n, k, len(rows)) == 2
+        patch.setattr(exterior, "_MINOR_BLOCK", 2 * frame_floats(rows, idx0, n, k))
+        assert gather_step(rows, idx0, n, k) == 2
         values, first = first_jet(rows, idx0, frames, normals)
         for i in range(len(frames)):
             alone = first_jet(rows, idx0, frames[i : i + 1], normals[i : i + 1])
@@ -662,8 +776,8 @@ def test_minor_table_matches_lu_and_brute_force(n, p_raw, seed, kind):
 
 def test_leibniz_over_several_gather_blocks_matches_single_minors(rng):
     """At p = 4 a stack spanning several gather blocks gives each minor the bits it gets alone."""
-    minors = small_minors(rng, 4, count=gather_step(np.arange(4)[None], 4, 4))
-    assert len(minors) > 2 * gather_step(np.arange(4)[None], 4, 4)
+    minors = small_minors(rng, 4, count=gather_step(np.ones(1), np.arange(4)[None], 4, 4))
+    assert len(minors) > 2 * gather_step(np.ones(1), np.arange(4)[None], 4, 4)
     dets, cof = minor_jet(minors)
     for i in range(len(minors)):
         alone = minor_jet(minors[i : i + 1])
@@ -671,7 +785,7 @@ def test_leibniz_over_several_gather_blocks_matches_single_minors(rng):
     # a one-term 4-form on R^8: a frame alone has a single minor
     phi = AltForm.basis(8, 1, 2, 3, 4)
     idx0, c = phi._compact()
-    count = 2 * gather_step(idx0, 8, 4) + 1
+    count = 2 * gather_step(c, idx0, 8, 4) + 1
     frames = kernel_frames(rng, "uniform", count, 8, 4)
     normals = kernel_frames(rng, "integral", count, 8, 4)
     values, first = first_jet(c, idx0, frames, normals)

@@ -1,5 +1,7 @@
 """Grassmannian sampling and search: determinism, gradients, convergence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -334,6 +336,25 @@ def test_su4_catalog_of_the_search_su4_workload():
     catalog = critical_spectrum(phi, params=SearchParams(trials=24, master_seed=1))
     assert [count for _, count in catalog.clusters] == [14, 8, 2]
     assert [center for center, _ in catalog.clusters] == pytest.approx([0.0, 0.1**0.5, 0.5], abs=1e-12)
+
+
+def test_su5_catalog_centres_are_principal_su2_values():
+    """Every nonzero centre of a 24-trial su(5) catalog is 1/sqrt(sum d_i (d_i^2 - 1) / 6) for a partition d of 5.
+
+    That is the value of the su(2) embedded by the partition, 1/sqrt of its
+    Dynkin index; at seed 1 the catalog finds 0 and the partitions
+    [5], [4, 1] and [3, 2]: 1/sqrt(20), 1/sqrt(10) and 1/sqrt(5).
+    """
+    phi = cartan_three_form(su_lie_algebra(5))
+    catalog = critical_spectrum(phi, params=SearchParams(trials=24, master_seed=1))
+    partitions = [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)]
+    expected = {d: 1.0 / math.sqrt(sum(x * (x * x - 1) for x in d) / 6.0) for d in partitions}
+    centres = [center for center, _ in catalog.clusters]
+    assert centres[0] == pytest.approx(0.0, abs=1e-12)
+    for center in centres[1:]:
+        assert min(abs(center - v) for v in expected.values()) < 1e-10
+    assert [count for _, count in catalog.clusters] == [14, 7, 1, 2]
+    assert centres[1:] == pytest.approx([expected[(5,)], expected[(4, 1)], expected[(3, 2)]], abs=1e-10)
 
 
 # Gauss-Newton Jacobians: su4's and su3's tall ones, and wide ones
