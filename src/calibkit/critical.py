@@ -24,7 +24,7 @@ from .exterior import (
     AltForm,
     SkewMap,
     _action_entries,
-    _bipartite_labels,
+    _blocks,
     _index_table,
     _slot_values,
     first_jet,
@@ -310,54 +310,41 @@ def _action_blocks(phi):
 
     A generator and an index are joined by a nonzero entry.  The matrix is
     zero off its blocks, so its SVD is the union of theirs.  The blocks are
-    labelled on the nonzero entries alone, exterior._action_entries'
-    triplets.  The blocks of each shape take one batched SVD, so they are
-    laid out shape by shape, in the order of each shape's first block and
-    then of the blocks: each shape's generators, indices and matrices are
-    then runs of three flat arrays, filled once from the entries.  Returns
+    labelled and placed (exterior._blocks) on the nonzero entries alone,
+    exterior._action_entries' triplets.  The blocks of each shape take one
+    batched SVD, so they are laid out shape by shape, in the order of each
+    shape's first block and then of the blocks: each shape's generators and
+    indices are then runs of the blocks' padded node rows, and its matrices
+    a run of one flat array, filled once from the entries.  Returns
     the generators whose row is zero, and for each shape the blocks' (gens
     (G, r), cols (G, c), u (G, r, r), vt, ranks (G,)); a rank counts the
     block's singular values above RANK_TOL times the largest of all.
     """
     gen, col, val = _action_entries(phi)
-    size = math.comb(phi.n, phi.p)
-    # every block is labelled by its first index; an index or a generator
-    # without entries is labelled size
-    row, label = _bipartite_labels(gen, col, phi.n * (phi.n - 1) // 2, size)
-    # each block's counts of generators r and indices c, in the order of their labels
-    counts = np.bincount(label, minlength=size + 1)[:size]
-    ids = np.flatnonzero(counts)
-    r, c = np.bincount(row, minlength=size + 1)[ids], counts[ids]
+    (gens, gen_block, gen_place), (cols, col_block, col_place) = _blocks(
+        gen, col, phi.n * (phi.n - 1) // 2, math.comb(phi.n, phi.p)
+    )
+    r, c = (np.bincount(side, minlength=len(gens) + 1)[:-1] for side in (gen_block, col_block))
     # the shapes in the order of their first blocks, and the blocks shape by shape
     shapes = {}
     for block, shape in enumerate(zip(r.tolist(), c.tolist())):
         shapes.setdefault(shape, []).append(block)
     blocks = np.array([block for group in shapes.values() for block in group], dtype=np.intp)
-    r, c = r[blocks], c[blocks]
-    # place[l] is the place of the block labelled l; size, the unlabelled, go last
-    place = np.full(size + 1, len(ids))
-    place[ids[blocks]] = np.arange(len(ids))
-    gens, cols = np.argsort(place[row], kind="stable"), np.argsort(place[label], kind="stable")
-    # an entry's block b, generator at gens[g0] and index at cols[c0] goes to
-    # flat[at[b] + (g0 - r0[b]) c[b] + c0 - c0[b]]
-    where_gen, where_col = np.empty_like(gens), np.empty_like(cols)
-    where_gen[gens], where_col[cols] = np.arange(len(gens)), np.arange(len(cols))
-    sizes = np.stack([r, c, r * c])
-    r0, c0, at = np.cumsum(sizes, axis=1) - sizes
-    b = place[label[col]]
+    # block b's matrix is the run flat[at[b]:] in the shape-by-shape order of the blocks
+    sizes, at = r[blocks] * c[blocks], np.empty_like(blocks)
+    at[blocks] = np.cumsum(sizes) - sizes
+    b = col_block[col]
     flat = np.zeros(r @ c)
-    flat[(at - r0 * c - c0)[b] + where_gen[gen] * c[b] + where_col[col]] = val
-    svds, lo = [], 0
+    flat[at[b] + gen_place[gen] * c[b] + col_place[col]] = val
+    gens, cols, svds, lo = gens[blocks], cols[blocks], [], 0
     for (rs, cs), group in shapes.items():
-        count = len(group)
-        g = gens[r0[lo] : r0[lo] + count * rs].reshape(count, rs)
-        cc = cols[c0[lo] : c0[lo] + count * cs].reshape(count, cs)
-        mats = flat[at[lo] : at[lo] + count * rs * cs].reshape(count, rs, cs)
+        g, cc = gens[lo : lo + len(group), :rs], cols[lo : lo + len(group), :cs]
+        mats = flat[at[group[0]] : at[group[0]] + g.size * cs].reshape(len(group), rs, cs)
         svds.append((g, cc, *np.linalg.svd(mats, full_matrices=rs > cs)))
-        lo += count
+        lo += len(group)
     top = max((s[:, 0].max() for *_, s, _ in svds), default=0.0)
     ranks = [np.sum(s > RANK_TOL * top, axis=1) for *_, s, _ in svds]
-    return np.flatnonzero(row == size), [(g, cc, u, vt, k) for (g, cc, u, _, vt), k in zip(svds, ranks)]
+    return np.flatnonzero(gen_block == len(gens)), [(g, cc, u, vt, k) for (g, cc, u, _, vt), k in zip(svds, ranks)]
 
 
 def phi_module(phi):

@@ -439,13 +439,16 @@ def _minor_plan(n, t, p, key, jet):
     return size, levels, dets, grad
 
 
-def _bipartite_labels(left, right, n_left, n_right):
-    """Connected components of the bipartite graph with the edges (left[e], right[e]).
+def _blocks(left, right, n_left, n_right):
+    """The connected blocks of the bipartite graph with the edges (left[e], right[e]).
 
-    Returns the labels (n_left,) and (n_right,) of the two sides' nodes: a
-    node's label is the least right node of its component, n_right for a node
-    without edges.  Each right node takes the least label among the right
-    nodes it shares a left node with, until the labels settle.
+    Each right node takes the least label among the right nodes it shares a
+    left node with, until the labels settle; a block's label is its least
+    right node, and the K blocks go in the order of their labels.  Returns
+    (nodes, block, place) for the left nodes and then for the right nodes:
+    nodes (K, w), each block's nodes in increasing order, padded with -1;
+    block, each node's block, K for a node without edges; place, each
+    node's rank among its block's nodes.
     """
     label = np.where(np.bincount(right, minlength=n_right) > 0, np.arange(n_right), n_right)
     while True:
@@ -453,18 +456,21 @@ def _bipartite_labels(left, right, n_left, n_right):
         np.minimum.at(row, left, label[right])
         np.minimum.at(new, right, row[left])
         if np.array_equal(new, label):
-            return row, label
+            break
         label = new
-
-
-def _places(label, ids):
-    """(block, place, counts): each node's block, the rank of its label in ids; its rank among that block's nodes; each block's count."""
-    block = np.searchsorted(ids, label)
-    order = np.argsort(block, kind="stable")
-    counts = np.bincount(block, minlength=len(ids))
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return block, place, counts
+    ids = np.flatnonzero(label == np.arange(n_right))
+    layout = []
+    for side in (row, label):
+        block = ids.searchsorted(side)
+        counts = np.bincount(block, minlength=len(ids) + 1)
+        order = block.argsort(kind="stable")
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order)) - (counts.cumsum() - counts).repeat(counts)
+        nodes = np.full((len(ids), counts[:-1].max(initial=0)), -1)
+        used = order[: len(order) - counts[-1]]
+        nodes[block[used], place[used]] = used
+        layout.append((nodes, block, place))
+    return layout
 
 
 @functools.lru_cache(maxsize=32)
@@ -477,8 +483,8 @@ def _gradients(n, t, p, key, shapes, coeffs):
     (form, direction) columns (l, i) they reach: su(4)'s [phi; module] into
     16 of at most 7 x 88, 8,804 entries against the dense 105 x 1,365, and
     su(5)'s into 32 of at most 10 x 203 against 276 x 6,072.  The blocks
-    are labelled on the (J, l, i) triplets alone, so no dense Gamma is
-    built.  Returns (gamma, at, sign, back):
+    are labelled and placed (_blocks) on the (J, l, i) triplets alone, so
+    no dense Gamma is built.  Returns (gamma, at, sign, back):
     gamma (K, rows, cols), the blocks padded with zeros, each with at least
     one zero column; at and sign (K p rows,), the sub-minor table positions
     and signs of each block's p x rows signed minors (-1)^b M[cols - b, J]
@@ -504,27 +510,19 @@ def _gradients(n, t, p, key, shapes, coeffs):
     pairs, inv = np.unique(((jinv[q] * row + ell[:, None]) * n + idx[q]).ravel(), return_inverse=True)
     entries = np.bincount(inv, (coeffs[live, None] * (-1.0) ** np.arange(p)).ravel(), len(pairs))
     js, cs = np.divmod(pairs, row * n)
-    jlab, clab = _bipartite_labels(js, cs, s, row * n)
-    ids = np.flatnonzero(clab == np.arange(row * n))  # a block's label is its least column
-    used_j, used_c = np.flatnonzero(jlab < row * n), np.flatnonzero(clab < row * n)
-    jblock, jplace, rcount = _places(jlab[used_j], ids)
-    cblock, cplace, ccount = _places(clab[used_c], ids)
+    (tuples, jblock, jplace), (cnodes, cblock, cplace) = _blocks(js, cs, s, row * n)
     # a Gamma without entries still has one block, for the zero column back reads
-    blocks, rmax, cmax = max(len(ids), 1), rcount.max(initial=0), ccount.max(initial=0) + 1
-    tuples = np.full((blocks, rmax), -1)  # each block's J, in order, padded with -1
-    tuples[jblock, jplace] = used_j
-    # each J's row of the stacked blocks and each (l, i)'s column of its block
-    jat, cat = np.zeros(s, dtype=np.intp), np.zeros(row * n, dtype=np.intp)
-    jat[used_j], cat[used_c] = jblock * rmax + jplace, cplace
+    if not len(tuples):
+        tuples = np.full((1, 0), -1)
+    (blocks, rmax), cmax = tuples.shape, cnodes.shape[1] + 1
     gamma = np.zeros((blocks, rmax, cmax))
-    gamma.reshape(blocks * rmax, cmax)[jat[js], cat[cs]] = entries
+    gamma[jblock[js], jplace[js], cplace[cs]] = entries
     pad = tuples[:, None] < 0
     gather = np.where(pad, 0, at.T[tuples].transpose(0, 2, 1))  # (K, p, rows)
     sign = np.where(pad, 0.0, (-1.0) ** np.arange(p)[:, None])
     # V[l, b, i] is (block, b, place) of the products, or block 0's last zero entry
-    back = np.full((row, p, n), p * cmax - 1)
-    l, i = np.divmod(used_c, n)
-    back[l, :, i] = (cblock * p * cmax + cplace)[:, None] + np.arange(p) * cmax
+    cat = (cblock * p * cmax + cplace).reshape(row, 1, n) + np.arange(p)[:, None] * cmax
+    back = np.where((cblock < len(cnodes)).reshape(row, 1, n), cat, p * cmax - 1)
     for arr in (gamma, gather, sign, back):
         arr.flags.writeable = False  # shared by every caller through the cache
     return gamma, gather.ravel(), sign.ravel(), back.ravel()

@@ -34,6 +34,17 @@ def random_form(rng, n, p, density=0.5):
     return AltForm(n, p, coeffs)
 
 
+def irregular_form():
+    """A 3-form on R^24 whose o(n) action has 154 blocks of three shapes: 1 of 15 x 20, 18 of 6 x 21, 135 of 1 x 2.
+
+    The 20 terms e_ijk on R^6, in lexicographic order, with coefficients
+    1 + 0.1 k, and the six separate terms e_{7,8,9}, ..., e_{22,23,24}.
+    """
+    coeffs = {idx: 1 + 0.1 * k for k, idx in enumerate(itertools.combinations(range(1, 7), 3))}
+    coeffs.update({(i, i + 1, i + 2): 1.0 for i in range(7, 23, 3)})
+    return AltForm(24, 3, coeffs)
+
+
 def brute_eval(form, vectors):
     """Permutation-expansion evaluation, independent of the determinant path.
 

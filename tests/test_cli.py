@@ -12,7 +12,7 @@ import pytest
 from calibkit import CalibrationSpec, OrientedPlane, build_calibration, cli, critical, exterior, grassmann
 from calibkit.cli import main
 
-from conftest import svd_jet
+from conftest import BUILTIN_SPECS, svd_jet
 
 # custom 5- and 6-forms on R^9, whose sub-minor tables reach 4 x 4 and 5 x 5 sub-minors
 FIVE_FORM = "e12345 + e16789 + e13579 - e24689 + e23456"
@@ -188,6 +188,54 @@ def test_search_at_k_0_and_comass_over_a_module_of_rank_0(capsys):
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert payload["comass"] == 0.0 and np.shape(payload["maximizer"]) == (2, 4)
+
+
+def scaled_runs(capsys, tmp_path, name, c):
+    """(exit code, payload) of check, sff, eds, search and comass on c phi, passed as a JSON form.
+
+    check and sff take the coordinate plane of phi's largest term, a calibrated plane.
+    """
+    phi = build_calibration(CalibrationSpec.from_json(BUILTIN_SPECS[name]))
+    form = exterior.form_to_json(phi)
+    form["terms"] = [{"idx": term["idx"], "c": c * term["c"]} for term in form["terms"]]
+    top = max(sorted(phi.coeffs), key=lambda idx: abs(phi.coeffs[idx]))
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(OrientedPlane(np.eye(phi.n)[:, [i - 1 for i in top]]).to_json()))
+    spec = ["--family", "custom", "--form", json.dumps(form), "--json"]
+    commands = [
+        ["check", "--frame", str(frame)],
+        ["sff", "--frame", str(frame)],
+        ["eds", "--trials", "3"],
+        ["search", "--trials", "24"],
+        ["comass", "--trials", "8"],
+    ]
+    runs = {}
+    for argv in commands:
+        code, out, _ = run(capsys, *argv, *spec)
+        runs[argv[0]] = code, json.loads(out)
+    return runs
+
+
+@pytest.mark.parametrize("name", ["associative", "cayley", "slag3", "su3"])
+def test_commands_on_a_scaled_form_keep_their_verdicts_and_scale_their_values(capsys, tmp_path, name):
+    """For c in {1e-12, 1e-6, 1e6}, c phi gets c = 1's exit codes, counts and codims, and c times its values to 1e-12."""
+    want = scaled_runs(capsys, tmp_path, name, 1.0)
+    for c in (1e-12, 1e-6, 1e6):
+        got = scaled_runs(capsys, tmp_path, name, c)
+        assert [code for code, _ in got.values()] == [code for code, _ in want.values()]
+        (check, sff, eds, search, comass), (check1, sff1, eds1, search1, comass1) = (
+            [payload for _, payload in runs.values()] for runs in (got, want)
+        )
+
+        def scaled(a, b):
+            return abs(a - c * b) <= 1e-12 * c * max(1.0, abs(b))
+
+        assert check["is_critical"] == check1["is_critical"] and scaled(check["value"], check1["value"])
+        assert (sff["solution_dim"], sff["all_trace_free"]) == (sff1["solution_dim"], sff1["all_trace_free"])
+        assert all(eds[key] == eds1[key] for key in ("actual_codim", "cartan_bound", "hodge_dual"))
+        assert [k["count"] for k in search["clusters"]] == [k["count"] for k in search1["clusters"]]
+        assert all(scaled(a["center"], b["center"]) for a, b in zip(search["clusters"], search1["clusters"]))
+        assert scaled(comass["comass"], comass1["comass"])
 
 
 def test_eds_of_a_one_form_and_a_search_over_several_lockstep_blocks(capsys):

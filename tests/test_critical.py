@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,7 @@ from conftest import (
     dense_coefficients,
     dense_phi_module,
     dense_stabilizer_kernel,
+    irregular_form,
     loop_action_entries,
     random_form,
     scatter_phi_module,
@@ -388,14 +390,16 @@ def assert_block_module_matches_the_dense_svd(phi):
 
 
 # beside the built-in families: the p = 12 dual of su4, a rank-0 module whose
-# generators' rows are all zero, the zero form, a form of one block, and one
-# whose terms reach two module blocks, of 2 and 6 indices
+# generators' rows are all zero, the zero form, a form of one block, one
+# whose terms reach two module blocks, of 2 and 6 indices, and a form on R^24
+# whose 154 blocks take three shapes
 MORE_BLOCK_FORMS = {
     "su4-dual": lambda: hodge_star(cartan_three_form(su_lie_algebra(4))),
     "volume": lambda: parse_form("e1234", n=4),
     "zero": lambda: AltForm.zero(5, 2),
     "one-block": lambda: parse_form("e12 + 2*e13 + 3*e23", n=3),
     "two-joined": lambda: parse_form("3*e17 + 2*e23 + 3*e24 + 3*e26 + 3*e36 + 2*e57", n=7),
+    "irregular": irregular_form,
 }
 BLOCK_FORMS = sorted(BUILTIN_SPECS) + sorted(MORE_BLOCK_FORMS)
 
@@ -432,7 +436,7 @@ def assert_action_blocks_match_the_dense_labels(phi):
             assert a.shape == b.shape and np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
+@pytest.mark.parametrize("name", sorted(BUILTIN_SPECS) + ["irregular"])
 @pytest.mark.parametrize("dual", [False, True])
 def test_action_blocks_match_the_dense_labels(name, dual):
     phi = block_form(name)
@@ -470,7 +474,7 @@ def assert_module_matches_the_scatter_oracle(phi):
     assert same_bits(kernel, scatter_stabilizer_kernel(phi))
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_SPECS) + ["spinor"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SPECS) + ["spinor", "irregular"])
 @pytest.mark.parametrize("dual", [False, True])
 def test_module_matches_the_scatter_oracle(name, dual):
     if name == "spinor":
@@ -490,6 +494,21 @@ def test_module_matches_the_scatter_oracle(name, dual):
 )
 def test_module_of_random_custom_forms_matches_the_scatter_oracle(n, p_raw, seed, density):
     assert_module_matches_the_scatter_oracle(random_form(np.random.default_rng(seed), n, p_raw % (n + 1), density))
+
+
+def test_action_blocks_of_an_irregular_form_take_their_entries_unpadded():
+    """The irregular form's blocks hold 2,838 entries; padded to its largest block, 15 x 21, they would take 17 times that."""
+    phi = irregular_form()
+    critical._action_blocks(phi)  # fills the index tables
+    tracemalloc.start()
+    try:
+        shapes = critical._action_blocks(phi)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(gens) for gens, *_ in shapes) == 154 and len(shapes) == 3
+    assert sum(gens.size * cols.shape[1] for gens, cols, *_ in shapes) == 2838
+    assert peak < 0.35e6
 
 
 def test_block_module_layout():

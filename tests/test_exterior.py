@@ -44,6 +44,7 @@ from conftest import (
     dense_gradient_jet,
     dense_gradients,
     gradient_blocks,
+    irregular_form,
     perm_sign,
     random_form,
     scatter_gradients,
@@ -539,6 +540,15 @@ def test_first_jet_svd_and_cofactor_paths_agree(n, p, k):
         assert abs(values[i] - brute_eval(phi, frames[i])) < 1e-12
         oracle = [brute_eval(phi, f) for f in replaced_frames(frames[i], normals[i])]
         assert np.max(np.abs(first[i].reshape(p * k) - oracle)) < 1e-12
+
+
+def test_gradient_blocks_of_an_irregular_form_match_the_dense_gamma(rng):
+    """phi's terms and the rows [phi; module] of a form on R^24: 154 Gamma blocks of up to 15 x 204."""
+    phi = irregular_form()
+    frames = qr_fix(rng.standard_normal((4, phi.n, phi.n)))[0]
+    idx0, c = phi._compact()
+    for coeffs, idx in [(c, idx0), _module_rows(phi, phi_module(phi))[::-1]]:
+        assert_gradient_blocks_match_the_dense_gamma(coeffs, idx, frames[:, :, : phi.p], frames[:, :, phi.p :])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
